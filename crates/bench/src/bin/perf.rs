@@ -17,10 +17,6 @@
 //! * `--delta-smoke WORKLOAD` — CI's delta gate: run one merge-declared
 //!   workload in `WorldMode::Deltas` and fail if the privatized path
 //!   ever touches a shard lock.
-//! * `--engine-smoke` — CI's engine gate: run the md5sum canary on the
-//!   simulated executor under both execution engines and fail if the
-//!   compiled bytecode backend is not strictly faster than the
-//!   tree-walk engine on any applicable cell.
 //! * `--diff OLD.json [--against NEW.json]` — the noise-aware perf
 //!   regression gate: diff a candidate report against the committed
 //!   baseline cell-by-cell (tight 5% band on the deterministic
@@ -36,10 +32,7 @@
 //! deterministic simulator times (`sim_time` / `sim_time_deltas`): the
 //! DES models full `threads`-way parallelism whatever the host has, so
 //! the modeled pair shows the contention win even when the wall clock
-//! is measured on a small machine. Every row also carries
-//! `sim_time_bytecode` — the same modeled run on the compiled bytecode
-//! backend — next to `sim_time` (tree-walk), so the dispatch win of the
-//! compiled engine is a column diff, not a separate report.
+//! is measured on a small machine.
 //!
 //! The output is a machine-readable JSON report (written without any
 //! external serialization dependency): one entry per
@@ -54,7 +47,7 @@
 use commset::Scheme;
 use commset_bench::diff::{diff_reports, DiffConfig};
 use commset_interp::bundle::Json;
-use commset_interp::{Backend, Engine, ExecConfig, RecoveryPolicy, ThreadOutcome, WorldMode};
+use commset_interp::{Backend, ExecConfig, RecoveryPolicy, ThreadOutcome, WorldMode};
 use commset_runtime::{DeltaSnapshot, ShardStatsSnapshot};
 use commset_sim::CostModel;
 use commset_telemetry::{RecoveryReport, RunReport};
@@ -92,21 +85,14 @@ struct Row {
     /// scheme is DOALL — pipeline sections never delta-route, so a
     /// deltas cell there would just re-measure `sharded`.
     deltas: Option<Cell>,
-    /// Modeled time on the discrete-event simulator, default world,
-    /// tree-walk engine. The DES models `threads`-way parallelism
-    /// whatever the host has, so this pair is the deterministic,
-    /// noise-free contention story the wall clock can't tell on a small
-    /// machine.
+    /// Modeled time on the discrete-event simulator, default world. The
+    /// DES models `threads`-way parallelism whatever the host has, so
+    /// this pair is the deterministic, noise-free contention story the
+    /// wall clock can't tell on a small machine.
     sim_time: Option<u64>,
-    /// The same modeled run on the compiled bytecode backend: program
-    /// work retires without the tree-walk dispatch premium, so this is
-    /// strictly below `sim_time` wherever program work exists.
-    sim_time_bytecode: Option<u64>,
-    /// Modeled time with `WorldMode::Deltas` (tree-walk, so the ratio
-    /// against `sim_time` isolates the privatization win): privatized
-    /// updates skip the commutative channel's serialization charge, so
-    /// on reduction workloads this is strictly below `sim_time` at 2+
-    /// threads.
+    /// Modeled time with `WorldMode::Deltas`: privatized updates skip the
+    /// commutative channel's serialization charge, so on reduction
+    /// workloads this is strictly below `sim_time` at 2+ threads.
     sim_time_deltas: Option<u64>,
 }
 
@@ -117,20 +103,18 @@ fn sim_time(
     spec: &SchemeSpec,
     threads: usize,
     mode: WorldMode,
-    engine: Engine,
     cm: &CostModel,
     seq_world: &commset_runtime::World,
 ) -> Option<u64> {
     let cfg = ExecConfig {
         world: mode,
-        engine,
         ..ExecConfig::default()
     };
     match w.run_scheme_with(spec, threads, cm, &cfg) {
         Ok((time, world, _)) => {
             (w.validate)(seq_world, &world).unwrap_or_else(|e| {
                 panic!(
-                    "{}: {} x{threads} sim ({mode:?}, {engine:?}) computed a wrong answer: {e}",
+                    "{}: {} x{threads} sim ({mode:?}) computed a wrong answer: {e}",
                     w.name, spec.label
                 )
             });
@@ -138,7 +122,7 @@ fn sim_time(
         }
         Err(Ok(_diag)) => None,
         Err(Err(e)) => panic!(
-            "{}: {} x{threads} sim ({mode:?}, {engine:?}): executor failed: {e}",
+            "{}: {} x{threads} sim ({mode:?}): executor failed: {e}",
             w.name, spec.label
         ),
     }
@@ -311,75 +295,12 @@ fn delta_smoke(name: &str) {
     eprintln!("delta smoke: {cells} scheme(s) lock-free and oracle-identical");
 }
 
-/// CI's engine perf gate: the md5sum canary on the simulated executor,
-/// every applicable scheme at 2 and 4 threads, under the tree-walk and
-/// the compiled bytecode engine. Both runs must validate against the
-/// sequential oracle and the bytecode clock must be strictly faster —
-/// a dispatch regression in the compiled backend fails the build.
-fn engine_smoke() {
-    let cm = CostModel::default();
-    let w = commset_workloads::all()
-        .into_iter()
-        .find(|w| w.name == "md5sum")
-        .expect("md5sum workload exists");
-    let (_, seq_world) = w.run_sequential(&cm);
-    let mut cells = 0u32;
-    for spec in &w.schemes {
-        if spec.scheme == Scheme::Sequential {
-            continue;
-        }
-        for t in [2usize, 4] {
-            let Some(slow) = sim_time(
-                &w,
-                spec,
-                t,
-                WorldMode::Auto,
-                Engine::TreeWalk,
-                &cm,
-                &seq_world,
-            ) else {
-                continue;
-            };
-            let fast = sim_time(
-                &w,
-                spec,
-                t,
-                WorldMode::Auto,
-                Engine::Bytecode,
-                &cm,
-                &seq_world,
-            )
-            .unwrap_or_else(|| {
-                panic!(
-                    "md5sum {} x{t}: bytecode must apply where tree-walk does",
-                    spec.label
-                )
-            });
-            assert!(
-                fast < slow,
-                "md5sum {} x{t}: bytecode sim_time ({fast}) regressed vs tree-walk ({slow})",
-                spec.label
-            );
-            eprintln!(
-                "md5sum   {:<26} x{t}: sim tree {:>9}  bytecode {:>9}  ({:.2}x)",
-                spec.label,
-                slow,
-                fast,
-                slow as f64 / fast.max(1) as f64
-            );
-            cells += 1;
-        }
-    }
-    assert!(cells > 0, "md5sum: no scheme was measurable");
-    eprintln!("engine smoke: {cells} cell(s), bytecode strictly faster and oracle-identical");
-}
-
 /// Usage-error exit: the usage line on stderr, status 2 (so CI can tell
 /// a mis-invocation from a perf regression, which exits 1).
 fn usage() -> ! {
     eprintln!(
         "usage: perf [--quick] [--iters K] [--out PATH] \
-         [--delta-smoke WORKLOAD] [--engine-smoke] \
+         [--delta-smoke WORKLOAD] \
          [--diff OLD.json [--against NEW.json]]"
     );
     std::process::exit(2);
@@ -447,10 +368,6 @@ fn main() {
                     None => usage(),
                 };
                 delta_smoke(&name);
-                return;
-            }
-            "--engine-smoke" => {
-                engine_smoke();
                 return;
             }
             "--diff" => {
@@ -524,42 +441,15 @@ fn run_suite(quick: bool, iters: usize) -> (String, usize) {
                 } else {
                     None
                 };
-                let sim = sim_time(
-                    &w,
-                    spec,
-                    t,
-                    WorldMode::Auto,
-                    Engine::TreeWalk,
-                    &cm,
-                    &seq_world,
-                );
-                let sim_bc = sim_time(
-                    &w,
-                    spec,
-                    t,
-                    WorldMode::Auto,
-                    Engine::Bytecode,
-                    &cm,
-                    &seq_world,
-                );
+                let sim = sim_time(&w, spec, t, WorldMode::Auto, &cm, &seq_world);
                 let sim_deltas = if deltas.is_some() {
-                    sim_time(
-                        &w,
-                        spec,
-                        t,
-                        WorldMode::Deltas,
-                        Engine::TreeWalk,
-                        &cm,
-                        &seq_world,
-                    )
+                    sim_time(&w, spec, t, WorldMode::Deltas, &cm, &seq_world)
                 } else {
                     None
                 };
-                let mut extra = match (sim, sim_bc) {
-                    (Some(s), Some(b)) => {
-                        format!("  [sim {s} bc {b}, {:.2}x]", s as f64 / b.max(1) as f64)
-                    }
-                    _ => String::new(),
+                let mut extra = match sim {
+                    Some(s) => format!("  [sim {s}]"),
+                    None => String::new(),
                 };
                 match (&deltas, sim, sim_deltas) {
                     (Some(d), Some(s), Some(sd)) => {
@@ -597,7 +487,6 @@ fn run_suite(quick: bool, iters: usize) -> (String, usize) {
                     sharded,
                     deltas,
                     sim_time: sim,
-                    sim_time_bytecode: sim_bc,
                     sim_time_deltas: sim_deltas,
                 });
             }
@@ -671,17 +560,6 @@ fn run_suite(quick: bool, iters: usize) -> (String, usize) {
             }
             None => {
                 let _ = writeln!(json, "      \"sim_time\": null,");
-            }
-        }
-        match (r.sim_time, r.sim_time_bytecode) {
-            (Some(s), Some(b)) => {
-                let v = s as f64 / b.max(1) as f64;
-                let _ = writeln!(json, "      \"sim_time_bytecode\": {b},");
-                let _ = writeln!(json, "      \"sim_bytecode_speedup\": {v:.4},");
-            }
-            _ => {
-                let _ = writeln!(json, "      \"sim_time_bytecode\": null,");
-                let _ = writeln!(json, "      \"sim_bytecode_speedup\": null,");
             }
         }
         match (r.sim_time, r.sim_time_deltas) {

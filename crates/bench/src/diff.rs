@@ -5,10 +5,10 @@
 //! threads only) diffs cleanly against the committed full matrix. Two
 //! tolerance regimes, because the report carries two kinds of numbers:
 //!
-//! * **simulator columns** (`sim_time`, `sim_time_bytecode`,
-//!   `sim_time_deltas`) are deterministic logical ticks — any drift is a
-//!   real behavior change, so the band is tight (5% relative + a small
-//!   absolute floor against integer jitter on tiny cells);
+//! * **simulator columns** (`sim_time`, `sim_time_deltas`) are
+//!   deterministic logical ticks — any drift is a real behavior change,
+//!   so the band is tight (5% relative + a small absolute floor against
+//!   integer jitter on tiny cells);
 //! * **wall-clock columns** (`*.wall_us`) are host- and load-dependent —
 //!   a regression needs *both* a large factor (1.75x) and a large
 //!   absolute delta (10ms), so laptop noise and CI-runner variance don't
@@ -139,7 +139,7 @@ fn column_value(r: &Json, path: &str) -> Option<u64> {
 }
 
 /// Simulator columns: deterministic ticks, tight band.
-const SIM_COLUMNS: [&str; 3] = ["sim_time", "sim_time_bytecode", "sim_time_deltas"];
+const SIM_COLUMNS: [&str; 2] = ["sim_time", "sim_time_deltas"];
 /// Wall-clock columns: noisy, factor + absolute-floor band.
 const WALL_COLUMNS: [&str; 3] = ["single_lock.wall_us", "sharded.wall_us", "deltas.wall_us"];
 
@@ -223,7 +223,6 @@ mod tests {
       "sharded": {{"wall_us": 1500}},
       "deltas": null,
       "sim_time": {sim_md5},
-      "sim_time_bytecode": 150000,
       "sim_time_deltas": null
     }},
     {{
@@ -232,7 +231,6 @@ mod tests {
       "sharded": null,
       "deltas": null,
       "sim_time": 70000,
-      "sim_time_bytecode": null,
       "sim_time_deltas": null
     }}
   ]

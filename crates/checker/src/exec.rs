@@ -19,7 +19,7 @@
 use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
 use commset_interp::vm::GlobalMem;
-use commset_interp::{prepare_engine, EngineVm, ExecError, StepOutcome};
+use commset_interp::{BcModule, BcVm, ExecError, StepOutcome};
 use commset_ir::Module;
 use commset_runtime::rng::SplitMix64;
 use commset_runtime::Value;
@@ -314,7 +314,7 @@ enum WState {
 }
 
 struct CWorker<'m> {
-    vm: EngineVm<'m>,
+    vm: BcVm<'m>,
     state: WState,
 }
 
@@ -342,7 +342,7 @@ impl<'m> Machine<'m> {
     /// *exit* instead of entry.
     fn run_vm(
         &mut self,
-        vm: &mut EngineVm<'_>,
+        vm: &mut BcVm<'_>,
         globals: &mut PlainGlobals,
         in_region: bool,
         region_func: &str,
@@ -447,7 +447,7 @@ pub fn run_controlled(
     step_budget: u64,
 ) -> Result<ControlledOutcome, CheckError> {
     // Declared before `machine` and the VMs so it outlives every borrow.
-    let bc = prepare_engine(module, model_cfg.engine);
+    let bc = BcModule::compile(module);
     let mut machine = Machine {
         module,
         world: ModelWorld::new(model_cfg.clone()),
@@ -462,7 +462,7 @@ pub fn run_controlled(
         pause_world: model_cfg.pause_at_world_calls,
     };
     let mut globals = PlainGlobals::new(module);
-    let mut main = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let mut main = BcVm::for_name(module, &bc, "main", &[])?;
     let mut log: Vec<RegionExec> = Vec::new();
 
     loop {
@@ -479,14 +479,7 @@ pub fn run_controlled(
                             "section {section} has no plan"
                         )));
                     }
-                    run_section(
-                        &mut machine,
-                        bc.as_ref(),
-                        plan,
-                        &mut globals,
-                        sched,
-                        &mut log,
-                    )?;
+                    run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
                     main.resolve_special(Value::Int(0));
                 } else if name.starts_with("__") {
                     return Err(CheckError::Unsupported(format!(
@@ -540,10 +533,10 @@ pub fn run_sequential_model(
     // per-run store-buffer window must not leak into it.
     let mut seq_cfg = model_cfg.clone();
     seq_cfg.sb_window = None;
-    let bc = prepare_engine(module, model_cfg.engine);
+    let bc = BcModule::compile(module);
     let mut world = ModelWorld::new(seq_cfg);
     let mut globals = PlainGlobals::new(module);
-    let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut budget = step_budget;
     loop {
         if budget == 0 {
@@ -575,7 +568,7 @@ pub fn run_sequential_model(
 
 fn run_section<'m, 'e>(
     machine: &mut Machine<'m>,
-    bc: Option<&'e commset_interp::BcModule>,
+    bc: &'e BcModule,
     plan: &ParallelPlan,
     globals: &mut PlainGlobals,
     sched: &mut dyn Scheduler,
@@ -586,7 +579,7 @@ where
 {
     let mut workers: Vec<CWorker<'e>> = Vec::with_capacity(plan.workers.len());
     for (i, w) in plan.workers.iter().enumerate() {
-        let mut vm = EngineVm::for_name(
+        let mut vm = BcVm::for_name(
             machine.module,
             bc,
             &w.func,

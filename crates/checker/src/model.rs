@@ -54,7 +54,10 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn hash_call(name: &str, args: &[Value]) -> u64 {
+/// The model's return-value hash of one call: a pure function of
+/// `(intrinsic, args)`. `commsetc profile`'s synthetic world hashes with
+/// it too, so profile runs and check runs agree on every modeled value.
+pub fn hash_call(name: &str, args: &[Value]) -> u64 {
     let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
     for b in name.bytes() {
         h = mix64(h ^ u64::from(b));
@@ -108,11 +111,6 @@ pub struct ModelConfig {
     /// relaxed schedule); `None` is sequential consistency. Worker 0 (the
     /// main thread, and therefore the sequential oracle) never buffers.
     pub sb_window: Option<usize>,
-    /// Interpretation engine driving the checker's VMs (both the
-    /// controlled schedules and the sequential oracle). Engines are
-    /// report-invariant: identical visible events, identical final
-    /// worlds, identical error strings.
-    pub engine: commset_interp::Engine,
 }
 
 impl Default for ModelConfig {
@@ -124,7 +122,6 @@ impl Default for ModelConfig {
             delta: BTreeSet::new(),
             pause_at_world_calls: false,
             sb_window: None,
-            engine: commset_interp::Engine::Auto,
         }
     }
 }

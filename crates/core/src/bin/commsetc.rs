@@ -14,7 +14,6 @@
 //!                            [--effects prog.effects]
 //! commsetc check    prog.cmm [--effects prog.effects] [--threads N]
 //!                            [--budget N] [--seed N] [--jobs N] [--fuzz]
-//!                            [--engine auto|tree-walk|bytecode]
 //!                            [--trace-out fail.json] [--corpus DIR]
 //!                            [--capture-corpus]
 //! commsetc profile  prog.cmm --scheme dswp [--sync spin] [--threads N]
@@ -45,10 +44,7 @@
 //! are caught, with mutants fanned across the same pool. The sidecar's
 //! `commutative CHANS`, `model size= stream=` and `relaxed [window=N]`
 //! directives configure the checker's abstract world (the latter opting
-//! into store-buffered schedule variants). `--engine` selects the VM
-//! driving the model world (tree-walk or the compiled bytecode backend);
-//! engines are report-invariant, so CI diffs the two reports to prove it.
-//! Exit status: 0 if the verdict
+//! into store-buffered schedule variants). Exit status: 0 if the verdict
 //! is clean, 1 otherwise. With `--trace-out`, a failing check additionally
 //! writes the canonical and failing interleavings as one Chrome
 //! trace-event JSON file.
@@ -107,7 +103,7 @@ use commset::report::parse_journal;
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_checker::{check_source, fuzz_annotations};
-use commset_interp::{Engine, ExecConfig, FailureBundle, RecoveryPolicy};
+use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy};
 use commset_lang::printer::print_program;
 use commset_telemetry::{chrome_trace_json, Journal};
 use std::process::ExitCode;
@@ -118,7 +114,6 @@ fn usage() -> ExitCode {
          [--effects <file>] [--pdg] [--threads N] \
          [--scheme doall|dswp|ps-dswp] [--sync spin|mutex|tm|lib] \
          [--hot-func NAME] [--dump-bytecode] \
-         [--engine auto|tree-walk|bytecode] \
          [--budget N] [--seed N] [--jobs N] [--fuzz] \
          [--corpus DIR] [--capture-corpus] \
          [--trace-out <file.json>] [--real] \
@@ -141,7 +136,6 @@ struct Args {
     sync: SyncMode,
     hot_func: Option<String>,
     dump_bytecode: bool,
-    engine: Engine,
     budget: Option<usize>,
     seed: Option<u64>,
     jobs: usize,
@@ -191,7 +185,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         sync: SyncMode::Spin,
         hot_func: None,
         dump_bytecode: false,
-        engine: Engine::Auto,
         budget: None,
         seed: None,
         jobs: 1,
@@ -238,14 +231,6 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--hot-func" => args.hot_func = Some(value()?),
             "--dump-bytecode" => args.dump_bytecode = true,
-            "--engine" => {
-                args.engine = match value()?.as_str() {
-                    "auto" => Engine::Auto,
-                    "tree-walk" | "tree" => Engine::TreeWalk,
-                    "bytecode" => Engine::Bytecode,
-                    other => return Err(format!("unknown engine `{other}`")),
-                }
-            }
             "--budget" => {
                 let b: usize = value()?
                     .parse()
@@ -495,7 +480,6 @@ fn run(args: &Args) -> Result<(), String> {
             let mut cfg = spec.checker_config();
             cfg.nthreads = args.threads;
             cfg.jobs = args.jobs;
-            cfg.model.engine = args.engine;
             if let Some(b) = args.budget {
                 cfg.budget = b;
             }
@@ -912,14 +896,6 @@ mod tests {
         let a = args(&["compile", "p.cmm", "--scheme", "doall"]).unwrap();
         assert!(!a.dump_bytecode, "dump is opt-in");
         assert_eq!(a.scheme, Some(Scheme::Doall));
-
-        let a = args(&["check", "p.cmm"]).unwrap();
-        assert_eq!(a.engine, Engine::Auto, "engine defaults to auto");
-        let a = args(&["check", "p.cmm", "--engine", "tree-walk"]).unwrap();
-        assert_eq!(a.engine, Engine::TreeWalk);
-        let a = args(&["check", "p.cmm", "--engine", "bytecode"]).unwrap();
-        assert_eq!(a.engine, Engine::Bytecode);
-        assert!(args(&["check", "p.cmm", "--engine", "jit"]).is_err());
 
         // The REPLAY: line prints the seed in hex; it must paste back.
         let a = args(&["check", "p.cmm", "--seed", "0x5eedc0de"]).unwrap();

@@ -22,6 +22,7 @@
 
 use crate::spec::EffectsSpec;
 use crate::{Analysis, Compiler, Scheme, SyncMode};
+use commset_checker::model::hash_call;
 use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -35,32 +36,6 @@ use std::collections::BTreeMap;
 const STREAMS_SLOT: &str = "__profile_streams";
 
 type Streams = BTreeMap<(String, i64), i64>;
-
-/// Splittable 64-bit mixer (same finalizer as `SplitMix64`, and the same
-/// hash the checker's model world uses, so profile runs and check runs
-/// agree on every modeled return value).
-fn mix64(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-fn hash_call(name: &str, args: &[Value]) -> u64 {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for b in name.bytes() {
-        h = mix64(h ^ u64::from(b));
-    }
-    for a in args {
-        let bits = match a {
-            Value::Int(i) => *i as u64,
-            Value::Float(f) => f.to_bits(),
-        };
-        h = mix64(h ^ bits);
-    }
-    h
-}
 
 /// Builds a handler registry for every intrinsic in `table`, with the
 /// checker-model semantics described in the module docs.
@@ -214,6 +189,7 @@ pub fn run_profile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commset_checker::{ModelConfig, ModelWorld};
 
     fn table_and_spec() -> (IntrinsicTable, EffectsSpec) {
         let mut t = IntrinsicTable::new();
@@ -238,33 +214,34 @@ mod tests {
         let (t, spec) = table_and_spec();
         let reg = synthetic_registry(&t, &spec);
         let mut w = synthetic_world();
-        // Size query returns the default loop bound.
-        assert_eq!(reg.call("file_count", &mut w, &[]).value, Value::Int(6));
-        // Fresh handles are deterministic, odd, distinct per args.
-        let h1 = reg.call("fs_open", &mut w, &[Value::Int(0)]).value;
-        let h2 = reg.call("fs_open", &mut w, &[Value::Int(1)]).value;
-        assert_ne!(h1, h2);
-        assert_eq!(h1.as_int() & 1, 1);
-        // Streams count down per instance key: 3 ones then a zero.
-        for _ in 0..3 {
-            assert_eq!(
-                reg.call("fs_read", &mut w, &[Value::Int(9)]).value,
-                Value::Int(1)
-            );
-        }
-        assert_eq!(
-            reg.call("fs_read", &mut w, &[Value::Int(9)]).value,
-            Value::Int(0)
-        );
-        assert_eq!(
-            reg.call("fs_read", &mut w, &[Value::Int(7)]).value,
-            Value::Int(1)
-        );
-        // Void intrinsics return unit-ish zero.
-        assert_eq!(
-            reg.call("emit", &mut w, &[Value::Int(3)]).value,
-            Value::Int(0)
-        );
+        let mut model = ModelWorld::new(ModelConfig::default());
+        let calls: &[(&str, &[Value])] = &[
+            ("file_count", &[]),
+            ("fs_open", &[Value::Int(0)]),
+            ("fs_open", &[Value::Int(1)]),
+            ("fs_read", &[Value::Int(9)]),
+            ("fs_read", &[Value::Int(9)]),
+            ("fs_read", &[Value::Int(9)]),
+            ("fs_read", &[Value::Int(9)]),
+            ("fs_read", &[Value::Int(7)]),
+            ("emit", &[Value::Int(3)]),
+        ];
+        let got: Vec<Value> = calls
+            .iter()
+            .map(|(name, args)| {
+                let v = reg.call(name, &mut w, args).value;
+                assert_eq!(v, model.call(&t, name, args), "{name}{args:?}");
+                v
+            })
+            .collect();
+        // Size query returns the default loop bound; fresh handles are
+        // odd and distinct per args; streams count down per instance key
+        // (3 ones then a zero); void intrinsics return zero.
+        assert_eq!(got[0], Value::Int(6));
+        assert_ne!(got[1], got[2]);
+        assert_eq!(got[1].as_int() & 1, 1);
+        let ints = [1, 1, 1, 0, 1, 0].map(Value::Int);
+        assert_eq!(got[3..], ints);
     }
 
     #[test]

@@ -24,11 +24,12 @@
 //! clock of a bytecode run is *bit-identical* to the tree-walk clock:
 //! same `sim_time`, same blocking points, same deterministic schedules.
 //!
-//! [`BcVm`] preserves the resumable [`StepOutcome::Special`] contract and
-//! the whole [`Vm`] surface (watched calls, `resolve_special`,
-//! `retry_special_later`), so the discrete-event executor, the
-//! real-thread executor, the supervisor ladder and the checker all drive
-//! the compiled form through the same code paths as the tree-walk.
+//! [`BcVm`] implements the resumable [`StepOutcome::Special`] contract
+//! (watched calls, `resolve_special`, `retry_special_later`) and is the
+//! only engine: the sequential, discrete-event and real-thread
+//! executors, the supervisor ladder and the checker all drive it. The
+//! tree-walk [`Vm`](crate::vm::Vm) is kept as the reference the parity
+//! tests compare it against.
 
 use crate::error::ExecError;
 use crate::vm::{eval_bin, eval_un, zero_of, CallEvent, GlobalMem, PendingSpecial, StepOutcome};

@@ -29,38 +29,6 @@ pub enum WorldMode {
     Deltas,
 }
 
-/// Which interpretation engine the executors drive each worker with.
-///
-/// Both engines honor the same resumable `step()` contract and produce
-/// identical results, watch events and dynamic errors; they differ in how
-/// much host work one retired instruction costs, which the cost model
-/// reflects as [`commset_sim::CostModel::interp_penalty`] on modeled
-/// program work under [`Engine::TreeWalk`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The compiled bytecode backend ([`crate::bytecode`]) unless a run
-    /// opts out. The default.
-    #[default]
-    Auto,
-    /// The original tree-walk VM over the CFG IR ([`crate::vm`]), kept as
-    /// the semantic reference and the slow baseline the bench harness
-    /// compares against.
-    TreeWalk,
-    /// The flat register bytecode backend with fused superinstructions
-    /// and inline-cached intrinsic call sites.
-    Bytecode,
-}
-
-impl Engine {
-    /// Resolves [`Engine::Auto`] to the concrete engine it selects.
-    pub fn resolved(self) -> Engine {
-        match self {
-            Engine::Auto | Engine::Bytecode => Engine::Bytecode,
-            Engine::TreeWalk => Engine::TreeWalk,
-        }
-    }
-}
-
 /// Knobs shared by the simulated and real-thread executors.
 ///
 /// The default configuration injects no faults, uses the default
@@ -102,9 +70,6 @@ pub struct ExecConfig {
     /// [`crate::ExecError::DeadlineExceeded`]. In the simulated executor
     /// the deadline is a deterministic tick budget (1 ms = 1000 ticks).
     pub deadline_ms: Option<u64>,
-    /// Interpretation engine driving each worker VM
-    /// ([`Engine::Auto`] by default, which selects the bytecode backend).
-    pub engine: Engine,
     /// Collect metrics-registry observability (bytecode per-opcode retire
     /// counts and hot-block ranks, lock/channel wait histograms, queue
     /// occupancy, delta merge sizes) and attach a merged
@@ -130,7 +95,6 @@ impl Default for ExecConfig {
             queue_batch: 8,
             telemetry: false,
             deadline_ms: None,
-            engine: Engine::Auto,
             metrics: false,
             journal: None,
         }
@@ -176,11 +140,5 @@ mod tests {
         assert!(!c.metrics, "the metrics registry must be opt-in");
         assert!(c.journal.is_none(), "the event journal must be opt-in");
         assert!(c.deadline_ms.is_none(), "deadlines must be opt-in");
-        assert_eq!(c.engine, Engine::Auto);
-        assert_eq!(
-            c.engine.resolved(),
-            Engine::Bytecode,
-            "Auto selects the compiled backend"
-        );
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! Execution of compiled Cmm modules.
 //!
-//! * [`vm`] — a *resumable* virtual machine over the IR: `step()` retires
-//!   one instruction; intrinsic calls surface as pending *special* events
-//!   the driving executor resolves. The same VM backs every executor.
-//! * [`bytecode`] — the compiled execution backend: each function is
-//!   lowered once to flat register bytecode (pre-resolved block offsets,
-//!   fused superinstructions, inline-cached intrinsic call sites) and run
-//!   by [`bytecode::BcVm`], which honors the same resumable `step()`
-//!   contract as the tree-walk VM. Selected per run via
-//!   [`config::Engine`].
+//! * [`bytecode`] — the execution engine: each function is lowered once
+//!   to flat register bytecode (pre-resolved block offsets, fused
+//!   superinstructions, inline-cached intrinsic call sites) and run by
+//!   [`bytecode::BcVm`], a *resumable* machine: `step()` retires one op;
+//!   intrinsic calls surface as pending *special* events the driving
+//!   executor resolves. Every executor, the supervisor and the checker
+//!   run it.
+//! * [`vm`] — the resumable contract ([`vm::StepOutcome`],
+//!   [`vm::CallEvent`], [`vm::GlobalMem`]) and [`vm::Vm`], a tree-walk
+//!   interpreter over the CFG IR kept only as the reference the tests
+//!   compare the bytecode engine against.
 //! * [`globals`] — global-memory backends (plain for single-threaded
 //!   executors, atomic for the thread executor).
 //! * [`seq`] — the sequential executor (the evaluation baseline), with
@@ -47,7 +49,6 @@
 pub mod bundle;
 pub mod bytecode;
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod globals;
 pub mod metrics;
@@ -60,11 +61,10 @@ pub mod vm;
 
 pub use bundle::FailureBundle;
 pub use bytecode::{print_bc_function, print_bc_module, BcModule, BcVm};
-pub use config::{Engine, ExecConfig, WorldMode};
-pub use engine::{prepare_engine, program_cost_factor, EngineVm};
+pub use config::{ExecConfig, WorldMode};
 pub use error::ExecError;
 pub use metrics::MetricsLocal;
-pub use seq::{run_sequential, run_sequential_with};
+pub use seq::run_sequential;
 pub use sim_exec::{run_simulated, run_simulated_with, SimOutcome, SimStats};
 pub use supervise::{
     run_supervised, Backend, CompiledProgram, ProgramDesc, ProgramSource, RecoveryPolicy,

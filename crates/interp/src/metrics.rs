@@ -28,9 +28,10 @@ impl MetricsLocal {
         Self::default()
     }
 
-    /// Records one retired op: `site` as sampled from
-    /// `EngineVm::bc_site()` *before* the step, `cost` as reported by the
-    /// step outcome.
+    /// Records one retired op: `site` as sampled from [`BcVm::site`]
+    /// *before* the step, `cost` as reported by the step outcome.
+    ///
+    /// [`BcVm::site`]: crate::bytecode::BcVm::site
     pub fn retire(&mut self, bc: &BcModule, site: (u32, u32), cost: u64) {
         let (func, pc) = site;
         let bf = &bc.funcs[func as usize];

@@ -1,7 +1,6 @@
 //! The sequential executor — the evaluation baseline.
 
-use crate::config::Engine;
-use crate::engine::{prepare_engine, program_cost_factor, EngineVm};
+use crate::bytecode::{BcModule, BcVm};
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
 use crate::vm::StepOutcome;
@@ -27,7 +26,7 @@ pub struct SeqOutcome {
 /// Returns [`ExecError::ParallelIntrinsicInSequential`] if the program
 /// executes parallel-runtime intrinsics (`__par_invoke` etc.) — sequential
 /// programs must be untransformed — and propagates any dynamic error from
-/// [`Vm::step`] (division by zero, out-of-bounds indexing, ...).
+/// [`BcVm::step`] (division by zero, out-of-bounds indexing, ...).
 pub fn run_sequential(
     module: &Module,
     registry: &Registry,
@@ -35,36 +34,15 @@ pub fn run_sequential(
     cm: &CostModel,
     entry: &str,
 ) -> Result<SeqOutcome, ExecError> {
-    run_sequential_with(module, registry, world, cm, entry, Engine::Auto)
-}
-
-/// [`run_sequential`] with an explicit interpretation engine.
-///
-/// Program work (instruction ticks, intrinsic base/extra cost) is scaled
-/// by the engine's dispatch factor: the tree-walk engine pays
-/// `CostModel::interp_penalty`, the compiled backend pays ×1.
-///
-/// # Errors
-///
-/// As [`run_sequential`].
-pub fn run_sequential_with(
-    module: &Module,
-    registry: &Registry,
-    world: &mut World,
-    cm: &CostModel,
-    entry: &str,
-    engine: Engine,
-) -> Result<SeqOutcome, ExecError> {
-    let bc = prepare_engine(module, engine);
-    let factor = program_cost_factor(engine, cm);
+    let bc = BcModule::compile(module);
     let mut globals = PlainGlobals::new(module);
-    let mut vm = EngineVm::for_name(module, bc.as_ref(), entry, &[])?;
+    let mut vm = BcVm::for_name(module, &bc, entry, &[])?;
     let mut sim_time: u64 = 0;
     let mut insts: u64 = 0;
     loop {
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
-                sim_time += factor * cost * cm.inst;
+                sim_time += cost * cm.inst;
                 insts += 1;
             }
             StepOutcome::Special(p) => {
@@ -80,7 +58,7 @@ pub fn run_sequential_with(
                 }
                 let base = module.intrinsics.sig(p.intrinsic.0 as usize).base_cost;
                 let out = registry.call(name, world, &p.args);
-                sim_time += factor * (base + out.extra_cost);
+                sim_time += base + out.extra_cost;
                 vm.resolve_special(out.value);
             }
             StepOutcome::Finished(result) => {
@@ -131,31 +109,6 @@ mod tests {
         // 5 calls x (50 base + 7 extra) plus instruction time.
         assert!(out.sim_time >= 5 * 57);
         assert!(out.insts > 20);
-    }
-
-    #[test]
-    fn tree_walk_engine_pays_the_dispatch_premium() {
-        let unit = commset_lang::compile_unit(
-            "int main() { int s = 0; for (int i = 0; i < 50; i = i + 1) { s += i; } return s; }",
-        )
-        .unwrap();
-        let module = lower_program(&unit.program, IntrinsicTable::new()).unwrap();
-        let registry = Registry::new();
-        let cm = CostModel::default();
-        let mut w1 = World::new();
-        let mut w2 = World::new();
-        let fast = run_sequential_with(&module, &registry, &mut w1, &cm, "main", Engine::Bytecode)
-            .unwrap();
-        let slow = run_sequential_with(&module, &registry, &mut w2, &cm, "main", Engine::TreeWalk)
-            .unwrap();
-        assert_eq!(fast.result, slow.result);
-        // A sequential run is pure program work, so the ratio is exactly
-        // the calibrated dispatch penalty.
-        assert_eq!(slow.sim_time, cm.interp_penalty * fast.sim_time);
-        // Auto is the compiled backend: same clock as explicit Bytecode.
-        let mut w3 = World::new();
-        let auto = run_sequential(&module, &registry, &mut w3, &cm, "main").unwrap();
-        assert_eq!(auto.sim_time, fast.sim_time);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! an adversarial [`FaultPlan`](commset_runtime::FaultPlan) schedule and
 //! runs the waits-for watchdog, whose report lands in [`SimStats`].
 
+use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
-use crate::engine::{prepare_engine, program_cost_factor, EngineVm};
 use crate::error::ExecError;
 use crate::globals::PlainGlobals;
 use crate::metrics::MetricsLocal;
@@ -93,16 +93,9 @@ struct SimMetrics {
 }
 
 impl SimMetrics {
-    fn retire(
-        &mut self,
-        bc: Option<&crate::bytecode::BcModule>,
-        site: Option<(u32, u32)>,
-        cost: u64,
-    ) {
-        if self.on {
-            if let (Some(bc), Some(site)) = (bc, site) {
-                self.local.retire(bc, site, cost);
-            }
+    fn retire(&mut self, bc: &BcModule, site: Option<(u32, u32)>, cost: u64) {
+        if let Some(site) = site {
+            self.local.retire(bc, site, cost);
         }
     }
 
@@ -186,10 +179,9 @@ pub fn run_simulated_with(
     cfg: &ExecConfig,
 ) -> Result<SimOutcome, ExecError> {
     let injector = FaultInjector::new(cfg.fault.clone());
-    let bc = prepare_engine(module, cfg.engine);
-    let factor = program_cost_factor(cfg.engine, cm);
+    let bc = BcModule::compile(module);
     let mut globals = PlainGlobals::new(module);
-    let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut sim_time: u64 = 0;
     let mut stats = SimStats::default();
     let sink = cfg.telemetry.then(TelemetrySink::new);
@@ -202,13 +194,12 @@ pub fn run_simulated_with(
     let mut next_ord = 0usize;
     loop {
         // Sampled before the step so a retired op attributes to the site
-        // that produced it; `None` when metrics are off or the engine is
-        // the tree-walk VM.
-        let site = if mx.on { vm.bc_site() } else { None };
+        // that produced it; `None` when metrics are off.
+        let site = if mx.on { vm.site() } else { None };
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
-                sim_time += factor * cost * cm.inst;
-                mx.retire(bc.as_ref(), site, cost);
+                sim_time += cost * cm.inst;
+                mx.retire(&bc, site, cost);
             }
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
@@ -234,7 +225,7 @@ pub fn run_simulated_with(
                     }
                     let (end, section_stats, meta) = run_section(
                         module,
-                        bc.as_ref(),
+                        &bc,
                         registry,
                         plan,
                         world,
@@ -262,7 +253,7 @@ pub fn run_simulated_with(
                 } else {
                     let base = module.intrinsics.sig(p.intrinsic.0 as usize).base_cost;
                     let out = registry.call(name, world, &p.args);
-                    sim_time += factor * (base + out.extra_cost);
+                    sim_time += base + out.extra_cost;
                     vm.resolve_special(out.value);
                 }
             }
@@ -289,9 +280,7 @@ pub fn run_simulated_with(
                 });
                 let metrics = mx.on.then(|| {
                     let mut reg = std::mem::take(&mut mx.reg);
-                    if let Some(bcm) = bc.as_ref() {
-                        mx.local.publish(module, bcm, &mut reg);
-                    }
+                    mx.local.publish(module, &bc, &mut reg);
                     reg.inc("delta.applies", stats.delta.applies);
                     reg.inc("delta.coalesces", stats.delta.coalesces);
                     reg.inc("delta.merged_slots", stats.delta.merged_slots);
@@ -332,26 +321,11 @@ fn merge_stats(into: &mut SimStats, from: SimStats) {
     into.queue_pushes += from.queue_pushes;
     into.queue_stalls += from.queue_stalls;
     into.delta.absorb(from.delta);
-    merge_watchdog(&mut into.watchdog, from.watchdog);
-}
-
-fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
-    into.checks += from.checks;
-    for c in from.cycles {
-        if !into.cycles.contains(&c) {
-            into.cycles.push(c);
-        }
-    }
-    for v in from.rank_violations {
-        if !into.rank_violations.contains(&v) {
-            into.rank_violations.push(v);
-        }
-    }
-    into.max_blocked = into.max_blocked.max(from.max_blocked);
+    into.watchdog.absorb(from.watchdog);
 }
 
 struct Worker<'m> {
-    vm: EngineVm<'m>,
+    vm: BcVm<'m>,
     clock: u64,
     status: WStatus,
     tx: Option<commset_sim::tm::TxRecord>,
@@ -378,7 +352,7 @@ struct Worker<'m> {
 #[allow(clippy::too_many_arguments)]
 fn run_section<'m>(
     module: &'m Module,
-    bc: Option<&'m crate::bytecode::BcModule>,
+    bc: &'m BcModule,
     registry: &Registry,
     plan: &ParallelPlan,
     world: &mut World,
@@ -447,12 +421,10 @@ fn run_section<'m>(
         })
         .collect();
 
-    let factor = program_cost_factor(cfg.engine, cm);
     let spawn_t = start + cm.par_spawn;
     let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
     for w in &plan.workers {
-        let mut vm =
-            EngineVm::for_name(module, bc, &w.func, &[Value::Int(w.tid), Value::Int(w.nt)])?;
+        let mut vm = BcVm::for_name(module, bc, &w.func, &[Value::Int(w.tid), Value::Int(w.nt)])?;
         if cfg.trace.is_some() || telem.on {
             vm.watch_calls_matching("__commset_region_");
         }
@@ -506,7 +478,7 @@ fn run_section<'m>(
             }
         }
         // Step worker i until it blocks, finishes, or completes one special.
-        let site = if mx.on { workers[i].vm.bc_site() } else { None };
+        let site = if mx.on { workers[i].vm.site() } else { None };
         let step = workers[i]
             .vm
             .step(globals)
@@ -516,7 +488,7 @@ fn run_section<'m>(
             })?;
         match step {
             StepOutcome::Ran { cost } => {
-                workers[i].clock += factor * cost * cm.inst;
+                workers[i].clock += cost * cm.inst;
                 mx.retire(bc, site, cost);
             }
             StepOutcome::Finished(_) => {
@@ -688,7 +660,6 @@ fn handle_special(
 ) -> Result<(), ExecError> {
     // Borrowed, not cloned: this runs once per special, on the hot path.
     let name = module.intrinsics.name(p.intrinsic.0 as usize);
-    let factor = program_cost_factor(cfg.engine, cm);
     let qidx = |args: &[Value]| -> Result<usize, ExecError> {
         let id = args[0].as_int();
         queue_index
@@ -947,7 +918,7 @@ fn handle_special(
             if !delta_bufs.is_empty() {
                 if let Some(slots) = registry.delta_route(name, &p.args) {
                     let out = delta_bufs[i].apply(registry, name, &p.args, &slots);
-                    let done = workers[i].clock + factor * (base + out.extra_cost);
+                    let done = workers[i].clock + base + out.extra_cost;
                     if telem.on {
                         telem.span(
                             i,
@@ -974,15 +945,11 @@ fn handle_special(
                 }
             }
             let out = registry.call(name, world, &p.args);
-            let raw = base + out.extra_cost;
-            // Application work executed by the engine pays the engine's
-            // dispatch factor; the serialized/parallel split keeps its
-            // proportions.
-            let cost = factor * raw;
+            let cost = base + out.extra_cost;
             // Private compute overlaps across cores; only the serialized
             // portion holds the intrinsic's write channels (readers wait
             // for in-flight writers).
-            let ser = (factor * out.serialized_cost.unwrap_or(raw)).min(cost);
+            let ser = out.serialized_cost.unwrap_or(cost).min(cost);
             let par = cost - ser;
             let mut start = workers[i].clock + par;
             let base_start = start;

@@ -323,13 +323,12 @@ fn run_rung(
         Rung::Sequential => {
             let module = src.sequential().map_err(AttemptError::Compile)?;
             let mut world = src.fresh_world();
-            let out = crate::seq::run_sequential_with(
+            let out = crate::seq::run_sequential(
                 &module,
                 src.registry(),
                 &mut world,
                 &CostModel::default(),
                 "main",
-                cfg.engine,
             )
             .map_err(AttemptError::Exec)?;
             Ok(Attempt {

@@ -15,8 +15,8 @@
 //! queues are drained, and the run reports
 //! [`ExecError::WorkerFailed`] naming the stage and cause.
 
+use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
-use crate::engine::{prepare_engine, EngineVm};
 use crate::error::ExecError;
 use crate::globals::{AtomicGlobals, SharedGlobals};
 use crate::metrics::MetricsLocal;
@@ -172,11 +172,11 @@ pub fn run_threaded_with(
 ) -> Result<ThreadOutcome, ExecError> {
     let start = Instant::now();
     let injector = FaultInjector::new(cfg.fault.clone());
-    let bc = prepare_engine(module, cfg.engine);
+    let bc = BcModule::compile(module);
     let shared_globals = AtomicGlobals::new(module);
     let world = WorldStore::new(world, cfg.world, registry);
     let mut globals = SharedGlobals::new(Arc::clone(&shared_globals));
-    let mut vm = EngineVm::for_name(module, bc.as_ref(), "main", &[])?;
+    let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut stats = ThreadStats::default();
     let sink = cfg.telemetry.then(TelemetrySink::new);
     let msink = cfg.metrics.then(MetricsSink::new);
@@ -186,11 +186,11 @@ pub fn run_threaded_with(
     let result = loop {
         // Sampled before the step so a retired op attributes to the site
         // that produced it (main-thread sequential work).
-        let site = if mlocal.is_some() { vm.bc_site() } else { None };
+        let site = if mlocal.is_some() { vm.site() } else { None };
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site), Some(bcm)) = (mlocal.as_mut(), site, bc.as_ref()) {
-                    ml.retire(bcm, site, cost);
+                if let (Some(ml), Some(site)) = (mlocal.as_mut(), site) {
+                    ml.retire(&bc, site, cost);
                 }
             }
             StepOutcome::Special(p) => {
@@ -213,7 +213,7 @@ pub fn run_threaded_with(
                     }
                     let section_out = run_section(
                         module,
-                        bc.as_ref(),
+                        &bc,
                         registry,
                         plan,
                         &shared_globals,
@@ -231,7 +231,7 @@ pub fn run_threaded_with(
                             ..JournalEvent::new("section_end", start.elapsed().as_nanos() as u64)
                         });
                     }
-                    merge_watchdog(&mut stats.watchdog, section_out.watchdog);
+                    stats.watchdog.absorb(section_out.watchdog);
                     stats.queue_drained += section_out.drained;
                     stats.queue_full_spins += section_out.full_spins;
                     stats.queue_empty_spins += section_out.empty_spins;
@@ -294,8 +294,8 @@ pub fn run_threaded_with(
     });
     let metrics = msink.map(|ms| {
         let mut reg = ms.take();
-        if let (Some(ml), Some(bcm)) = (mlocal.as_ref(), bc.as_ref()) {
-            ml.publish(module, bcm, &mut reg);
+        if let Some(ml) = mlocal.as_ref() {
+            ml.publish(module, &bc, &mut reg);
         }
         reg.inc("shard.fast_acquires", stats.shard.fast_acquires);
         reg.inc("shard.fast_waits", stats.shard.fast_waits);
@@ -323,27 +323,11 @@ pub fn run_threaded_with(
     })
 }
 
-fn merge_watchdog(into: &mut WatchdogReport, from: WatchdogReport) {
-    into.checks += from.checks;
-    for c in from.cycles {
-        if !into.cycles.contains(&c) {
-            into.cycles.push(c);
-        }
-    }
-    for v in from.rank_violations {
-        if !into.rank_violations.contains(&v) {
-            into.rank_violations.push(v);
-        }
-    }
-    into.max_blocked = into.max_blocked.max(from.max_blocked);
-}
-
 /// Shared, immutable context for one section's worker threads.
 struct SectionCtx<'a> {
     module: &'a Module,
-    /// Compiled bytecode when the run's engine is the compiled backend;
-    /// `None` runs workers on the tree-walk VM.
-    bc: Option<&'a crate::bytecode::BcModule>,
+    /// The module's compiled bytecode every worker runs.
+    bc: &'a BcModule,
     registry: &'a Registry,
     world: &'a WorldStore,
     locks: &'a [RawLock],
@@ -405,7 +389,7 @@ struct SectionOutcome {
 #[allow(clippy::too_many_arguments)]
 fn run_section(
     module: &Module,
-    bc: Option<&crate::bytecode::BcModule>,
+    bc: &BcModule,
     registry: &Registry,
     plan: &ParallelPlan,
     shared_globals: &Arc<AtomicGlobals>,
@@ -732,7 +716,7 @@ fn worker_loop(
     spans: &mut Vec<SpanRecord>,
 ) -> Result<(), ExecError> {
     let canceled = || ExecError::Canceled { stage: func.into() };
-    let mut vm = EngineVm::for_name(ctx.module, ctx.bc, func, &[Value::Int(tid), Value::Int(nt)])?;
+    let mut vm = BcVm::for_name(ctx.module, ctx.bc, func, &[Value::Int(tid), Value::Int(nt)])?;
     let telemetry_on = ctx.telemetry.is_some();
     // Metrics accumulate into worker-private state and publish once at
     // normal exit; failed/canceled workers drop their partial metrics
@@ -783,7 +767,7 @@ fn worker_loop(
         }
         // Sampled before the step so a retired op attributes to the site
         // that produced it.
-        let site = if metrics_on { vm.bc_site() } else { None };
+        let site = if metrics_on { vm.site() } else { None };
         let step = vm.step(&mut globals)?;
         if ctx.trace.is_some() || telemetry_on {
             for ev in vm.drain_call_events() {
@@ -816,8 +800,8 @@ fn worker_loop(
         }
         match step {
             StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site), Some(bcm)) = (mloc.as_mut(), site, ctx.bc) {
-                    ml.retire(bcm, site, cost);
+                if let (Some(ml), Some(site)) = (mloc.as_mut(), site) {
+                    ml.retire(ctx.bc, site, cost);
                 }
             }
             StepOutcome::Finished(_) => {
@@ -836,8 +820,8 @@ fn worker_loop(
                 // Publish this worker's metrics in one batch.
                 if let Some(ms) = ctx.metrics {
                     let mut reg = mreg.take().unwrap_or_default();
-                    if let (Some(ml), Some(bcm)) = (mloc.as_ref(), ctx.bc) {
-                        ml.publish(ctx.module, bcm, &mut reg);
+                    if let Some(ml) = mloc.as_ref() {
+                        ml.publish(ctx.module, ctx.bc, &mut reg);
                     }
                     ms.publish(&reg);
                 }

@@ -35,6 +35,24 @@ impl WatchdogReport {
     pub fn is_clean(&self) -> bool {
         self.cycles.is_empty() && self.rank_violations.is_empty()
     }
+
+    /// Folds another section's findings into this run-wide report: checks
+    /// add up, cycles and rank violations are kept once each, and
+    /// `max_blocked` keeps the larger peak.
+    pub fn absorb(&mut self, other: WatchdogReport) {
+        self.checks += other.checks;
+        for c in other.cycles {
+            if !self.cycles.contains(&c) {
+                self.cycles.push(c);
+            }
+        }
+        for v in other.rank_violations {
+            if !self.rank_violations.contains(&v) {
+                self.rank_violations.push(v);
+            }
+        }
+        self.max_blocked = self.max_blocked.max(other.max_blocked);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -203,6 +221,31 @@ mod tests {
         let cycle = wd.acquiring_returns_cycle(1, 0);
         assert_eq!(cycle, Some(vec![0, 1]));
         assert!(!wd.report().is_clean());
+    }
+
+    #[test]
+    fn absorb_sums_checks_dedups_findings_and_keeps_peak() {
+        let mut run = WatchdogReport {
+            checks: 3,
+            cycles: vec![vec![0, 1]],
+            rank_violations: vec!["a".into()],
+            max_blocked: 4,
+        };
+        run.absorb(WatchdogReport {
+            checks: 5,
+            cycles: vec![vec![0, 1], vec![1, 2]],
+            rank_violations: vec!["a".into(), "b".into()],
+            max_blocked: 2,
+        });
+        assert_eq!(run.checks, 8);
+        assert_eq!(run.cycles, vec![vec![0, 1], vec![1, 2]]);
+        assert_eq!(run.rank_violations, vec!["a".to_string(), "b".to_string()]);
+        assert_eq!(run.max_blocked, 4);
+        run.absorb(WatchdogReport {
+            max_blocked: 7,
+            ..WatchdogReport::default()
+        });
+        assert_eq!((run.checks, run.max_blocked), (8, 7));
     }
 
     impl Watchdog {

@@ -30,13 +30,6 @@ pub struct CostModel {
     pub tx_commit: u64,
     /// Per-worker spawn overhead at `__par_invoke`.
     pub par_spawn: u64,
-    /// Dispatch-overhead multiplier the *tree-walk* engine pays on modeled
-    /// program work (instruction ticks and intrinsic base/extra cost).
-    /// The compiled bytecode engine pays ×1; substrate costs (locks,
-    /// queues, transactions, spawns) are engine-independent and never
-    /// scaled. Calibrated against the measured host-time ratio between
-    /// the two engines (EXPERIMENTS.md).
-    pub interp_penalty: u64,
 }
 
 impl Default for CostModel {
@@ -53,7 +46,6 @@ impl Default for CostModel {
             tx_begin: 40,
             tx_commit: 120,
             par_spawn: 500,
-            interp_penalty: 3,
         }
     }
 }
@@ -71,9 +63,5 @@ mod tests {
         );
         assert!(c.queue_latency > c.inst);
         assert!(c.tx_commit > c.tx_begin);
-        assert!(
-            c.interp_penalty >= 2,
-            "the tree-walk engine must pay a real dispatch premium"
-        );
     }
 }

@@ -1,349 +1,104 @@
-//! Cross-engine oracle identity: the tree-walk VM and the compiled
-//! bytecode backend are two implementations of the same semantics, and
-//! every observable outcome — final worlds, validator verdicts, checker
-//! reports, fault-plan survival — must be identical between them. The
-//! only permitted difference is the clock: the tree-walk engine pays the
-//! dispatch premium (`CostModel::interp_penalty`) on program work, so
-//! its simulated times are strictly larger, never differently shaped.
+//! Reference-interpreter parity: the bytecode engine every executor runs
+//! against the tree-walk `Vm`, the reference implementation of the same
+//! resumable semantics. Each workload's sequential module runs to
+//! completion on both machines, every intrinsic resolved through the
+//! workload's own registry on a fresh world, and every observable must be
+//! identical: the result, the total retired cost, the special sequence
+//! (intrinsic id + arguments) and the final world.
 
-use commset::spec::{build_table, parse_effects};
-use commset::{Scheme, SyncMode};
-use commset_checker::check_source;
-use commset_interp::{run_sequential_with, Engine, ExecConfig, WorldMode};
-use commset_runtime::FaultPlan;
-use commset_sim::CostModel;
-use commset_workloads::all;
+use commset_interp::globals::PlainGlobals;
+use commset_interp::vm::GlobalMem;
+use commset_interp::{BcModule, BcVm, ExecError, StepOutcome, Vm};
+use commset_ir::{IntrinsicId, Module};
+use commset_runtime::{Registry, Value, World};
+use commset_workloads::{all, Workload};
 
-fn tree_cfg() -> ExecConfig {
-    ExecConfig {
-        engine: Engine::TreeWalk,
-        ..ExecConfig::default()
+/// The slice of the resumable contract a full sequential run needs.
+trait Machine {
+    fn step(&mut self, g: &mut dyn GlobalMem) -> Result<StepOutcome, ExecError>;
+    fn resolve(&mut self, v: Value);
+}
+
+impl Machine for Vm<'_> {
+    fn step(&mut self, g: &mut dyn GlobalMem) -> Result<StepOutcome, ExecError> {
+        Vm::step(self, g)
+    }
+    fn resolve(&mut self, v: Value) {
+        self.resolve_special(v);
     }
 }
 
-fn byte_cfg() -> ExecConfig {
-    ExecConfig {
-        engine: Engine::Bytecode,
-        ..ExecConfig::default()
+impl Machine for BcVm<'_> {
+    fn step(&mut self, g: &mut dyn GlobalMem) -> Result<StepOutcome, ExecError> {
+        BcVm::step(self, g)
+    }
+    fn resolve(&mut self, v: Value) {
+        self.resolve_special(v);
     }
 }
 
-/// The sequential executor under both engines: identical final worlds,
-/// and the exact clock relation — every tick of sequential work is
-/// program work or intrinsic work, both of which carry the dispatch
-/// factor, so tree-walk time is *exactly* `interp_penalty ×` bytecode
-/// time. Bit-identical accounting, not merely "close".
+/// Everything one sequential run exposes.
+struct Run {
+    result: Option<Value>,
+    cost: u64,
+    specials: Vec<(IntrinsicId, Vec<Value>)>,
+    world: World,
+}
+
+fn run(vm: &mut dyn Machine, module: &Module, registry: &Registry, mut world: World) -> Run {
+    let mut globals = PlainGlobals::new(module);
+    let mut cost = 0u64;
+    let mut specials = Vec::new();
+    let result = loop {
+        match vm.step(&mut globals).expect("sequential run succeeds") {
+            StepOutcome::Ran { cost: c } => cost += c,
+            StepOutcome::Special(p) => {
+                let name = module.intrinsics.name(p.intrinsic.0 as usize);
+                let out = registry.call(name, &mut world, &p.args);
+                specials.push((p.intrinsic, p.args.clone()));
+                vm.resolve(out.value);
+            }
+            StepOutcome::Finished(v) => break v,
+        }
+    };
+    Run {
+        result,
+        cost,
+        specials,
+        world,
+    }
+}
+
+fn sequential_module(w: &Workload) -> Module {
+    let compiler = w.compiler();
+    let analysis = compiler
+        .analyze(&w.plain_source())
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+    compiler
+        .compile_sequential(&analysis)
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name))
+}
+
 #[test]
-fn sequential_times_differ_by_exactly_the_dispatch_premium() {
-    let cm = CostModel::default();
+fn bytecode_matches_the_reference_vm_on_every_workload() {
     for w in all() {
-        let src = w.plain_source();
-        let compiler = w.compiler();
-        let analysis = compiler
-            .analyze(&src)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let module = compiler
-            .compile_sequential(&analysis)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let mut slow_world = (w.make_world)();
-        let slow = run_sequential_with(
-            &module,
-            &w.registry,
-            &mut slow_world,
-            &cm,
-            "main",
-            Engine::TreeWalk,
-        )
-        .unwrap_or_else(|e| panic!("{} (tree-walk): {e}", w.name));
-        let mut fast_world = (w.make_world)();
-        let fast = run_sequential_with(
-            &module,
-            &w.registry,
-            &mut fast_world,
-            &cm,
-            "main",
-            Engine::Bytecode,
-        )
-        .unwrap_or_else(|e| panic!("{} (bytecode): {e}", w.name));
+        let module = sequential_module(&w);
+        let bc = BcModule::compile(&module);
+        let mut tree = Vm::for_name(&module, "main", &[]).unwrap();
+        let mut byte = BcVm::for_name(&module, &bc, "main", &[]).unwrap();
+        let t = run(&mut tree, &module, &w.registry, (w.make_world)());
+        let b = run(&mut byte, &module, &w.registry, (w.make_world)());
+        assert_eq!(t.result, b.result, "{}: results differ", w.name);
+        assert_eq!(t.cost, b.cost, "{}: total retired cost differs", w.name);
+        assert!(!t.specials.is_empty(), "{}: no intrinsic ran", w.name);
         assert_eq!(
-            slow.sim_time,
-            cm.interp_penalty * fast.sim_time,
-            "{}: dispatch premium is not exact",
+            t.specials, b.specials,
+            "{}: special sequences differ",
             w.name
         );
-        (w.validate)(&slow_world, &fast_world)
-            .unwrap_or_else(|e| panic!("{}: sequential worlds diverge: {e}", w.name));
-        (w.validate)(&fast_world, &slow_world)
-            .unwrap_or_else(|e| panic!("{}: sequential worlds diverge: {e}", w.name));
+        (w.validate)(&t.world, &b.world)
+            .unwrap_or_else(|e| panic!("{}: worlds diverge: {e}", w.name));
+        (w.validate)(&b.world, &t.world)
+            .unwrap_or_else(|e| panic!("{}: worlds diverge: {e}", w.name));
     }
-}
-
-/// The full differential matrix, cross-engine: every workload, every
-/// applicable scheme, several thread counts, run on the simulated
-/// executor under both engines. The two final worlds must validate
-/// against each other in both directions, and the compiled engine must
-/// be strictly faster on the simulated clock.
-#[test]
-fn engines_agree_on_every_workload_scheme_and_thread_count() {
-    let cm = CostModel::default();
-    let (tw, bc) = (tree_cfg(), byte_cfg());
-    let mut cells = 0u32;
-    for w in all() {
-        let (_, seq_world) = w.run_sequential(&cm);
-        for spec in &w.schemes {
-            if spec.scheme == Scheme::Sequential {
-                continue;
-            }
-            for threads in [2, 4, 8] {
-                let Ok((t_slow, slow_world, _)) = w.run_scheme_with(spec, threads, &cm, &tw) else {
-                    continue; // inapplicable at this width
-                };
-                let (t_fast, fast_world, _) = w
-                    .run_scheme_with(spec, threads, &cm, &bc)
-                    .unwrap_or_else(|_| {
-                        panic!(
-                            "{} {} x{threads}: bytecode must apply where tree-walk does",
-                            w.name, spec.label
-                        )
-                    });
-                for (label, world) in [("tree-walk", &slow_world), ("bytecode", &fast_world)] {
-                    (w.validate)(&seq_world, world).unwrap_or_else(|e| {
-                        panic!("{} {} x{threads} ({label}): {e}", w.name, spec.label)
-                    });
-                }
-                (w.validate)(&slow_world, &fast_world).unwrap_or_else(|e| {
-                    panic!("{} {} x{threads}: engines diverge: {e}", w.name, spec.label)
-                });
-                (w.validate)(&fast_world, &slow_world).unwrap_or_else(|e| {
-                    panic!("{} {} x{threads}: engines diverge: {e}", w.name, spec.label)
-                });
-                assert!(
-                    t_fast < t_slow,
-                    "{} {} x{threads}: bytecode ({t_fast}) not faster than tree-walk ({t_slow})",
-                    w.name,
-                    spec.label
-                );
-                cells += 1;
-            }
-        }
-    }
-    assert!(cells >= 20, "matrix too small: only {cells} cells");
-}
-
-/// One torture row on the compiled engine: adversarial fault plans must
-/// not open a gap between the engines — same worlds, same survival.
-#[test]
-fn tortured_runs_are_engine_invariant() {
-    let cm = CostModel::default();
-    let plans = [
-        ("abort_storm", FaultPlan::abort_storm(0xA5)),
-        ("lock_delay", FaultPlan::lock_delay(0x1D, 900)),
-        ("queue_pushback", FaultPlan::queue_pushback(0x9B)),
-    ];
-    let mut cells = 0u32;
-    for w in all() {
-        let (_, seq_world) = w.run_sequential(&cm);
-        for spec in &w.schemes {
-            if spec.scheme == Scheme::Sequential {
-                continue;
-            }
-            for (label, fault) in &plans {
-                let mut tw = ExecConfig::with_fault(fault.clone());
-                tw.engine = Engine::TreeWalk;
-                let mut bc = ExecConfig::with_fault(fault.clone());
-                bc.engine = Engine::Bytecode;
-                let Ok((_, slow_world, _)) = w.run_scheme_with(spec, 4, &cm, &tw) else {
-                    continue;
-                };
-                let (_, fast_world, _) =
-                    w.run_scheme_with(spec, 4, &cm, &bc).unwrap_or_else(|_| {
-                        panic!("{} {} under {label}: bytecode failed", w.name, spec.label)
-                    });
-                for world in [&slow_world, &fast_world] {
-                    (w.validate)(&seq_world, world)
-                        .unwrap_or_else(|e| panic!("{} {} under {label}: {e}", w.name, spec.label));
-                }
-                (w.validate)(&slow_world, &fast_world).unwrap_or_else(|e| {
-                    panic!(
-                        "{} {} under {label}: engines diverge: {e}",
-                        w.name, spec.label
-                    )
-                });
-                cells += 1;
-            }
-        }
-    }
-    assert!(cells >= 10, "torture row too small: only {cells} cells");
-}
-
-/// The commutativity checker's report is engine-invariant: exploring
-/// the md5sum sample's schedule space with the model world driven by
-/// tree-walk VMs and by compiled VMs must render byte-identical
-/// reports — same schedules, same verdict, same wording.
-#[test]
-fn checker_reports_are_engine_invariant() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples");
-    let src = std::fs::read_to_string(format!("{dir}/md5sum.cmm")).expect("sample exists");
-    let fx = std::fs::read_to_string(format!("{dir}/md5sum.effects")).expect("sidecar exists");
-    let spec = parse_effects(&fx).expect("sidecar parses");
-    let table = build_table(&src, &spec).expect("table builds");
-    let mut cfg = spec.checker_config();
-    cfg.budget = 12;
-    cfg.model.engine = Engine::TreeWalk;
-    let tree = check_source(&src, &table, &cfg).expect("tree-walk check runs");
-    cfg.model.engine = Engine::Bytecode;
-    let byte = check_source(&src, &table, &cfg).expect("bytecode check runs");
-    assert_eq!(
-        tree.to_string(),
-        byte.to_string(),
-        "checker report differs between engines"
-    );
-    // The schedule space itself must match, not merely the rendering.
-    assert_eq!(tree.explored.len(), byte.explored.len());
-    assert_eq!(tree.violations.len(), byte.violations.len());
-}
-
-/// Engine invariance must also hold on a *failing* check: a seeded
-/// unsound program (DOALL over a non-commutative console) must be
-/// flagged identically — same violating schedules, same witness text.
-#[test]
-fn failing_checker_reports_are_engine_invariant() {
-    let src = r#"
-        extern void print(int x);
-        int main() {
-            int n = 6;
-            for (int i = 0; i < n; i = i + 1) {
-                #pragma CommSet(SELF)
-                { print(i); }
-            }
-            return 0;
-        }
-    "#;
-    let spec = parse_effects("print writes=CONSOLE cost=10\n").expect("sidecar parses");
-    let table = build_table(src, &spec).expect("table builds");
-    let mut cfg = spec.checker_config();
-    cfg.budget = 12;
-    cfg.model.engine = Engine::TreeWalk;
-    let tree = check_source(src, &table, &cfg).expect("tree-walk check runs");
-    cfg.model.engine = Engine::Bytecode;
-    let byte = check_source(src, &table, &cfg).expect("bytecode check runs");
-    assert!(
-        tree.is_fail(),
-        "fixture must be unsound under SyncMode-free ordering"
-    );
-    assert_eq!(
-        tree.to_string(),
-        byte.to_string(),
-        "failing checker report differs between engines"
-    );
-}
-
-/// The three-way world-mode wall (DESIGN.md §14) under both engines:
-/// every merge-declared workload × DOALL scheme × {2, 4} threads ×
-/// {SingleLock, Sharded, Deltas} on the simulated executor. Both
-/// engines must be oracle-identical in every world mode, agree with
-/// each other, keep the bytecode clock strictly faster, and engage the
-/// privatized delta path identically.
-#[test]
-fn world_modes_are_engine_invariant() {
-    let cm = CostModel::default();
-    let mut cells = 0u32;
-    for w in all() {
-        if !w.registry.has_merges() {
-            continue;
-        }
-        let (_, seq_world) = w.run_sequential(&cm);
-        for spec in &w.schemes {
-            if spec.scheme != Scheme::Doall {
-                continue;
-            }
-            for threads in [2usize, 4] {
-                for mode in [WorldMode::SingleLock, WorldMode::Sharded, WorldMode::Deltas] {
-                    let mut tw = tree_cfg();
-                    tw.world = mode;
-                    let mut bc = byte_cfg();
-                    bc.world = mode;
-                    let Ok((t_slow, slow_world, slow_stats)) =
-                        w.run_scheme_with(spec, threads, &cm, &tw)
-                    else {
-                        continue;
-                    };
-                    let (t_fast, fast_world, fast_stats) = w
-                        .run_scheme_with(spec, threads, &cm, &bc)
-                        .unwrap_or_else(|_| {
-                            panic!(
-                                "{} {} x{threads} ({mode:?}): bytecode must apply",
-                                w.name, spec.label
-                            )
-                        });
-                    for (label, world) in [("tree-walk", &slow_world), ("bytecode", &fast_world)] {
-                        (w.validate)(&seq_world, world).unwrap_or_else(|e| {
-                            panic!(
-                                "{} {} x{threads} ({mode:?}, {label}): {e}",
-                                w.name, spec.label
-                            )
-                        });
-                    }
-                    (w.validate)(&slow_world, &fast_world).unwrap_or_else(|e| {
-                        panic!(
-                            "{} {} x{threads} ({mode:?}): engines diverge: {e}",
-                            w.name, spec.label
-                        )
-                    });
-                    assert!(
-                        t_fast < t_slow,
-                        "{} {} x{threads} ({mode:?}): bytecode not faster",
-                        w.name,
-                        spec.label
-                    );
-                    if mode == WorldMode::Deltas {
-                        assert!(
-                            slow_stats.delta.applies > 0 && fast_stats.delta.applies > 0,
-                            "{} {} x{threads}: delta path must engage under both engines",
-                            w.name,
-                            spec.label
-                        );
-                    }
-                    cells += 1;
-                }
-            }
-        }
-    }
-    assert!(
-        cells >= 12,
-        "world-mode matrix too small: only {cells} cells"
-    );
-}
-
-/// The real-thread executor under both engines: wall-clock substrate,
-/// no simulated clock to compare, but the answers must agree exactly.
-#[test]
-fn threaded_runs_are_engine_invariant() {
-    let mut cells = 0u32;
-    let (tw, bc) = (tree_cfg(), byte_cfg());
-    for w in all() {
-        let cm = CostModel::default();
-        let (_, seq_world) = w.run_sequential(&cm);
-        for spec in &w.schemes {
-            if spec.scheme == Scheme::Sequential || spec.sync == SyncMode::Tm {
-                continue;
-            }
-            let Ok(slow) = w.run_scheme_threaded(spec, 4, &tw) else {
-                continue;
-            };
-            let fast = w.run_scheme_threaded(spec, 4, &bc).unwrap_or_else(|_| {
-                panic!("{} {}: bytecode threaded run failed", w.name, spec.label)
-            });
-            for out in [&slow, &fast] {
-                (w.validate)(&seq_world, &out.world)
-                    .unwrap_or_else(|e| panic!("{} {}: {e}", w.name, spec.label));
-                assert!(out.stats.watchdog.is_clean());
-            }
-            (w.validate)(&slow.world, &fast.world).unwrap_or_else(|e| {
-                panic!("{} {}: engines diverge on threads: {e}", w.name, spec.label)
-            });
-            cells += 1;
-        }
-    }
-    assert!(cells >= 4, "threaded matrix too small: only {cells} cells");
 }
