@@ -30,5 +30,5 @@ pub mod tm;
 pub use cost::CostModel;
 pub use lock::{SimLock, SimLockKind};
 pub use queue::{PopOutcome, PushOutcome, SimQueue};
-pub use sched::pick_min_clock;
+pub use sched::pick_with_horizon;
 pub use tm::TmModel;
