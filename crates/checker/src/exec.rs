@@ -23,7 +23,7 @@ use commset_interp::{BcModule, BcVm, ExecError, StepOutcome};
 use commset_ir::Module;
 use commset_runtime::rng::SplitMix64;
 use commset_runtime::Value;
-use commset_transform::ParallelPlan;
+use commset_transform::{ParallelPlan, RtOp};
 use std::collections::{HashMap, VecDeque};
 
 /// A failure of a controlled run.
@@ -372,23 +372,24 @@ impl<'m> Machine<'m> {
                 }
                 StepOutcome::Finished(_) => return Ok(WState::Done),
                 StepOutcome::Special(p) => {
-                    let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                    match name {
-                        "__lock_acquire" | "__lock_release" | "__tx_begin" | "__tx_commit" => {
+                    match p.op {
+                        Some(
+                            RtOp::LockAcquire | RtOp::LockRelease | RtOp::TxBegin | RtOp::TxCommit,
+                        ) => {
                             // Regions execute atomically: synchronization
                             // is vacuous under the controlled scheduler.
                             vm.resolve_special(Value::Int(0));
                         }
-                        "__q_push" | "__q_push_f" => {
+                        Some(RtOp::Push { .. }) => {
                             let q = self.qidx(p.args[0].as_int())?;
                             self.queues[q].push_back(p.args[1].to_bits());
                             vm.resolve_special(Value::Int(0));
                         }
-                        "__q_pop" | "__q_pop_f" => {
+                        Some(RtOp::Pop { float }) => {
                             let q = self.qidx(p.args[0].as_int())?;
                             match self.queues[q].pop_front() {
                                 Some(bits) => {
-                                    vm.resolve_special(Value::from_bits(bits, name == "__q_pop_f"));
+                                    vm.resolve_special(Value::from_bits(bits, float));
                                 }
                                 None => {
                                     if in_region {
@@ -401,10 +402,11 @@ impl<'m> Machine<'m> {
                                 }
                             }
                         }
-                        "__par_invoke" => {
+                        Some(RtOp::ParInvoke) => {
                             return Err(CheckError::Unsupported("nested parallel section".into()))
                         }
-                        _ => {
+                        None => {
+                            let name = module.intrinsics.name(p.intrinsic.0 as usize);
                             if self.pause_world && !in_region {
                                 // A bare world call is a shard-acquisition
                                 // point: surface it to the scheduler. The
@@ -472,7 +474,7 @@ pub fn run_controlled(
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
+                if p.op == Some(RtOp::ParInvoke) {
                     let section = p.args[0].as_int();
                     if section != plan.section {
                         return Err(CheckError::Unsupported(format!(
@@ -481,7 +483,7 @@ pub fn run_controlled(
                     }
                     run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
                     main.resolve_special(Value::Int(0));
-                } else if name.starts_with("__") {
+                } else if p.op.is_some() {
                     return Err(CheckError::Unsupported(format!(
                         "synchronization intrinsic {name} outside a section"
                     )));
@@ -548,7 +550,7 @@ pub fn run_sequential_model(
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name.starts_with("__") {
+                if p.op.is_some() {
                     return Err(CheckError::Unsupported(format!(
                         "synchronization intrinsic {name} in the sequential oracle"
                     )));
@@ -701,6 +703,45 @@ mod tests {
         // A pinned worker that is no longer ready degrades to canonical.
         let mut rep = Replay::new(vec![Some(7)]);
         assert_eq!(rep.pick(&ready), 0);
+    }
+
+    #[test]
+    fn runtime_intrinsics_outside_a_section_are_unsupported() {
+        let module = |src: &str| {
+            let unit = commset_lang::compile_unit(src).unwrap();
+            commset_ir::lower_program(&unit.program, commset_ir::IntrinsicTable::new()).unwrap()
+        };
+        let sync = module("extern void __tx_begin(); int main() { __tx_begin(); return 0; }");
+        let cfg = ModelConfig::default();
+        let err = run_sequential_model(&sync, &cfg, 1000).unwrap_err();
+        assert_eq!(
+            err,
+            CheckError::Unsupported(
+                "synchronization intrinsic __tx_begin in the sequential oracle".into()
+            )
+        );
+        let plan = ParallelPlan {
+            scheme: commset_transform::Scheme::Doall,
+            sync: commset_transform::SyncMode::Spin,
+            nthreads: 1,
+            workers: Vec::new(),
+            queues: Vec::new(),
+            locks: Vec::new(),
+            stage_desc: Vec::new(),
+            section: 0,
+            estimated_cost: 0.0,
+        };
+        let err = run_controlled(&sync, &plan, &cfg, &mut Canonical, 1000).unwrap_err();
+        assert_eq!(
+            err,
+            CheckError::Unsupported(
+                "synchronization intrinsic __tx_begin outside a section".into()
+            )
+        );
+        // A user intrinsic is a world call, whatever its name looks like.
+        let user = module("extern int __user_hook(int x); int main() { return __user_hook(3); }");
+        assert!(run_sequential_model(&user, &cfg, 1000).is_ok());
+        assert!(run_controlled(&user, &plan, &cfg, &mut Canonical, 1000).is_ok());
     }
 
     #[test]

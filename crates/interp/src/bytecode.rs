@@ -39,6 +39,7 @@ use commset_ir::repr::{
 };
 use commset_lang::ast::{BinOp, Type, UnOp};
 use commset_runtime::Value;
+use commset_transform::{runtime_op, RtOp};
 
 /// A register index (virtual registers are the function's slots).
 pub type Reg = u16;
@@ -76,6 +77,9 @@ pub enum BcCallArg {
 pub struct CallSite {
     /// The pre-resolved intrinsic.
     pub intrinsic: IntrinsicId,
+    /// Its decoded runtime op (`None` for a world call), resolved once
+    /// per intrinsic id at compile time.
+    pub op: Option<RtOp>,
     /// Where the result lands, if anywhere.
     pub dst: Option<Reg>,
     /// Argument bindings, in positional order.
@@ -254,6 +258,8 @@ fn is_comparison_or_bin(_op: BinOp) -> bool {
 
 struct FnCompiler<'f> {
     f: &'f Function,
+    /// Decoded runtime op per intrinsic id.
+    rt_ops: &'f [Option<RtOp>],
     ops: Vec<Op>,
     weights: Vec<u32>,
     sites: Vec<CallSite>,
@@ -597,6 +603,7 @@ impl<'f> FnCompiler<'f> {
                         let site = self.sites.len() as u32;
                         self.sites.push(CallSite {
                             intrinsic: *iid,
+                            op: self.rt_ops[iid.0 as usize],
                             dst: dst.map(reg),
                             args: bound,
                             strs,
@@ -614,10 +621,11 @@ impl<'f> FnCompiler<'f> {
     }
 }
 
-fn compile_function(f: &Function) -> BcFunction {
+fn compile_function(f: &Function, rt_ops: &[Option<RtOp>]) -> BcFunction {
     let lv = Liveness::compute(f);
     let mut c = FnCompiler {
         f,
+        rt_ops,
         ops: Vec::with_capacity(f.inst_count() + f.blocks.len()),
         weights: Vec::new(),
         sites: Vec::new(),
@@ -656,8 +664,15 @@ fn compile_function(f: &Function) -> BcFunction {
 impl BcModule {
     /// Compiles every function of `module` to bytecode.
     pub fn compile(module: &Module) -> Self {
+        let rt_ops: Vec<Option<RtOp>> = (0..module.intrinsics.len())
+            .map(|i| runtime_op(module.intrinsics.name(i)))
+            .collect();
         BcModule {
-            funcs: module.funcs.iter().map(compile_function).collect(),
+            funcs: module
+                .funcs
+                .iter()
+                .map(|f| compile_function(f, &rt_ops))
+                .collect(),
         }
     }
 }
@@ -971,6 +986,7 @@ impl<'m> BcVm<'m> {
                 self.pending = true;
                 return Ok(StepOutcome::Special(PendingSpecial {
                     intrinsic: site.intrinsic,
+                    op: site.op,
                     args,
                     str_args: site.strs.clone(),
                 }));

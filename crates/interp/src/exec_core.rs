@@ -1,0 +1,678 @@
+//! The executor core: everything about the runtime intrinsics that does
+//! not depend on scheduling or blocking, shared by the discrete-event
+//! simulator ([`crate::sim_exec`]) and the real-thread executor
+//! ([`crate::thread_exec`]).
+//!
+//! * [`Section`] — per-section setup derived from the plan (queue
+//!   id→index map, lock kind, lock-set names, delta privatization and
+//!   the elided locks) plus the lock-elision and delta-route fast paths.
+//! * [`Observer`] — one per worker: region spans, lock/queue/TM/world-call
+//!   spans, the `lock_wait.*` and `queue_occupancy.*` observations, trace
+//!   records and per-op retire counts. The executor passes every
+//!   timestamp in — logical ticks on the DES, nanoseconds on threads —
+//!   and reads its clock only when [`Observer::on`].
+//! * [`RunObs`] — the run-wide sinks, the `__par_invoke` section bracket
+//!   (plan lookup, section ordinal, journal) and the end-of-run fold into
+//!   a [`RunReport`] and the metrics registry.
+//! * [`coalesce_deltas`] — the section-barrier delta fold.
+//!
+//! What stays in each executor is how it schedules and blocks: the DES's
+//! clocks, wake loops and contention models; the thread executor's
+//! threads, cancellation, SPSC batching and shared world.
+
+use crate::bytecode::{BcModule, BcVm};
+use crate::config::{ExecConfig, WorldMode};
+use crate::error::ExecError;
+use crate::metrics::MetricsLocal;
+use crate::trace::{TraceEvent, TraceSink};
+use crate::vm::PendingSpecial;
+use commset_ir::Module;
+use commset_runtime::intrinsics::IntrinsicOutcome;
+use commset_runtime::{
+    DeltaBuffer, DeltaSnapshot, FaultInjector, Registry, Value, DELTA_POISON_MSG,
+};
+use commset_telemetry::{
+    ClockUnit, Journal, JournalEvent, MetricsRegistry, MetricsSink, RunCounters, RunReport,
+    SectionMeta, SpanKind, SpanRecord, TelemetrySink,
+};
+use commset_transform::{ParallelPlan, SyncMode};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The rejection of a runtime intrinsic executed where no parallel
+/// section is running (a transform bug, not a world call).
+pub(crate) fn outside_section(module: &Module, p: &PendingSpecial) -> ExecError {
+    ExecError::ParallelIntrinsicInSequential {
+        name: module.intrinsics.name(p.intrinsic.0 as usize).to_string(),
+    }
+}
+
+/// A worker's VM error, named by its stage function.
+pub(crate) fn worker_failed(stage: &str, e: ExecError) -> ExecError {
+    ExecError::WorkerFailed {
+        stage: stage.to_string(),
+        cause: e.to_string(),
+    }
+}
+
+/// Per-section setup every executor derives from the plan.
+pub(crate) struct Section {
+    /// `(queue id, plan index)`, sorted by id.
+    queues: Vec<(i64, usize)>,
+    /// The plan's locks are spin locks (mutexes otherwise).
+    pub spin: bool,
+    /// CommSet set names indexed by lock rank.
+    pub lock_sets: Vec<String>,
+    /// Merge-covered world calls run against per-worker delta buffers:
+    /// [`WorldMode::Deltas`], merge declarations present, and no queues
+    /// (pipeline stages pass handles through queues, so they keep the
+    /// shared discipline).
+    pub delta: bool,
+    /// Per-rank elision: a region lock whose guarded intrinsics are all
+    /// delta-covered serializes nothing — every effect in the region
+    /// lands in a worker-private buffer, invisible to siblings until the
+    /// barrier, and the declared merges make the coalesce order
+    /// immaterial. Synthetic locks (`__reduction`) have no members and
+    /// are never elided.
+    elided: Vec<bool>,
+}
+
+impl Section {
+    pub fn new(plan: &ParallelPlan, cfg: &ExecConfig, registry: &Registry) -> Self {
+        let mut queues: Vec<(i64, usize)> = plan
+            .queues
+            .iter()
+            .enumerate()
+            .map(|(k, q)| (q.id, k))
+            .collect();
+        queues.sort_unstable();
+        let delta = matches!(cfg.world, WorldMode::Deltas)
+            && registry.has_merges()
+            && plan.queues.is_empty();
+        Section {
+            queues,
+            spin: plan.sync == SyncMode::Spin,
+            lock_sets: plan.locks.iter().map(|l| l.set.clone()).collect(),
+            delta,
+            elided: plan
+                .locks
+                .iter()
+                .map(|ls| {
+                    delta
+                        && !ls.members.is_empty()
+                        && ls.members.iter().all(|m| registry.delta_covered(m))
+                })
+                .collect(),
+        }
+    }
+
+    /// The plan index of queue `id`.
+    pub fn queue(&self, id: i64) -> Result<usize, ExecError> {
+        self.queues
+            .binary_search_by_key(&id, |(qid, _)| *qid)
+            .map(|k| self.queues[k].1)
+            .map_err(|_| ExecError::UnknownQueue { id })
+    }
+
+    /// True when lock `l` is elided.
+    pub fn elided(&self, l: usize) -> bool {
+        self.elided.get(l).copied().unwrap_or(false)
+    }
+
+    /// The lock-elision fast path of `__lock_acquire(l)`: true when the
+    /// lock is elided, counting the skipped acquisition on the worker's
+    /// delta buffer.
+    pub fn elide_acquire(&self, l: usize, buf: Option<&mut DeltaBuffer>) -> bool {
+        let elided = self.elided(l);
+        if let (true, Some(buf)) = (elided, buf) {
+            buf.lock_elisions += 1;
+        }
+        elided
+    }
+
+    /// The delta-route fast path: runs a call whose whole slot footprint
+    /// is merge-declared against the worker's private buffer — no lock,
+    /// no channel serialization. `None` when the worker has no buffer or
+    /// the call is not delta-routed.
+    pub fn delta_call(
+        registry: &Registry,
+        buf: Option<&mut DeltaBuffer>,
+        name: &str,
+        args: &[Value],
+    ) -> Option<IntrinsicOutcome> {
+        let buf = buf?;
+        let slots = registry.delta_route(name, args)?;
+        Some(buf.apply(registry, name, args, &slots))
+    }
+
+    /// The report metadata of this section (telemetry only).
+    pub fn meta(
+        &self,
+        plan: &ParallelPlan,
+        ord: usize,
+        queue_spins: Vec<(u64, u64)>,
+        span: (u64, u64),
+    ) -> SectionMeta {
+        SectionMeta {
+            section: ord,
+            stage_desc: plan.stage_desc.clone(),
+            worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
+            locks: self.lock_sets.clone(),
+            queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
+            queue_spins,
+            span,
+        }
+    }
+}
+
+/// The section-barrier delta fold: each worker's finished buffer goes
+/// through `merge` in worker-index order (then slot-name order inside the
+/// buffer). An injected poison fails the fold as a structured error. The
+/// merged-slot count of each buffer is observed as `delta.merge_slots`.
+pub(crate) fn coalesce_deltas(
+    run: &RunObs<'_>,
+    injector: &FaultInjector,
+    mut bufs: Vec<(usize, DeltaBuffer)>,
+    mut merge: impl FnMut(DeltaBuffer) -> u64,
+) -> Result<DeltaSnapshot, ExecError> {
+    bufs.sort_by_key(|(w, _)| *w);
+    let mut delta = DeltaSnapshot::default();
+    let mut sizes = MetricsRegistry::new();
+    for (_, buf) in bufs {
+        delta.lock_elisions += buf.lock_elisions;
+        if buf.is_empty() {
+            continue;
+        }
+        if injector.delta_poison_now() {
+            return Err(ExecError::WorkerFailed {
+                stage: "__delta_coalesce".into(),
+                cause: DELTA_POISON_MSG.into(),
+            });
+        }
+        delta.coalesces += 1;
+        delta.applies += buf.applies;
+        let slots = merge(buf);
+        delta.merged_slots += slots;
+        sizes.observe("delta.merge_slots", slots);
+    }
+    if let Some(ms) = &run.metrics {
+        ms.publish(&sizes);
+    }
+    Ok(delta)
+}
+
+/// Run-wide observation state: the sinks every worker publishes into,
+/// the main thread's retire counters and the section bracket.
+pub(crate) struct RunObs<'a> {
+    pub module: &'a Module,
+    /// The module's compiled bytecode every VM of the run executes.
+    pub bc: &'a BcModule,
+    trace: Option<&'a TraceSink>,
+    journal: Option<&'a Journal>,
+    spans: Option<TelemetrySink>,
+    metrics: Option<MetricsSink>,
+    /// Retires of the main (sequential) thread.
+    main: MetricsLocal,
+    metas: Vec<SectionMeta>,
+    sections: usize,
+    /// Transactions committed, summed over the workers.
+    tx_commits: AtomicU64,
+}
+
+impl<'a> RunObs<'a> {
+    pub fn new(module: &'a Module, bc: &'a BcModule, cfg: &'a ExecConfig) -> Self {
+        RunObs {
+            module,
+            bc,
+            trace: cfg.trace.as_ref(),
+            journal: cfg.journal.as_ref(),
+            spans: cfg.telemetry.then(TelemetrySink::new),
+            metrics: cfg.metrics.then(MetricsSink::new),
+            main: MetricsLocal::new(),
+            metas: Vec::new(),
+            sections: 0,
+            tx_commits: AtomicU64::new(0),
+        }
+    }
+
+    /// True when spans are collected.
+    pub fn telemetry(&self) -> bool {
+        self.spans.is_some()
+    }
+
+    /// True when region entries and exits are observed (trace or
+    /// telemetry): only then do workers watch their region calls.
+    pub fn watching(&self) -> bool {
+        self.trace.is_some() || self.spans.is_some()
+    }
+
+    /// The main thread's retire site, sampled before a step; `None`
+    /// unless metrics are on.
+    pub fn site(&self, vm: &BcVm<'_>) -> Option<(u32, u32)> {
+        self.metrics.as_ref().and_then(|_| vm.site())
+    }
+
+    /// Counts one op retired by the main thread.
+    pub fn retire(&mut self, site: Option<(u32, u32)>, cost: u64) {
+        if let Some(site) = site {
+            self.main.retire(self.bc, site, cost);
+        }
+    }
+
+    /// Opens the section `__par_invoke` names: finds its plan, assigns
+    /// the next section ordinal and journals `section_start` at `t`.
+    pub fn open_section<'p>(
+        &mut self,
+        plans: &'p [ParallelPlan],
+        p: &PendingSpecial,
+        t: u64,
+    ) -> Result<(&'p ParallelPlan, usize), ExecError> {
+        let section = p.args[0].as_int();
+        let plan = plans
+            .iter()
+            .find(|pl| pl.section == section)
+            .ok_or(ExecError::UnknownSection { section })?;
+        let ord = self.sections;
+        self.sections += 1;
+        if let Some(j) = self.journal {
+            j.record(JournalEvent {
+                section: Some(ord as u64),
+                ..JournalEvent::new("section_start", t)
+                    .field("plan_section", section.to_string())
+                    .field("workers", plan.workers.len().to_string())
+            });
+        }
+        Ok((plan, ord))
+    }
+
+    /// Closes section `ord` at `t`: journals `section_end` and keeps the
+    /// section's report metadata.
+    pub fn close_section(&mut self, ord: usize, t: u64, meta: Option<SectionMeta>) {
+        if let Some(j) = self.journal {
+            j.record(JournalEvent {
+                section: Some(ord as u64),
+                ..JournalEvent::new("section_end", t)
+            });
+        }
+        self.metas.extend(meta);
+    }
+
+    /// The end-of-run fold: builds the [`RunReport`] (telemetry on) and
+    /// the merged metrics registry (metrics on), with `counters` and the
+    /// executor-specific `extra` counters folded in and the registry
+    /// journaled at `t`. `tm_commits` is filled in here from the
+    /// observers' count of committed transaction windows.
+    pub fn finish(
+        self,
+        clock: ClockUnit,
+        mut counters: RunCounters,
+        extra: &[(&str, u64)],
+        t: u64,
+    ) -> (Option<RunReport>, Option<MetricsRegistry>) {
+        counters.tm_commits = self.tx_commits.into_inner();
+        let c = &counters;
+        let metrics = self.metrics.map(|ms| {
+            let mut reg = ms.take();
+            self.main.publish(self.module, self.bc, &mut reg);
+            let folded = [
+                ("shard.fast_acquires", c.shard.fast_acquires),
+                ("shard.fast_waits", c.shard.fast_waits),
+                ("shard.multi_acquires", c.shard.multi_acquires),
+                ("shard.whole_acquires", c.shard.whole_acquires),
+                ("queue.full_spins", c.queue_full_spins),
+                ("queue.drained", c.queue_drained),
+                ("delta.applies", c.delta.applies),
+                ("delta.coalesces", c.delta.coalesces),
+                ("delta.merged_slots", c.delta.merged_slots),
+                ("delta.lock_elisions", c.delta.lock_elisions),
+                ("tm.commits", c.tm_commits),
+                ("tm.aborts", c.tm_aborts),
+                ("tm.fallbacks", c.tm_fallbacks),
+            ];
+            for (name, n) in folded.iter().chain(extra) {
+                reg.inc(name, *n);
+            }
+            if let Some(j) = self.journal {
+                j.record_metrics(t, &reg);
+            }
+            reg
+        });
+        let report = self
+            .spans
+            .map(|s| RunReport::build(clock, s.take(), self.metas, counters));
+        (report, metrics)
+    }
+}
+
+/// One worker's observer. Every recording method is a no-op unless the
+/// instrumentation it feeds is on; spans and metrics accumulate privately
+/// and reach the run's sinks through [`Observer::flush_spans`] and
+/// [`Observer::publish`].
+pub(crate) struct Observer<'a> {
+    run: &'a RunObs<'a>,
+    trace: Option<&'a TraceSink>,
+    lock_sets: &'a [String],
+    section: usize,
+    worker: usize,
+    telemetry: bool,
+    metrics: bool,
+    spans: Vec<SpanRecord>,
+    local: MetricsLocal,
+    reg: MetricsRegistry,
+    /// Open region instances (enter seen, exit pending): (func, start).
+    open_regions: Vec<(String, u64)>,
+    /// Grant time of each held lock, by rank.
+    held: Vec<Option<u64>>,
+    /// Start of the current blocking wait (a worker waits on at most one
+    /// lock or queue endpoint at a time).
+    wait_start: Option<u64>,
+    tx_start: u64,
+    tx_commits: u64,
+}
+
+impl<'a> Observer<'a> {
+    pub fn new(run: &'a RunObs<'a>, sec: &'a Section, section: usize, worker: usize) -> Self {
+        Observer {
+            run,
+            trace: run.trace,
+            lock_sets: &sec.lock_sets,
+            section,
+            worker,
+            telemetry: run.spans.is_some(),
+            metrics: run.metrics.is_some(),
+            spans: Vec::new(),
+            local: MetricsLocal::new(),
+            reg: MetricsRegistry::new(),
+            open_regions: Vec::new(),
+            held: vec![None; sec.lock_sets.len()],
+            wait_start: None,
+            tx_start: 0,
+            tx_commits: 0,
+        }
+    }
+
+    /// True when any instrumentation is on: the only time a timestamp is
+    /// worth reading.
+    pub fn on(&self) -> bool {
+        self.telemetry || self.metrics || self.trace.is_some()
+    }
+
+    /// True when metrics are collected.
+    pub fn metrics(&self) -> bool {
+        self.metrics
+    }
+
+    /// The retire site to sample before a step; `None` unless metrics are
+    /// on.
+    pub fn site(&self, vm: &BcVm<'_>) -> Option<(u32, u32)> {
+        if self.metrics {
+            vm.site()
+        } else {
+            None
+        }
+    }
+
+    /// Counts one retired op at `site` (as sampled by [`Observer::site`]).
+    pub fn retire(&mut self, site: Option<(u32, u32)>, cost: u64) {
+        if let Some(site) = site {
+            self.local.retire(self.run.bc, site, cost);
+        }
+    }
+
+    /// Records one sample into the named histogram (metrics on).
+    pub fn observe(&mut self, name: &str, v: u64) {
+        if self.metrics {
+            self.reg.observe(name, v);
+        }
+    }
+
+    fn span(&mut self, start: u64, end: u64, kind: SpanKind) {
+        self.spans.push(SpanRecord {
+            section: self.section,
+            worker: self.worker,
+            start,
+            end,
+            kind,
+        });
+    }
+
+    fn record(&self, t: u64, event: TraceEvent) {
+        if let Some(tr) = self.trace {
+            tr.record(self.worker, t, event);
+        }
+    }
+
+    /// Turns the VM's buffered region entries and exits into region spans
+    /// and trace records, stamped with `now()` (read only when there are
+    /// events).
+    pub fn regions(&mut self, vm: &mut BcVm<'_>, now: impl FnOnce() -> u64) {
+        let events = vm.drain_call_events();
+        if events.is_empty() {
+            return;
+        }
+        let t = now();
+        for ev in events {
+            if self.telemetry {
+                if ev.enter {
+                    self.open_regions.push((ev.func.clone(), t));
+                } else if let Some((func, t0)) = self.open_regions.pop() {
+                    self.span(t0, t, SpanKind::Region { func });
+                }
+            }
+            let event = if ev.enter {
+                TraceEvent::RegionEnter {
+                    func: ev.func,
+                    args: ev.args,
+                }
+            } else {
+                TraceEvent::RegionExit { func: ev.func }
+            };
+            self.record(t, event);
+        }
+    }
+
+    /// A blocking attempt at `t`: opens a wait unless one is open (a
+    /// retried attempt keeps its first start).
+    pub fn begin_wait(&mut self, t: u64) {
+        if (self.telemetry || self.metrics) && self.wait_start.is_none() {
+            self.wait_start = Some(t);
+        }
+    }
+
+    /// Lock `rank` was granted at `grant` to an attempt made at `attempt`
+    /// (or at the start of an open wait); the worker holds it from `at`.
+    /// The wait is recorded only when it lasted (`grant > start`).
+    pub fn lock_acquired(&mut self, rank: usize, attempt: u64, grant: u64, at: u64) {
+        let from = self.wait_start.take().unwrap_or(attempt);
+        if grant > from {
+            if self.telemetry {
+                self.span(from, grant, SpanKind::LockWait { rank });
+            }
+            if self.metrics {
+                self.reg
+                    .observe(&format!("lock_wait.{}", self.lock_sets[rank]), grant - from);
+            }
+        }
+        if self.telemetry {
+            self.held[rank] = Some(at);
+        }
+        self.record(at, TraceEvent::LockAcquire { lock: rank });
+    }
+
+    /// Lock `rank` was held until `until` and released at `at`.
+    pub fn lock_released(&mut self, rank: usize, until: u64, at: u64) {
+        if let Some(t0) = self.held.get_mut(rank).and_then(Option::take) {
+            self.span(t0, until, SpanKind::LockHold { rank });
+        }
+        self.record(at, TraceEvent::LockRelease { lock: rank });
+    }
+
+    /// A push (`push`) or pop on queue `id` completed at `t`, its last
+    /// attempt made at `attempt`; a wait opened by an earlier blocked
+    /// attempt closes there. `occupancy` is the queue length after it.
+    pub fn queue_op(
+        &mut self,
+        push: bool,
+        id: i64,
+        attempt: u64,
+        t: u64,
+        occupancy: impl FnOnce() -> usize,
+    ) {
+        let wait = self.wait_start.take();
+        if self.telemetry {
+            let (waited, done) = if push {
+                (
+                    SpanKind::QueuePushWait { queue: id },
+                    SpanKind::QueuePush { queue: id },
+                )
+            } else {
+                (
+                    SpanKind::QueuePopWait { queue: id },
+                    SpanKind::QueuePop { queue: id },
+                )
+            };
+            if let Some(from) = wait {
+                self.span(from, attempt, waited);
+            }
+            self.span(t, t, done);
+        }
+        if self.metrics {
+            self.reg
+                .observe(&format!("queue_occupancy.{id}"), occupancy() as u64);
+        }
+        let event = if push {
+            TraceEvent::QueuePush { queue: id }
+        } else {
+            TraceEvent::QueuePop { queue: id }
+        };
+        self.record(t, event);
+    }
+
+    /// A transaction window opened at `t`.
+    pub fn tx_begin(&mut self, t: u64) {
+        self.tx_start = t;
+    }
+
+    /// The open transaction window committed at `t` after `aborts`
+    /// optimistic aborts.
+    pub fn tx_commit(&mut self, aborts: u64, t: u64) {
+        self.tx_commits += 1;
+        if self.telemetry {
+            self.span(self.tx_start, t, SpanKind::Tx { aborts });
+        }
+    }
+
+    /// The world intrinsic `name` ran from `start` to `end`.
+    pub fn world_call(&mut self, name: &str, args: &[Value], start: u64, end: u64) {
+        if self.telemetry {
+            self.span(
+                start,
+                end,
+                SpanKind::WorldCall {
+                    intrinsic: name.to_string(),
+                },
+            );
+        }
+        if self.trace.is_some() {
+            self.record(
+                end,
+                TraceEvent::WorldCall {
+                    intrinsic: name.to_string(),
+                    args: args.to_vec(),
+                },
+            );
+        }
+    }
+
+    /// The worker's lifetime inside the section.
+    pub fn worker_span(&mut self, start: u64, end: u64) {
+        if self.telemetry {
+            self.span(start, end, SpanKind::Worker);
+        }
+    }
+
+    /// Hands the spans recorded so far to the run's telemetry sink.
+    pub fn flush_spans(&mut self) {
+        if let (Some(sink), false) = (&self.run.spans, self.spans.is_empty()) {
+            sink.record_batch(std::mem::take(&mut self.spans));
+        }
+    }
+
+    /// Publishes the worker's metrics and commit count at normal exit
+    /// (a failed worker's partial metrics are dropped with its run).
+    pub fn publish(&mut self) {
+        self.run
+            .tx_commits
+            .fetch_add(self.tx_commits, Ordering::Relaxed);
+        if let Some(ms) = &self.run.metrics {
+            let mut reg = std::mem::take(&mut self.reg);
+            self.local.publish(self.run.module, self.run.bc, &mut reg);
+            ms.publish(&reg);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{run_sequential, run_simulated_with, run_threaded_with, ExecConfig, ExecError};
+    use commset_ir::{lower_program, IntrinsicTable, Module};
+    use commset_runtime::{Registry, World};
+    use commset_sim::CostModel;
+    use commset_transform::{ParallelPlan, Scheme, SyncMode, WorkerSpec};
+
+    fn module(src: &str) -> Module {
+        let unit = commset_lang::compile_unit(src).unwrap();
+        lower_program(&unit.program, IntrinsicTable::new()).unwrap()
+    }
+
+    /// Section 0: one worker running `func(0, 1)`, nothing else.
+    fn one_worker_plan(func: &str) -> ParallelPlan {
+        ParallelPlan {
+            scheme: Scheme::Doall,
+            sync: SyncMode::Spin,
+            nthreads: 1,
+            workers: vec![WorkerSpec {
+                func: func.into(),
+                tid: 0,
+                nt: 1,
+                stage: 0,
+            }],
+            queues: Vec::new(),
+            locks: Vec::new(),
+            stage_desc: vec!["worker".into()],
+            section: 0,
+            estimated_cost: 0.0,
+        }
+    }
+
+    #[test]
+    fn sync_intrinsic_in_main_is_rejected_by_every_executor() {
+        let m = module(
+            "extern void __lock_acquire(int l); int main() { __lock_acquire(0); return 0; }",
+        );
+        let (reg, cm, cfg) = (Registry::new(), CostModel::default(), ExecConfig::default());
+        let want = ExecError::ParallelIntrinsicInSequential {
+            name: "__lock_acquire".into(),
+        };
+        let seq = run_sequential(&m, &reg, &mut World::new(), &cm, "main").unwrap_err();
+        assert_eq!(seq, want, "sequential");
+        let sim = run_simulated_with(&m, &reg, &[], &mut World::new(), &cm, &cfg).unwrap_err();
+        assert_eq!(sim, want, "DES");
+        let thr = run_threaded_with(&m, &reg, &[], World::new(), &cfg).unwrap_err();
+        assert_eq!(thr, want, "threads");
+    }
+
+    #[test]
+    fn par_invoke_in_a_worker_is_rejected_by_both_parallel_executors() {
+        let m = module(
+            "extern void __par_invoke(int section);
+             void __par0_w(int tid, int nt) { __par_invoke(0); }
+             int main() { __par_invoke(0); return 0; }",
+        );
+        let plans = [one_worker_plan("__par0_w")];
+        let (reg, cm, cfg) = (Registry::new(), CostModel::default(), ExecConfig::default());
+        let sim = run_simulated_with(&m, &reg, &plans, &mut World::new(), &cm, &cfg).unwrap_err();
+        assert_eq!(sim, ExecError::NestedParallelSection, "DES");
+        let thr = run_threaded_with(&m, &reg, &plans, World::new(), &cfg).unwrap_err();
+        assert_eq!(thr, ExecError::NestedParallelSection, "threads");
+    }
+}

@@ -17,6 +17,13 @@
 //!   executors, atomic for the thread executor).
 //! * [`seq`] — the sequential executor (the evaluation baseline), with
 //!   simulated-time accounting.
+//! * `exec_core` — what the two parallel executors share: per-section
+//!   setup, the per-worker observer (spans, metrics, trace), the
+//!   lock-elision and delta fast paths, the delta fold, the
+//!   `__par_invoke` bracket and the end-of-run report fold. Every
+//!   executor matches on the runtime op each special carries
+//!   ([`vm::PendingSpecial::op`], decoded once per intrinsic id at
+//!   bytecode compile from `commset_transform::codegen::RUNTIME_EXTERNS`).
 //! * [`sim_exec`] — the simulated-parallel executor: a discrete-event
 //!   scheduler over one VM per worker thread, using `commset-sim`'s lock,
 //!   queue and TM models. This is what regenerates the paper's Figure 6 on
@@ -50,6 +57,7 @@ pub mod bundle;
 pub mod bytecode;
 pub mod config;
 pub mod error;
+mod exec_core;
 pub mod globals;
 pub mod metrics;
 pub mod seq;

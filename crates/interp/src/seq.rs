@@ -2,6 +2,7 @@
 
 use crate::bytecode::{BcModule, BcVm};
 use crate::error::ExecError;
+use crate::exec_core::outside_section;
 use crate::globals::PlainGlobals;
 use crate::vm::StepOutcome;
 use commset_ir::Module;
@@ -46,19 +47,12 @@ pub fn run_sequential(
                 insts += 1;
             }
             StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name.starts_with("__par")
-                    || name.starts_with("__q_")
-                    || name.starts_with("__lock")
-                    || name.starts_with("__tx")
-                {
-                    return Err(ExecError::ParallelIntrinsicInSequential {
-                        name: name.to_string(),
-                    });
+                if p.op.is_some() {
+                    return Err(outside_section(module, &p));
                 }
-                let base = module.intrinsics.sig(p.intrinsic.0 as usize).base_cost;
-                let out = registry.call(name, world, &p.args);
-                sim_time += base + out.extra_cost;
+                let id = p.intrinsic.0 as usize;
+                let out = registry.call(module.intrinsics.name(id), world, &p.args);
+                sim_time += module.intrinsics.sig(id).base_cost + out.extra_cost;
                 vm.resolve_special(out.value);
             }
             StepOutcome::Finished(result) => {

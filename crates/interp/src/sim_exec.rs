@@ -13,28 +13,32 @@
 //! [`ExecError`] (no panics); [`run_simulated_with`] additionally injects
 //! an adversarial [`FaultPlan`](commset_runtime::FaultPlan) schedule and
 //! runs the waits-for watchdog, whose report lands in [`SimStats`].
+//!
+//! Observation, section setup, the delta fast paths and the end-of-run
+//! fold come from the `exec_core` module; this module keeps the scheduler
+//! and the cost model.
 
 use crate::bytecode::{BcModule, BcVm};
-use crate::config::{ExecConfig, WorldMode};
+use crate::config::ExecConfig;
 use crate::error::ExecError;
+use crate::exec_core::{
+    coalesce_deltas, outside_section, worker_failed, Observer, RunObs, Section,
+};
 use crate::globals::PlainGlobals;
-use crate::metrics::MetricsLocal;
-use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::{PendingSpecial, StepOutcome};
 use commset_ir::Module;
 use commset_runtime::{
     DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, Value, Watchdog,
-    WatchdogReport, World, DELTA_POISON_MSG,
+    WatchdogReport, World,
 };
 use commset_sim::lock::AcquireOutcome;
 use commset_sim::{
     pick_with_horizon, CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel,
 };
 use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta, SpanKind,
-    SpanRecord, TelemetrySink,
+    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta,
 };
-use commset_transform::{ParallelPlan, SyncMode};
+use commset_transform::{ParallelPlan, RtOp};
 use std::collections::HashMap;
 
 /// Statistics of one simulated run.
@@ -59,6 +63,8 @@ pub struct SimStats {
     pub watchdog: WatchdogReport,
     /// Delta-privatized activity (all zero unless [`WorldMode::Deltas`]
     /// routed calls into per-worker buffers).
+    ///
+    /// [`WorldMode::Deltas`]: crate::config::WorldMode::Deltas
     pub delta: DeltaSnapshot,
 }
 
@@ -81,51 +87,6 @@ pub struct SimOutcome {
     /// passive — no modeled clock is touched — so `sim_time` is
     /// bit-identical with metrics on or off.
     pub metrics: Option<MetricsRegistry>,
-}
-
-/// Run-wide metrics accumulation: a no-op (one bool check per call) when
-/// the metrics registry is off. The DES is single-threaded, so one local
-/// accumulator serves every virtual worker and there is no sink.
-struct SimMetrics {
-    on: bool,
-    reg: MetricsRegistry,
-    local: MetricsLocal,
-}
-
-impl SimMetrics {
-    fn retire(&mut self, bc: &BcModule, site: Option<(u32, u32)>, cost: u64) {
-        if let Some(site) = site {
-            self.local.retire(bc, site, cost);
-        }
-    }
-
-    fn observe(&mut self, name: &str, v: u64) {
-        if self.on {
-            self.reg.observe(name, v);
-        }
-    }
-}
-
-/// Per-section span collection: a no-op (one bool check per call) when
-/// telemetry is off.
-struct SectionTelemetry {
-    on: bool,
-    sec: usize,
-    spans: Vec<SpanRecord>,
-}
-
-impl SectionTelemetry {
-    fn span(&mut self, worker: usize, start: u64, end: u64, kind: SpanKind) {
-        if self.on {
-            self.spans.push(SpanRecord {
-                section: self.sec,
-                worker,
-                start,
-                end,
-                kind,
-            });
-        }
-    }
 }
 
 /// Deadline conversion for the DES: [`ExecConfig::deadline_ms`] becomes a
@@ -151,9 +112,9 @@ enum WStatus {
 /// # Errors
 ///
 /// Returns an [`ExecError`] on executor-contract violations (unknown
-/// section or queue, deadlock, nested parallel sections) and on VM
-/// dynamic errors; worker errors are wrapped as
-/// [`ExecError::WorkerFailed`] naming the stage function.
+/// section or queue, deadlock, nested parallel sections, runtime
+/// intrinsics outside a section) and on VM dynamic errors; worker errors
+/// are wrapped as [`ExecError::WorkerFailed`] naming the stage function.
 pub fn run_simulated(
     module: &Module,
     registry: &Registry,
@@ -180,52 +141,24 @@ pub fn run_simulated_with(
 ) -> Result<SimOutcome, ExecError> {
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
+    let mut run = RunObs::new(module, &bc, cfg);
     let mut globals = PlainGlobals::new(module);
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut sim_time: u64 = 0;
     let mut stats = SimStats::default();
-    let sink = cfg.telemetry.then(TelemetrySink::new);
-    let mut mx = SimMetrics {
-        on: cfg.metrics,
-        reg: MetricsRegistry::new(),
-        local: MetricsLocal::new(),
-    };
-    let mut metas: Vec<SectionMeta> = Vec::new();
-    let mut next_ord = 0usize;
     loop {
         // Sampled before the step so a retired op attributes to the site
         // that produced it; `None` when metrics are off.
-        let site = if mx.on { vm.site() } else { None };
+        let site = run.site(&vm);
         match vm.step(&mut globals)? {
             StepOutcome::Ran { cost } => {
                 sim_time += cost * cm.inst;
-                mx.retire(&bc, site, cost);
+                run.retire(site, cost);
             }
-            StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
-                    let section = p.args[0].as_int();
-                    let plan = plans
-                        .iter()
-                        .find(|pl| pl.section == section)
-                        .ok_or(ExecError::UnknownSection { section })?;
-                    let mut telem = SectionTelemetry {
-                        on: sink.is_some(),
-                        sec: next_ord,
-                        spans: Vec::new(),
-                    };
-                    next_ord += 1;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some((next_ord - 1) as u64),
-                            ..JournalEvent::new("section_start", sim_time)
-                                .field("plan_section", section.to_string())
-                                .field("workers", plan.workers.len().to_string())
-                        });
-                    }
+            StepOutcome::Special(p) => match p.op {
+                Some(RtOp::ParInvoke) => {
+                    let (plan, ord) = run.open_section(plans, &p, sim_time)?;
                     let (end, section_stats, meta) = run_section(
-                        module,
-                        &bc,
                         registry,
                         plan,
                         world,
@@ -234,67 +167,42 @@ pub fn run_simulated_with(
                         cm,
                         cfg,
                         &injector,
-                        &mut telem,
-                        &mut mx,
+                        &run,
+                        ord,
                     )?;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some((next_ord - 1) as u64),
-                            ..JournalEvent::new("section_end", end)
-                        });
-                    }
+                    run.close_section(ord, end, meta);
                     sim_time = end;
                     merge_stats(&mut stats, section_stats);
-                    if let (Some(s), Some(m)) = (sink.as_ref(), meta) {
-                        s.record_batch(telem.spans);
-                        metas.push(m);
-                    }
                     vm.resolve_special(Value::Int(0));
-                } else {
-                    let base = module.intrinsics.sig(p.intrinsic.0 as usize).base_cost;
-                    let out = registry.call(name, world, &p.args);
-                    sim_time += base + out.extra_cost;
+                }
+                Some(_) => return Err(outside_section(module, &p)),
+                None => {
+                    let id = p.intrinsic.0 as usize;
+                    let out = registry.call(module.intrinsics.name(id), world, &p.args);
+                    sim_time += module.intrinsics.sig(id).base_cost + out.extra_cost;
                     vm.resolve_special(out.value);
                 }
-            }
+            },
             StepOutcome::Finished(result) => {
                 stats.fault = injector.stats();
-                let telemetry = sink.map(|s| {
-                    let counters = RunCounters {
-                        fault: stats.fault,
-                        watchdog_checks: stats.watchdog.checks,
-                        watchdog_clean: stats.watchdog.is_clean(),
-                        max_blocked: stats.watchdog.max_blocked,
-                        // The DES has no sharded world and no SPSC rings:
-                        // empty-pop counts stand in for empty spins.
-                        shard: Default::default(),
-                        delta: stats.delta,
-                        tm_commits: stats.tm_commits,
-                        tm_aborts: stats.tm_aborts,
-                        tm_fallbacks: stats.tm_fallbacks,
-                        queue_full_spins: 0,
-                        queue_empty_spins: stats.queue_stalls,
-                        queue_drained: 0,
-                    };
-                    RunReport::build(ClockUnit::Ticks, s.take(), metas, counters)
-                });
-                let metrics = mx.on.then(|| {
-                    let mut reg = std::mem::take(&mut mx.reg);
-                    mx.local.publish(module, &bc, &mut reg);
-                    reg.inc("delta.applies", stats.delta.applies);
-                    reg.inc("delta.coalesces", stats.delta.coalesces);
-                    reg.inc("delta.merged_slots", stats.delta.merged_slots);
-                    reg.inc("delta.lock_elisions", stats.delta.lock_elisions);
-                    reg.inc("tm.commits", stats.tm_commits);
-                    reg.inc("tm.aborts", stats.tm_aborts);
-                    reg.inc("tm.fallbacks", stats.tm_fallbacks);
-                    reg.inc("queue.pushes", stats.queue_pushes);
-                    reg.inc("queue.empty_pops", stats.queue_stalls);
-                    if let Some(j) = &cfg.journal {
-                        j.record_metrics(sim_time, &reg);
-                    }
-                    reg
-                });
+                // The DES has no sharded world and no SPSC rings: empty-pop
+                // counts stand in for empty spins.
+                let counters = RunCounters {
+                    fault: stats.fault,
+                    watchdog_checks: stats.watchdog.checks,
+                    watchdog_clean: stats.watchdog.is_clean(),
+                    max_blocked: stats.watchdog.max_blocked,
+                    delta: stats.delta,
+                    tm_aborts: stats.tm_aborts,
+                    tm_fallbacks: stats.tm_fallbacks,
+                    queue_empty_spins: stats.queue_stalls,
+                    ..RunCounters::default()
+                };
+                let extra = [
+                    ("queue.pushes", stats.queue_pushes),
+                    ("queue.empty_pops", stats.queue_stalls),
+                ];
+                let (telemetry, metrics) = run.finish(ClockUnit::Ticks, counters, &extra, sim_time);
                 if let Some(j) = &cfg.journal {
                     j.record(
                         JournalEvent::new("sim_finished", sim_time)
@@ -324,8 +232,8 @@ fn merge_stats(into: &mut SimStats, from: SimStats) {
     into.watchdog.absorb(from.watchdog);
 }
 
-struct Worker<'m> {
-    vm: BcVm<'m>,
+struct Worker<'a> {
+    vm: BcVm<'a>,
     clock: u64,
     status: WStatus,
     tx: Option<commset_sim::tm::TxRecord>,
@@ -335,24 +243,15 @@ struct Worker<'m> {
     /// True when retrying a lock acquisition after having blocked on it
     /// (pays the contention penalty).
     lock_retry: bool,
-    /// Telemetry: clock at which the current blocking wait began (a worker
-    /// blocks on at most one lock or queue endpoint at a time).
-    block_start: Option<u64>,
-    /// Telemetry: lock rank -> grant tick of the currently held lock.
-    lock_held: HashMap<usize, u64>,
-    /// Telemetry: tick at which the in-flight transaction began.
-    tx_begin_t: u64,
-    /// Telemetry: open commutative-region instances (enter seen, exit
-    /// pending), as (func, enter tick).
-    region_stack: Vec<(String, u64)>,
+    /// Private delta buffer (delta-privatized sections only).
+    delta: Option<DeltaBuffer>,
+    obs: Observer<'a>,
 }
 
 /// Executes one parallel section; returns (end time, stats, telemetry
 /// metadata).
 #[allow(clippy::too_many_arguments)]
-fn run_section<'m>(
-    module: &'m Module,
-    bc: &'m BcModule,
+fn run_section(
     registry: &Registry,
     plan: &ParallelPlan,
     world: &mut World,
@@ -361,12 +260,14 @@ fn run_section<'m>(
     cm: &CostModel,
     cfg: &ExecConfig,
     injector: &FaultInjector,
-    telem: &mut SectionTelemetry,
-    mx: &mut SimMetrics,
+    run: &RunObs<'_>,
+    ord: usize,
 ) -> Result<(u64, SimStats, Option<SectionMeta>), ExecError> {
-    let lock_kind = match plan.sync {
-        SyncMode::Spin => SimLockKind::Spin,
-        _ => SimLockKind::Mutex,
+    let sec = Section::new(plan, cfg, registry);
+    let lock_kind = if sec.spin {
+        SimLockKind::Spin
+    } else {
+        SimLockKind::Mutex
     };
     let mut locks: Vec<SimLock> = plan
         .locks
@@ -377,55 +278,28 @@ fn run_section<'m>(
             l
         })
         .collect();
-    // Queue ids may be sparse in principle; map id -> index.
-    let mut queue_index: HashMap<i64, usize> = HashMap::new();
-    let mut queues: Vec<SimQueue> = Vec::new();
-    for q in &plan.queues {
-        queue_index.insert(q.id, queues.len());
-        queues.push(SimQueue::new(injector.clamp_capacity(q.capacity)));
-    }
+    let mut queues: Vec<SimQueue> = plan
+        .queues
+        .iter()
+        .map(|q| SimQueue::new(injector.clamp_capacity(q.capacity)))
+        .collect();
     let mut tm = TmModel::new();
     let watchdog = cfg.watchdog.then(Watchdog::new);
     // The virtual world is internally thread-safe (the paper's "Lib"
     // discipline): each intrinsic execution serializes on the channels it
     // writes, and readers wait for in-flight writers. This is what makes
-    // I/O-channel saturation emerge at high thread counts.
+    // I/O-channel saturation emerge at high thread counts. Delta-routed
+    // calls skip the channels entirely (the modeled analogue of taking no
+    // shard lock); their buffers fold back at the section end.
     let mut channel_free: HashMap<u32, u64> = HashMap::new();
-    // Delta privatization: merge-covered calls run against per-worker
-    // buffers with no channel serialization at all (the modeled analogue
-    // of taking no shard lock); the buffers fold back into the world in
-    // worker-index order at the section end. Pipeline sections (queues
-    // present) keep the serialized discipline.
-    let delta_on =
-        matches!(cfg.world, WorldMode::Deltas) && registry.has_merges() && plan.queues.is_empty();
-    let mut delta_bufs: Vec<DeltaBuffer> = if delta_on {
-        (0..plan.workers.len())
-            .map(|_| DeltaBuffer::new())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Static lock elision: a CommSet region lock whose guarded intrinsics
-    // are all delta-covered serializes nothing — every effect in the
-    // region lands in a worker-private buffer, invisible to siblings
-    // until the barrier, and the declared merges make the coalesce order
-    // immaterial. Synthetic locks (`__reduction`) have no members and are
-    // never elided.
-    let elided: Vec<bool> = plan
-        .locks
-        .iter()
-        .map(|ls| {
-            delta_on
-                && !ls.members.is_empty()
-                && ls.members.iter().all(|m| registry.delta_covered(m))
-        })
-        .collect();
 
     let spawn_t = start + cm.par_spawn;
-    let mut workers: Vec<Worker<'m>> = Vec::with_capacity(plan.workers.len());
-    for w in &plan.workers {
-        let mut vm = BcVm::for_name(module, bc, &w.func, &[Value::Int(w.tid), Value::Int(w.nt)])?;
-        if cfg.trace.is_some() || telem.on {
+    let watching = run.watching();
+    let mut workers: Vec<Worker<'_>> = Vec::with_capacity(plan.workers.len());
+    for (k, w) in plan.workers.iter().enumerate() {
+        let args = [Value::Int(w.tid), Value::Int(w.nt)];
+        let mut vm = BcVm::for_name(run.module, run.bc, &w.func, &args)?;
+        if watching {
             vm.watch_calls_matching("__commset_region_");
         }
         workers.push(Worker {
@@ -435,10 +309,8 @@ fn run_section<'m>(
             tx: None,
             tx_aborts: 0,
             lock_retry: false,
-            block_start: None,
-            lock_held: HashMap::new(),
-            tx_begin_t: 0,
-            region_stack: Vec::new(),
+            delta: sec.delta.then(DeltaBuffer::new),
+            obs: Observer::new(run, &sec, ord, k),
         });
     }
 
@@ -485,52 +357,50 @@ fn run_section<'m>(
                     });
                 }
             }
-            let site = if mx.on { workers[i].vm.site() } else { None };
-            let step = workers[i]
-                .vm
-                .step(globals)
-                .map_err(|e| ExecError::WorkerFailed {
-                    stage: plan.workers[i].func.clone(),
-                    cause: e.to_string(),
-                })?;
+            let w = &mut workers[i];
+            let site = w.obs.site(&w.vm);
+            let step =
+                w.vm.step(globals)
+                    .map_err(|e| worker_failed(&plan.workers[i].func, e))?;
             let ran = match step {
                 StepOutcome::Ran { cost } => {
-                    workers[i].clock += cost * cm.inst;
-                    mx.retire(bc, site, cost);
+                    w.clock += cost * cm.inst;
+                    w.obs.retire(site, cost);
                     true
                 }
                 StepOutcome::Finished(_) => {
-                    workers[i].status = WStatus::Done;
+                    w.status = WStatus::Done;
                     false
                 }
                 StepOutcome::Special(p) => {
                     handle_special(
-                        module,
+                        run.module,
                         registry,
                         world,
                         plan,
+                        &sec,
                         &mut workers,
                         i,
                         &p,
                         &mut locks,
                         &mut queues,
-                        &queue_index,
                         &mut tm,
                         &mut channel_free,
-                        &mut delta_bufs,
-                        &elided,
                         cm,
                         cfg,
                         injector,
                         watchdog.as_ref(),
-                        telem,
-                        mx,
                     )?;
                     false
                 }
             };
-            if cfg.trace.is_some() || telem.on {
-                drain_region_events(cfg.trace.as_ref(), telem, i, &mut workers[i]);
+            if watching {
+                // Region events and this step's spans, at the worker's
+                // clock and in step order across workers.
+                let w = &mut workers[i];
+                let clock = w.clock;
+                w.obs.regions(&mut w.vm, || clock);
+                w.obs.flush_spans();
             }
             if !ran || workers[i].clock >= horizon {
                 break;
@@ -538,41 +408,17 @@ fn run_section<'m>(
         }
     }
 
-    // Delta coalesce: fold the per-worker buffers into the world in
-    // worker-index order (then slot-name order inside each buffer). The
-    // DES has no panic containment, so an injected poison surfaces as the
-    // same structured error the thread executor's containment produces.
-    let mut delta = DeltaSnapshot::default();
-    for buf in delta_bufs.drain(..) {
-        delta.lock_elisions += buf.lock_elisions;
-        if buf.is_empty() {
-            continue;
-        }
-        if injector.delta_poison_now() {
-            return Err(ExecError::WorkerFailed {
-                stage: "__delta_coalesce".into(),
-                cause: DELTA_POISON_MSG.into(),
-            });
-        }
-        delta.coalesces += 1;
-        delta.applies += buf.applies;
-        let mut buf_slots = 0u64;
-        for (slot, d) in buf.drain() {
-            buf_slots += 1;
-            let spec = registry
-                .merge_of(&slot)
-                .expect("delta-routed slot has a merge spec");
-            delta.merged_slots += 1;
-            match world.take_boxed(&slot) {
-                Some(mut base) => {
-                    spec.apply(base.as_mut(), d);
-                    world.install_boxed(slot, base);
-                }
-                None => world.install_boxed(slot, d),
-            }
-        }
-        mx.observe("delta.merge_slots", buf_slots);
-    }
+    // The DES has no panic containment, so an injected poison surfaces as
+    // the same structured error the thread executor's containment
+    // produces.
+    let bufs = workers
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(k, w)| w.delta.take().map(|b| (k, b)))
+        .collect();
+    let delta = coalesce_deltas(run, injector, bufs, |buf| {
+        world.coalesce_delta(registry, buf)
+    })?;
 
     let end = workers
         .iter()
@@ -581,24 +427,17 @@ fn run_section<'m>(
         .unwrap_or(start)
         .max(start)
         + cm.par_spawn;
-    let meta = if telem.on {
-        for (k, w) in workers.iter().enumerate() {
-            telem.span(k, spawn_t, w.clock, SpanKind::Worker);
-        }
-        Some(SectionMeta {
-            section: telem.sec,
-            stage_desc: plan.stage_desc.clone(),
-            worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
-            locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
-            queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
-            // The DES has no SPSC rings: empty-pop counts stand in for
-            // empty spins, the full side has no modeled counter.
-            queue_spins: queues.iter().map(|q| (0, q.empty_pops)).collect(),
-            span: (start, end),
-        })
-    } else {
-        None
-    };
+    for w in &mut workers {
+        w.obs.worker_span(spawn_t, w.clock);
+        w.obs.flush_spans();
+        w.obs.publish();
+    }
+    // The DES has no SPSC rings: empty-pop counts stand in for empty
+    // spins, the full side has no modeled counter.
+    let meta = run.telemetry().then(|| {
+        let spins = queues.iter().map(|q| (0, q.empty_pops)).collect();
+        sec.meta(plan, ord, spins, (start, end))
+    });
     let stats = SimStats {
         lock_contention: plan
             .locks
@@ -618,88 +457,40 @@ fn run_section<'m>(
     Ok((end, stats, meta))
 }
 
-/// Converts a worker VM's buffered call-boundary events into trace
-/// records and telemetry region spans at the worker's current clock.
-fn drain_region_events(
-    trace: Option<&TraceSink>,
-    telem: &mut SectionTelemetry,
-    i: usize,
-    w: &mut Worker<'_>,
-) {
-    let clock = w.clock;
-    for ev in w.vm.drain_call_events() {
-        if telem.on {
-            if ev.enter {
-                w.region_stack.push((ev.func.clone(), clock));
-            } else if let Some((f, t0)) = w.region_stack.pop() {
-                telem.span(i, t0, clock, SpanKind::Region { func: f });
-            }
-        }
-        if let Some(tr) = trace {
-            let event = if ev.enter {
-                TraceEvent::RegionEnter {
-                    func: ev.func,
-                    args: ev.args,
-                }
-            } else {
-                TraceEvent::RegionExit { func: ev.func }
-            };
-            tr.record(i, clock, event);
-        }
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle_special(
     module: &Module,
     registry: &Registry,
     world: &mut World,
     plan: &ParallelPlan,
+    sec: &Section,
     workers: &mut [Worker<'_>],
     i: usize,
     p: &PendingSpecial,
     locks: &mut [SimLock],
     queues: &mut [SimQueue],
-    queue_index: &HashMap<i64, usize>,
     tm: &mut TmModel,
     channel_free: &mut HashMap<u32, u64>,
-    delta_bufs: &mut [DeltaBuffer],
-    elided: &[bool],
     cm: &CostModel,
     cfg: &ExecConfig,
     injector: &FaultInjector,
     watchdog: Option<&Watchdog>,
-    telem: &mut SectionTelemetry,
-    mx: &mut SimMetrics,
 ) -> Result<(), ExecError> {
-    // Borrowed, not cloned: this runs once per special, on the hot path.
-    let name = module.intrinsics.name(p.intrinsic.0 as usize);
-    let qidx = |args: &[Value]| -> Result<usize, ExecError> {
-        let id = args[0].as_int();
-        queue_index
-            .get(&id)
-            .copied()
-            .ok_or(ExecError::UnknownQueue { id })
-    };
     // A stalled worker pauses at its synchronization events; a slow
     // worker pays its drag at every one of them.
     let stall =
         injector.worker_stall(plan.workers[i].tid) + injector.slow_worker(plan.workers[i].tid);
     workers[i].clock += stall;
-    match name {
-        "__lock_acquire" => {
+    match p.op {
+        Some(RtOp::LockAcquire) => {
             let l = p.args[0].as_int() as usize;
-            if elided.get(l).copied().unwrap_or(false) {
-                // Delta privatization covers everything this lock guards:
-                // grant immediately with no lock state touched.
-                if let Some(buf) = delta_bufs.get_mut(i) {
-                    buf.lock_elisions += 1;
-                }
-                workers[i].vm.resolve_special(Value::Int(0));
+            let w = &mut workers[i];
+            if sec.elide_acquire(l, w.delta.as_mut()) {
+                w.vm.resolve_special(Value::Int(0));
                 return Ok(());
             }
-            let t = workers[i].clock;
-            let was_blocked = workers[i].lock_retry;
+            let t = w.clock;
+            let was_blocked = w.lock_retry;
             if let Some(wd) = watchdog {
                 wd.acquiring(i, l);
             }
@@ -707,66 +498,40 @@ fn handle_special(
                 AcquireOutcome::Granted(grant) => {
                     if was_blocked {
                         locks[l].pending = locks[l].pending.saturating_sub(1);
-                        workers[i].lock_retry = false;
+                        w.lock_retry = false;
                     }
                     if let Some(wd) = watchdog {
                         wd.acquired(i, l);
                     }
-                    let wait_from = workers[i].block_start.take().unwrap_or(t);
-                    if grant > wait_from {
-                        if telem.on {
-                            telem.span(i, wait_from, grant, SpanKind::LockWait { rank: l });
-                        }
-                        if mx.on {
-                            mx.observe(
-                                &format!("lock_wait.{}", plan.locks[l].set),
-                                grant - wait_from,
-                            );
-                        }
-                    }
-                    workers[i].clock = grant + injector.lock_grant_delay();
-                    if telem.on {
-                        let held_from = workers[i].clock;
-                        workers[i].lock_held.insert(l, held_from);
-                    }
-                    workers[i].vm.resolve_special(Value::Int(0));
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(i, workers[i].clock, TraceEvent::LockAcquire { lock: l });
-                    }
+                    w.clock = grant + injector.lock_grant_delay();
+                    w.obs.lock_acquired(l, t, grant, w.clock);
+                    w.vm.resolve_special(Value::Int(0));
                 }
                 AcquireOutcome::Held => {
                     if !was_blocked {
                         locks[l].pending += 1;
-                        workers[i].lock_retry = true;
-                        if telem.on || mx.on {
-                            workers[i].block_start = Some(t);
-                        }
+                        w.lock_retry = true;
+                        w.obs.begin_wait(t);
                     }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedLock(l);
+                    w.vm.retry_special_later();
+                    w.status = WStatus::BlockedLock(l);
                 }
             }
         }
-        "__lock_release" => {
+        Some(RtOp::LockRelease) => {
             let l = p.args[0].as_int() as usize;
-            if elided.get(l).copied().unwrap_or(false) {
-                workers[i].vm.resolve_special(Value::Int(0));
+            let w = &mut workers[i];
+            if sec.elided(l) {
+                w.vm.resolve_special(Value::Int(0));
                 return Ok(());
             }
-            let t = workers[i].clock;
-            if telem.on {
-                if let Some(t0) = workers[i].lock_held.remove(&l) {
-                    telem.span(i, t0, t, SpanKind::LockHold { rank: l });
-                }
-            }
-            workers[i].clock = locks[l].release(t, cm);
+            let t = w.clock;
+            w.clock = locks[l].release(t, cm);
             if let Some(wd) = watchdog {
                 wd.released(i, l);
             }
-            workers[i].vm.resolve_special(Value::Int(0));
-            if let Some(tr) = &cfg.trace {
-                tr.record(i, workers[i].clock, TraceEvent::LockRelease { lock: l });
-            }
+            w.obs.lock_released(l, t, w.clock);
+            w.vm.resolve_special(Value::Int(0));
             // Wake the blocked requesters; the scheduler grants in clock
             // order, the rest re-block.
             for w in workers.iter_mut() {
@@ -775,37 +540,17 @@ fn handle_special(
                 }
             }
         }
-        "__q_push" | "__q_push_f" => {
-            let q = qidx(&p.args)?;
-            let bits = p.args[1].to_bits();
-            workers[i].clock += injector.queue_stall_delay();
-            let attempt = workers[i].clock;
-            match queues[q].push(workers[i].clock, bits, cm) {
+        Some(RtOp::Push { .. }) => {
+            let id = p.args[0].as_int();
+            let q = sec.queue(id)?;
+            let w = &mut workers[i];
+            w.clock += injector.queue_stall_delay();
+            let attempt = w.clock;
+            match queues[q].push(attempt, p.args[1].to_bits(), cm) {
                 PushOutcome::Pushed(t) => {
-                    workers[i].clock = t;
-                    if telem.on {
-                        let qid = p.args[0].as_int();
-                        if let Some(bs) = workers[i].block_start.take() {
-                            telem.span(i, bs, attempt, SpanKind::QueuePushWait { queue: qid });
-                        }
-                        telem.span(i, t, t, SpanKind::QueuePush { queue: qid });
-                    }
-                    if mx.on {
-                        mx.observe(
-                            &format!("queue_occupancy.{}", p.args[0].as_int()),
-                            queues[q].len() as u64,
-                        );
-                    }
-                    workers[i].vm.resolve_special(Value::Int(0));
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            workers[i].clock,
-                            TraceEvent::QueuePush {
-                                queue: p.args[0].as_int(),
-                            },
-                        );
-                    }
+                    w.clock = t;
+                    w.obs.queue_op(true, id, attempt, t, || queues[q].len());
+                    w.vm.resolve_special(Value::Int(0));
                     // Wake a consumer blocked on this queue.
                     for w in workers.iter_mut() {
                         if w.status == WStatus::BlockedPop(q) {
@@ -814,45 +559,23 @@ fn handle_special(
                     }
                 }
                 PushOutcome::Full => {
-                    if telem.on && workers[i].block_start.is_none() {
-                        workers[i].block_start = Some(attempt);
-                    }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedPush(q);
+                    w.obs.begin_wait(attempt);
+                    w.vm.retry_special_later();
+                    w.status = WStatus::BlockedPush(q);
                 }
             }
         }
-        "__q_pop" | "__q_pop_f" => {
-            let q = qidx(&p.args)?;
-            workers[i].clock += injector.queue_stall_delay();
-            let attempt = workers[i].clock;
-            match queues[q].pop(workers[i].clock, cm) {
+        Some(RtOp::Pop { float }) => {
+            let id = p.args[0].as_int();
+            let q = sec.queue(id)?;
+            let w = &mut workers[i];
+            w.clock += injector.queue_stall_delay();
+            let attempt = w.clock;
+            match queues[q].pop(attempt, cm) {
                 PopOutcome::Popped(bits, t) => {
-                    workers[i].clock = t;
-                    if telem.on {
-                        let qid = p.args[0].as_int();
-                        if let Some(bs) = workers[i].block_start.take() {
-                            telem.span(i, bs, attempt, SpanKind::QueuePopWait { queue: qid });
-                        }
-                        telem.span(i, t, t, SpanKind::QueuePop { queue: qid });
-                    }
-                    if mx.on {
-                        mx.observe(
-                            &format!("queue_occupancy.{}", p.args[0].as_int()),
-                            queues[q].len() as u64,
-                        );
-                    }
-                    let v = Value::from_bits(bits, name == "__q_pop_f");
-                    workers[i].vm.resolve_special(v);
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            workers[i].clock,
-                            TraceEvent::QueuePop {
-                                queue: p.args[0].as_int(),
-                            },
-                        );
-                    }
+                    w.clock = t;
+                    w.obs.queue_op(false, id, attempt, t, || queues[q].len());
+                    w.vm.resolve_special(Value::from_bits(bits, float));
                     for w in workers.iter_mut() {
                         if w.status == WStatus::BlockedPush(q) {
                             w.status = WStatus::Ready;
@@ -860,33 +583,30 @@ fn handle_special(
                     }
                 }
                 PopOutcome::Empty => {
-                    if telem.on && workers[i].block_start.is_none() {
-                        workers[i].block_start = Some(attempt);
-                    }
-                    workers[i].vm.retry_special_later();
-                    workers[i].status = WStatus::BlockedPop(q);
+                    w.obs.begin_wait(attempt);
+                    w.vm.retry_special_later();
+                    w.status = WStatus::BlockedPop(q);
                 }
             }
         }
-        "__tx_begin" => {
-            let t = workers[i].clock;
-            workers[i].clock = t + cm.tx_begin;
-            workers[i].tx = Some(tm.begin(t, cm));
-            workers[i].tx_aborts = 0;
-            workers[i].tx_begin_t = t;
-            workers[i].vm.resolve_special(Value::Int(0));
+        Some(RtOp::TxBegin) => {
+            let w = &mut workers[i];
+            let t = w.clock;
+            w.clock = t + cm.tx_begin;
+            w.tx = Some(tm.begin(t, cm));
+            w.tx_aborts = 0;
+            w.obs.tx_begin(t);
+            w.vm.resolve_special(Value::Int(0));
         }
-        "__tx_commit" => {
-            let mut tx = workers[i]
-                .tx
-                .take()
-                .ok_or(ExecError::TxCommitWithoutBegin)?;
+        Some(RtOp::TxCommit) => {
+            let w = &mut workers[i];
+            let mut tx = w.tx.take().ok_or(ExecError::TxCommitWithoutBegin)?;
             loop {
-                let t = workers[i].clock;
+                let t = w.clock;
                 // A starving transaction escalates to the modeled rank-0
                 // global lock: pessimistic but guaranteed to commit.
-                if workers[i].tx_aborts > u64::from(cfg.backoff.max_aborts) {
-                    workers[i].clock = tm.commit_pessimistic(&tx, t, cm);
+                if w.tx_aborts > u64::from(cfg.backoff.max_aborts) {
+                    w.clock = tm.commit_pessimistic(&tx, t, cm);
                     break;
                 }
                 let outcome = if injector.force_stm_abort() {
@@ -896,67 +616,36 @@ fn handle_special(
                 };
                 match outcome {
                     Ok(done) => {
-                        workers[i].clock = done;
+                        w.clock = done;
                         break;
                     }
                     Err(wasted) => {
-                        workers[i].tx_aborts += 1;
+                        w.tx_aborts += 1;
                         // Back off (modeled as spin cycles), then redo the
                         // transaction's work after the wasted time.
-                        let backoff =
-                            u64::from(cfg.backoff.base_spins) << workers[i].tx_aborts.min(8);
-                        workers[i].clock = t + wasted + backoff + tx.work;
-                        tx.start = workers[i].clock;
+                        let backoff = u64::from(cfg.backoff.base_spins) << w.tx_aborts.min(8);
+                        w.clock = t + wasted + backoff + tx.work;
+                        tx.start = w.clock;
                     }
                 }
             }
-            if telem.on {
-                let aborts = workers[i].tx_aborts;
-                let t0 = workers[i].tx_begin_t;
-                let t1 = workers[i].clock;
-                telem.span(i, t0, t1, SpanKind::Tx { aborts });
-            }
-            workers[i].tx_aborts = 0;
-            workers[i].vm.resolve_special(Value::Int(0));
+            w.obs.tx_commit(w.tx_aborts, w.clock);
+            w.tx_aborts = 0;
+            w.vm.resolve_special(Value::Int(0));
         }
-        "__par_invoke" => return Err(ExecError::NestedParallelSection),
-        _ => {
-            // Ordinary world intrinsic: readers wait for in-flight writers
-            // of their channels, and the execution holds its write channels
-            // for its duration (the internally-thread-safe world).
+        Some(RtOp::ParInvoke) => return Err(ExecError::NestedParallelSection),
+        None => {
+            let name = module.intrinsics.name(p.intrinsic.0 as usize);
             let sig = module.intrinsics.sig(p.intrinsic.0 as usize);
             let base = sig.base_cost;
-            // Delta fast path: a merge-covered call runs against the
-            // worker-private buffer with no channel serialization — the
-            // whole cost overlaps across cores.
-            if !delta_bufs.is_empty() {
-                if let Some(slots) = registry.delta_route(name, &p.args) {
-                    let out = delta_bufs[i].apply(registry, name, &p.args, &slots);
-                    let done = workers[i].clock + base + out.extra_cost;
-                    if telem.on {
-                        telem.span(
-                            i,
-                            workers[i].clock,
-                            done,
-                            SpanKind::WorldCall {
-                                intrinsic: name.to_string(),
-                            },
-                        );
-                    }
-                    workers[i].clock = done;
-                    if let Some(tr) = &cfg.trace {
-                        tr.record(
-                            i,
-                            done,
-                            TraceEvent::WorldCall {
-                                intrinsic: name.to_string(),
-                                args: p.args.clone(),
-                            },
-                        );
-                    }
-                    workers[i].vm.resolve_special(out.value);
-                    return Ok(());
-                }
+            let w = &mut workers[i];
+            // A delta-routed call overlaps across cores in full.
+            if let Some(out) = Section::delta_call(registry, w.delta.as_mut(), name, &p.args) {
+                let done = w.clock + base + out.extra_cost;
+                w.obs.world_call(name, &p.args, w.clock, done);
+                w.clock = done;
+                w.vm.resolve_special(out.value);
+                return Ok(());
             }
             let out = registry.call(name, world, &p.args);
             let cost = base + out.extra_cost;
@@ -965,7 +654,7 @@ fn handle_special(
             // for in-flight writers).
             let ser = out.serialized_cost.unwrap_or(cost).min(cost);
             let par = cost - ser;
-            let mut start = workers[i].clock + par;
+            let mut start = w.clock + par;
             let base_start = start;
             // Instance-partitioned channels hold per-instance state: their
             // accesses do not serialize across workers (each instance is
@@ -979,7 +668,7 @@ fn handle_special(
             // Per-channel contention attribution: how long each serialized
             // channel alone would have delayed this call past its ready
             // point (passive — `start` is already settled above).
-            if mx.on && start > base_start {
+            if w.obs.metrics() && start > base_start {
                 let mut seen: Vec<u32> = Vec::new();
                 for c in sig.reads.iter().chain(&sig.writes) {
                     if module.intrinsics.is_per_instance(*c) || seen.contains(&c.0) {
@@ -988,7 +677,7 @@ fn handle_special(
                     seen.push(c.0);
                     let free = channel_free.get(&c.0).copied().unwrap_or(0);
                     if free > base_start {
-                        mx.observe(
+                        w.obs.observe(
                             &format!("channel_wait.{}", module.intrinsics.channels.name(*c)),
                             free - base_start,
                         );
@@ -1004,28 +693,9 @@ fn handle_special(
                     channel_free.insert(c.0, done);
                 }
             }
-            if telem.on {
-                telem.span(
-                    i,
-                    workers[i].clock,
-                    done,
-                    SpanKind::WorldCall {
-                        intrinsic: name.to_string(),
-                    },
-                );
-            }
-            workers[i].clock = done;
-            if let Some(tr) = &cfg.trace {
-                tr.record(
-                    i,
-                    done,
-                    TraceEvent::WorldCall {
-                        intrinsic: name.to_string(),
-                        args: p.args.clone(),
-                    },
-                );
-            }
-            if let Some(tx) = &mut workers[i].tx {
+            w.obs.world_call(name, &p.args, w.clock, done);
+            w.clock = done;
+            if let Some(tx) = &mut w.tx {
                 tx.work += cost;
                 for c in &sig.reads {
                     tx.reads
@@ -1036,7 +706,7 @@ fn handle_special(
                         .insert(module.intrinsics.channels.name(*c).to_string());
                 }
             }
-            workers[i].vm.resolve_special(out.value);
+            w.vm.resolve_special(out.value);
         }
     }
     Ok(())
@@ -1045,6 +715,7 @@ fn handle_special(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
     use commset_analysis::depanalysis::analyze_commutativity;
     use commset_analysis::effects::summarize;
     use commset_analysis::hotloop::find_hot_loop;
@@ -1055,6 +726,7 @@ mod tests {
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
+    use commset_transform::SyncMode;
     use commset_transform::{doall, dswp};
     use std::collections::BTreeSet;
 

@@ -14,13 +14,18 @@
 //! flag unblocks every sibling parked in a queue or lock wait, the SPSC
 //! queues are drained, and the run reports
 //! [`ExecError::WorkerFailed`] naming the stage and cause.
+//!
+//! Observation, section setup, the delta fast paths and the end-of-run
+//! fold come from the `exec_core` module; this module keeps the threads,
+//! cancellation, queue batching and the shared world.
 
 use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
+use crate::exec_core::{
+    coalesce_deltas, outside_section, worker_failed, Observer, RunObs, Section,
+};
 use crate::globals::{AtomicGlobals, SharedGlobals};
-use crate::metrics::MetricsLocal;
-use crate::trace::{TraceEvent, TraceSink};
 use crate::vm::StepOutcome;
 use commset_ir::Module;
 use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -30,14 +35,13 @@ use commset_runtime::sync::Mutex;
 use commset_runtime::world::SlotError;
 use commset_runtime::{
     DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, SpscQueue, Value, Watchdog,
-    WatchdogReport, World, DELTA_POISON_MSG,
+    WatchdogReport, World,
 };
 use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, MetricsSink, RunCounters, RunReport, SectionMeta,
-    SpanKind, SpanRecord, TelemetrySink,
+    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta,
 };
-use commset_transform::{ParallelPlan, SyncMode};
-use std::collections::{HashMap, VecDeque};
+use commset_transform::{ParallelPlan, RtOp};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,6 +106,15 @@ impl WorldStore {
         }
     }
 
+    /// Folds one worker's delta buffer into the shared world; returns the
+    /// number of slots merged.
+    fn coalesce_delta(&self, registry: &Registry, buf: DeltaBuffer) -> u64 {
+        match self {
+            WorldStore::Single(m) => m.lock().coalesce_delta(registry, buf),
+            WorldStore::Sharded(s) => s.coalesce_delta(registry, buf),
+        }
+    }
+
     fn snapshot(&self) -> ShardStatsSnapshot {
         match self {
             WorldStore::Single(_) => ShardStatsSnapshot::default(),
@@ -144,10 +157,11 @@ pub struct ThreadOutcome {
 /// # Errors
 ///
 /// Returns an [`ExecError`] on executor-contract violations (unknown
-/// section or queue, nested sections) and on any worker failure — a VM
-/// dynamic error or a panic inside an intrinsic handler — as
-/// [`ExecError::WorkerFailed`]. Siblings of a failed worker are canceled
-/// and report nothing; the process survives.
+/// section or queue, nested sections, runtime intrinsics outside a
+/// section) and on any worker failure — a VM dynamic error or a panic
+/// inside an intrinsic handler — as [`ExecError::WorkerFailed`]. Siblings
+/// of a failed worker are canceled and report nothing; the process
+/// survives.
 pub fn run_threaded(
     module: &Module,
     registry: &Registry,
@@ -171,88 +185,49 @@ pub fn run_threaded_with(
     cfg: &ExecConfig,
 ) -> Result<ThreadOutcome, ExecError> {
     let start = Instant::now();
+    let now = || start.elapsed().as_nanos() as u64;
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
+    let mut run = RunObs::new(module, &bc, cfg);
     let shared_globals = AtomicGlobals::new(module);
     let world = WorldStore::new(world, cfg.world, registry);
     let mut globals = SharedGlobals::new(Arc::clone(&shared_globals));
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
     let mut stats = ThreadStats::default();
-    let sink = cfg.telemetry.then(TelemetrySink::new);
-    let msink = cfg.metrics.then(MetricsSink::new);
-    let mut mlocal = cfg.metrics.then(MetricsLocal::new);
-    let mut metas: Vec<SectionMeta> = Vec::new();
-    let mut next_ord = 0usize;
     let result = loop {
         // Sampled before the step so a retired op attributes to the site
         // that produced it (main-thread sequential work).
-        let site = if mlocal.is_some() { vm.site() } else { None };
+        let site = run.site(&vm);
         match vm.step(&mut globals)? {
-            StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site)) = (mlocal.as_mut(), site) {
-                    ml.retire(&bc, site, cost);
-                }
-            }
-            StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if name == "__par_invoke" {
-                    let section = p.args[0].as_int();
-                    let plan = plans
-                        .iter()
-                        .find(|pl| pl.section == section)
-                        .ok_or(ExecError::UnknownSection { section })?;
-                    let ord = next_ord;
-                    next_ord += 1;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some(ord as u64),
-                            ..JournalEvent::new("section_start", start.elapsed().as_nanos() as u64)
-                                .field("plan_section", section.to_string())
-                                .field("workers", plan.workers.len().to_string())
-                        });
-                    }
-                    let section_out = run_section(
-                        module,
-                        &bc,
+            StepOutcome::Ran { cost } => run.retire(site, cost),
+            StepOutcome::Special(p) => match p.op {
+                Some(RtOp::ParInvoke) => {
+                    let (plan, ord) = run.open_section(plans, &p, now())?;
+                    let out = run_section(
                         registry,
                         plan,
                         &shared_globals,
                         &world,
                         cfg,
                         &injector,
-                        sink.as_ref(),
-                        msink.as_ref(),
+                        &run,
                         start,
                         ord,
                     )?;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            section: Some(ord as u64),
-                            ..JournalEvent::new("section_end", start.elapsed().as_nanos() as u64)
-                        });
-                    }
-                    stats.watchdog.absorb(section_out.watchdog);
-                    stats.queue_drained += section_out.drained;
-                    stats.queue_full_spins += section_out.full_spins;
-                    stats.queue_empty_spins += section_out.empty_spins;
-                    stats.delta.absorb(section_out.delta);
-                    if let Some(m) = section_out.meta {
-                        metas.push(m);
-                    }
+                    run.close_section(ord, now(), out.meta);
+                    stats.watchdog.absorb(out.watchdog);
+                    stats.queue_drained += out.drained;
+                    stats.queue_full_spins += out.full_spins;
+                    stats.queue_empty_spins += out.empty_spins;
+                    stats.delta.absorb(out.delta);
                     vm.resolve_special(Value::Int(0));
-                } else if name.starts_with("__lock")
-                    || name.starts_with("__q_")
-                    || name.starts_with("__tx")
-                {
-                    // Synchronization intrinsics outside a section are a
-                    // transform bug, not something to forward to the world.
-                    return Err(ExecError::ParallelIntrinsicInSequential {
-                        name: name.to_string(),
-                    });
-                } else {
+                }
+                Some(_) => return Err(outside_section(module, &p)),
+                None => {
                     // A bad intrinsic on the main thread (wrong slot type,
                     // missing slot, handler bug) is contained exactly like
                     // a worker failure instead of aborting the process.
+                    let name = module.intrinsics.name(p.intrinsic.0 as usize);
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         world.call(registry, name, &p.args, &ShardObserver::silent())
                     }))
@@ -262,57 +237,28 @@ pub fn run_threaded_with(
                     })?;
                     vm.resolve_special(out.value);
                 }
-            }
+            },
             StepOutcome::Finished(v) => break v,
         }
     };
     stats.fault = injector.stats();
     stats.shard = world.snapshot();
-    let telemetry = sink.map(|s| {
-        let spans = s.take();
-        // The thread executor's TM mode is pessimistic (one global lock):
-        // every Tx span is a commit, no optimistic aborts exist here.
-        let tm_commits = spans
-            .iter()
-            .filter(|sp| matches!(sp.kind, SpanKind::Tx { .. }))
-            .count() as u64;
-        let counters = RunCounters {
-            fault: stats.fault,
-            watchdog_checks: stats.watchdog.checks,
-            watchdog_clean: stats.watchdog.is_clean(),
-            max_blocked: stats.watchdog.max_blocked,
-            shard: stats.shard,
-            delta: stats.delta,
-            tm_commits,
-            tm_aborts: 0,
-            tm_fallbacks: 0,
-            queue_full_spins: stats.queue_full_spins,
-            queue_empty_spins: stats.queue_empty_spins,
-            queue_drained: stats.queue_drained,
-        };
-        RunReport::build(ClockUnit::Nanos, spans, metas, counters)
-    });
-    let metrics = msink.map(|ms| {
-        let mut reg = ms.take();
-        if let Some(ml) = mlocal.as_ref() {
-            ml.publish(module, &bc, &mut reg);
-        }
-        reg.inc("shard.fast_acquires", stats.shard.fast_acquires);
-        reg.inc("shard.fast_waits", stats.shard.fast_waits);
-        reg.inc("shard.multi_acquires", stats.shard.multi_acquires);
-        reg.inc("shard.whole_acquires", stats.shard.whole_acquires);
-        reg.inc("queue.full_spins", stats.queue_full_spins);
-        reg.inc("queue.empty_spins", stats.queue_empty_spins);
-        reg.inc("queue.drained", stats.queue_drained);
-        reg.inc("delta.applies", stats.delta.applies);
-        reg.inc("delta.coalesces", stats.delta.coalesces);
-        reg.inc("delta.merged_slots", stats.delta.merged_slots);
-        reg.inc("delta.lock_elisions", stats.delta.lock_elisions);
-        if let Some(j) = &cfg.journal {
-            j.record_metrics(start.elapsed().as_nanos() as u64, &reg);
-        }
-        reg
-    });
+    // The thread executor's TM mode is pessimistic (one global lock):
+    // every window commits, no optimistic aborts exist here.
+    let counters = RunCounters {
+        fault: stats.fault,
+        watchdog_checks: stats.watchdog.checks,
+        watchdog_clean: stats.watchdog.is_clean(),
+        max_blocked: stats.watchdog.max_blocked,
+        shard: stats.shard,
+        delta: stats.delta,
+        queue_full_spins: stats.queue_full_spins,
+        queue_empty_spins: stats.queue_empty_spins,
+        queue_drained: stats.queue_drained,
+        ..RunCounters::default()
+    };
+    let extra = [("queue.empty_spins", stats.queue_empty_spins)];
+    let (telemetry, metrics) = run.finish(ClockUnit::Nanos, counters, &extra, now());
     Ok(ThreadOutcome {
         result,
         wall: start.elapsed(),
@@ -325,41 +271,20 @@ pub fn run_threaded_with(
 
 /// Shared, immutable context for one section's worker threads.
 struct SectionCtx<'a> {
-    module: &'a Module,
-    /// The module's compiled bytecode every worker runs.
-    bc: &'a BcModule,
     registry: &'a Registry,
     world: &'a WorldStore,
+    sec: &'a Section,
     locks: &'a [RawLock],
     tm_lock: &'a RawLock,
     queues: &'a [SpscQueue<u64>],
-    queue_index: &'a HashMap<i64, usize>,
     cancel: &'a AtomicBool,
     injector: &'a FaultInjector,
-    /// True when this section privatizes merge-covered world calls into
-    /// per-worker delta buffers ([`WorldMode::Deltas`], merge declarations
-    /// present, and the plan has no cross-worker queues — pipeline stages
-    /// pass handles through queues, so they keep the sharded discipline).
-    delta: bool,
-    /// Per-lock elision decisions (indexed by lock rank): true when every
-    /// intrinsic the lock guards is delta-covered, so the region needs no
-    /// mutual exclusion at all — privatized effects are invisible to
-    /// siblings until the barrier. Empty unless `delta` is set.
-    elided: &'a [bool],
     /// Finished per-worker buffers, pushed at worker exit and coalesced by
     /// the section in worker-index order.
     delta_out: &'a Mutex<Vec<(usize, DeltaBuffer)>>,
     watchdog: Option<&'a Watchdog>,
-    trace: Option<&'a TraceSink>,
+    run: &'a RunObs<'a>,
     queue_batch: usize,
-    /// Span sink when [`ExecConfig::telemetry`] is on.
-    telemetry: Option<&'a TelemetrySink>,
-    /// Metrics sink when [`ExecConfig::metrics`] is on. Workers record
-    /// into private state and publish once at exit.
-    metrics: Option<&'a MetricsSink>,
-    /// CommSet set names indexed by lock rank — the `lock_wait.<SET>`
-    /// histogram keys.
-    lock_sets: &'a [String],
     /// The run's epoch: span and trace timestamps are nanoseconds since
     /// this instant.
     epoch: Instant,
@@ -388,72 +313,47 @@ struct SectionOutcome {
 /// drain count and queue contention counters.
 #[allow(clippy::too_many_arguments)]
 fn run_section(
-    module: &Module,
-    bc: &BcModule,
     registry: &Registry,
     plan: &ParallelPlan,
     shared_globals: &Arc<AtomicGlobals>,
     world: &WorldStore,
     cfg: &ExecConfig,
     injector: &FaultInjector,
-    sink: Option<&TelemetrySink>,
-    msink: Option<&MetricsSink>,
+    run: &RunObs<'_>,
     epoch: Instant,
     section_ord: usize,
 ) -> Result<SectionOutcome, ExecError> {
     let sec_start = epoch.elapsed().as_nanos() as u64;
-    let lock_kind = match plan.sync {
-        SyncMode::Spin => LockKind::Spin,
-        _ => LockKind::Mutex,
+    let sec = Section::new(plan, cfg, registry);
+    let lock_kind = if sec.spin {
+        LockKind::Spin
+    } else {
+        LockKind::Mutex
     };
     let locks: Vec<RawLock> = plan.locks.iter().map(|_| RawLock::new(lock_kind)).collect();
     // TM fallback: one global pessimistic lock.
     let tm_lock = RawLock::new(LockKind::Mutex);
-    let mut queue_index: HashMap<i64, usize> = HashMap::new();
-    let mut queues: Vec<SpscQueue<u64>> = Vec::new();
-    for q in &plan.queues {
-        queue_index.insert(q.id, queues.len());
-        queues.push(SpscQueue::new(injector.clamp_capacity(q.capacity)));
-    }
+    let queues: Vec<SpscQueue<u64>> = plan
+        .queues
+        .iter()
+        .map(|q| SpscQueue::new(injector.clamp_capacity(q.capacity)))
+        .collect();
     let cancel = AtomicBool::new(false);
     let watchdog = cfg.watchdog.then(Watchdog::new);
-    let delta_on =
-        matches!(cfg.world, WorldMode::Deltas) && registry.has_merges() && plan.queues.is_empty();
     let delta_out: Mutex<Vec<(usize, DeltaBuffer)>> = Mutex::new(Vec::new());
-    // Static lock elision (DESIGN.md §14): a CommSet region lock whose
-    // guarded intrinsics are all delta-covered serializes nothing under
-    // delta privatization. Synthetic locks (`__reduction`) have no
-    // members and are never elided.
-    let elided: Vec<bool> = plan
-        .locks
-        .iter()
-        .map(|ls| {
-            delta_on
-                && !ls.members.is_empty()
-                && ls.members.iter().all(|m| registry.delta_covered(m))
-        })
-        .collect();
-    let lock_sets: Vec<String> = plan.locks.iter().map(|l| l.set.clone()).collect();
     let ctx = SectionCtx {
-        module,
-        bc,
         registry,
         world,
+        sec: &sec,
         locks: &locks,
         tm_lock: &tm_lock,
         queues: &queues,
-        queue_index: &queue_index,
         cancel: &cancel,
         injector,
-        delta: delta_on,
-        elided: &elided,
         delta_out: &delta_out,
         watchdog: watchdog.as_ref(),
-        trace: cfg.trace.as_ref(),
+        run,
         queue_batch: cfg.queue_batch.max(1),
-        telemetry: sink,
-        metrics: msink,
-        lock_sets: &lock_sets,
         epoch,
         section_ord,
     };
@@ -501,24 +401,17 @@ fn run_section(
                 let func = w.func.clone();
                 let (tid, nt) = (w.tid, w.nt);
                 scope.spawn(move || {
-                    let w_start = ctx.epoch.elapsed().as_nanos() as u64;
-                    let mut spans: Vec<SpanRecord> = Vec::new();
+                    let now = || ctx.epoch.elapsed().as_nanos() as u64;
+                    let w_start = now();
+                    let mut obs = Observer::new(ctx.run, ctx.sec, ctx.section_ord, widx);
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut spans)
+                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut obs)
                     }));
-                    if let Some(sink) = ctx.telemetry {
-                        // The lifetime span is recorded here (not inside the
-                        // loop) so spans of panicked/failed workers still
-                        // reach the sink.
-                        spans.push(SpanRecord {
-                            section: ctx.section_ord,
-                            worker: widx,
-                            start: w_start,
-                            end: ctx.epoch.elapsed().as_nanos() as u64,
-                            kind: SpanKind::Worker,
-                        });
-                        sink.record_batch(std::mem::take(&mut spans));
-                    }
+                    // The lifetime span is recorded here (not inside the
+                    // loop) so spans of panicked/failed workers still
+                    // reach the sink.
+                    obs.worker_span(w_start, now());
+                    obs.flush_spans();
                     let outcome = match body {
                         Ok(r) => r,
                         Err(payload) => Err(ExecError::WorkerFailed {
@@ -534,12 +427,9 @@ fn run_section(
                         j.record(JournalEvent {
                             section: Some(ctx.section_ord as u64),
                             worker: Some(widx as u64),
-                            ..JournalEvent::new(
-                                "worker_done",
-                                ctx.epoch.elapsed().as_nanos() as u64,
-                            )
-                            .field("stage", func.clone())
-                            .field("ok", outcome.is_ok().to_string())
+                            ..JournalEvent::new("worker_done", now())
+                                .field("stage", func.clone())
+                                .field("ok", outcome.is_ok().to_string())
                         });
                     }
                     outcome
@@ -577,31 +467,19 @@ fn run_section(
     }
     let drained: u64 = queues.iter().map(|q| q.drain() as u64).sum();
 
-    // Report the most informative failure: a real WorkerFailed beats the
+    // Report the most informative failure: any real error beats the
     // Canceled noise of its siblings.
     let mut first: Option<ExecError> = None;
-    for (w, r) in plan.workers.iter().zip(results) {
-        let Err(e) = r else { continue };
-        let wrapped = match e {
-            ExecError::WorkerFailed { .. } | ExecError::Canceled { .. } => e,
-            other => ExecError::WorkerFailed {
-                stage: w.func.clone(),
-                cause: other.to_string(),
-            },
-        };
-        match (&first, &wrapped) {
-            (None, _) => first = Some(wrapped),
-            (Some(ExecError::Canceled { .. }), ExecError::WorkerFailed { .. }) => {
-                first = Some(wrapped)
-            }
-            _ => {}
+    for e in results.into_iter().filter_map(Result::err) {
+        let canceled = |e: &ExecError| matches!(e, ExecError::Canceled { .. });
+        if first.as_ref().is_none_or(|f| canceled(f) && !canceled(&e)) {
+            first = Some(e);
         }
     }
     if let Some(e) = first {
         // When the deadline monitor tripped the cancel flag, the workers'
-        // Canceled noise *is* the deadline overrun; a genuine
-        // WorkerFailed that raced the deadline still wins (it carries the
-        // root cause).
+        // Canceled noise *is* the deadline overrun; a genuine failure
+        // that raced the deadline still wins (it carries the root cause).
         if deadline_fired.load(Ordering::SeqCst) {
             if let ExecError::Canceled { .. } = e {
                 return Err(ExecError::DeadlineExceeded {
@@ -613,54 +491,21 @@ fn run_section(
         return Err(e);
     }
 
-    // Delta coalesce: fold the finished per-worker buffers into the
-    // shared shards, in worker-index order (then slot-name order inside
-    // each buffer) — the deterministic fold DESIGN.md §14 specifies. A
-    // poisoned or panicking merge is contained exactly like a worker
-    // panic so the supervisor can descend the ladder to plain Sharded.
-    let mut delta = DeltaSnapshot::default();
-    if delta_on {
-        let mut bufs = delta_out.into_inner();
-        bufs.sort_by_key(|(w, _)| *w);
-        let mut merge_sizes: Vec<u64> = Vec::new();
-        if let WorldStore::Sharded(sw) = world {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for (_, buf) in bufs {
-                    delta.lock_elisions += buf.lock_elisions;
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    if injector.delta_poison_now() {
-                        panic!("{DELTA_POISON_MSG}");
-                    }
-                    delta.coalesces += 1;
-                    delta.applies += buf.applies;
-                    let slots = sw.coalesce_delta(registry, buf);
-                    delta.merged_slots += slots;
-                    merge_sizes.push(slots);
-                }
-            }))
-            .map_err(|payload| ExecError::WorkerFailed {
-                stage: "__delta_coalesce".into(),
-                cause: panic_message(&*payload),
-            })?;
-        }
-        if let Some(ms) = msink {
-            let mut reg = MetricsRegistry::new();
-            for slots in merge_sizes {
-                reg.observe("delta.merge_slots", slots);
-            }
-            ms.publish(&reg);
-        }
-    }
-    let meta = sink.map(|_| SectionMeta {
-        section: section_ord,
-        stage_desc: plan.stage_desc.clone(),
-        worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
-        locks: plan.locks.iter().map(|l| l.set.clone()).collect(),
-        queues: plan.queues.iter().map(|q| (q.id, q.what.clone())).collect(),
-        queue_spins,
-        span: (sec_start, epoch.elapsed().as_nanos() as u64),
+    // A panicking merge is contained exactly like a worker panic so the
+    // supervisor can descend the ladder to plain Sharded.
+    let bufs = delta_out.into_inner();
+    let delta = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        coalesce_deltas(run, injector, bufs, |buf| {
+            world.coalesce_delta(registry, buf)
+        })
+    }))
+    .map_err(|payload| ExecError::WorkerFailed {
+        stage: "__delta_coalesce".into(),
+        cause: panic_message(&*payload),
+    })??;
+    let meta = run.telemetry().then(|| {
+        let span = (sec_start, epoch.elapsed().as_nanos() as u64);
+        sec.meta(plan, section_ord, queue_spins, span)
     });
     Ok(SectionOutcome {
         watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
@@ -702,9 +547,8 @@ fn flush_staged(ctx: &SectionCtx<'_>, staged: &mut [Vec<u64>]) -> bool {
 
 /// One worker's execution; every failure mode returns an error.
 ///
-/// When telemetry is on, timed spans accumulate into the caller-owned
-/// `spans` buffer (published by the spawn wrapper with one batch, even
-/// when this loop errors or panics).
+/// Observations accumulate in the caller-owned observer, whose spans the
+/// spawn wrapper publishes even when this loop errors or panics.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     ctx: &SectionCtx<'_>,
@@ -713,39 +557,25 @@ fn worker_loop(
     tid: i64,
     nt: i64,
     mut globals: SharedGlobals,
-    spans: &mut Vec<SpanRecord>,
+    obs: &mut Observer<'_>,
 ) -> Result<(), ExecError> {
     let canceled = || ExecError::Canceled { stage: func.into() };
-    let mut vm = BcVm::for_name(ctx.module, ctx.bc, func, &[Value::Int(tid), Value::Int(nt)])?;
-    let telemetry_on = ctx.telemetry.is_some();
-    // Metrics accumulate into worker-private state and publish once at
-    // normal exit; failed/canceled workers drop their partial metrics
-    // (exactly like their partial delta buffers).
-    let metrics_on = ctx.metrics.is_some();
-    let mut mloc = metrics_on.then(MetricsLocal::new);
-    let mut mreg = metrics_on.then(MetricsRegistry::new);
-    if ctx.trace.is_some() || telemetry_on {
+    let mut vm = BcVm::for_name(
+        ctx.run.module,
+        ctx.run.bc,
+        func,
+        &[Value::Int(tid), Value::Int(nt)],
+    )?;
+    let watching = ctx.run.watching();
+    if watching {
         vm.watch_calls_matching("__commset_region_");
     }
-    // Monotonic timestamps for trace records and telemetry spans:
-    // nanoseconds since the run's epoch. Only evaluated at event sites,
-    // and only when tracing or telemetry is on.
+    // Monotonic timestamps for trace records, telemetry spans and
+    // metrics: nanoseconds since the run's epoch, read only when some
+    // instrumentation is on.
     let now = || ctx.epoch.elapsed().as_nanos() as u64;
-    let sec = ctx.section_ord;
-    let span = |worker_spans: &mut Vec<SpanRecord>, start: u64, end: u64, kind: SpanKind| {
-        worker_spans.push(SpanRecord {
-            section: sec,
-            worker: widx,
-            start,
-            end,
-            kind,
-        });
-    };
-    // Open commutative-region instances (enter seen, exit pending).
-    let mut region_stack: Vec<(String, u64)> = Vec::new();
-    // Lock rank -> grant timestamp of the currently held lock.
-    let mut lock_held: HashMap<usize, u64> = HashMap::new();
-    let mut tx_start: u64 = 0;
+    let on = obs.on();
+    let stamp = || if on { now() } else { 0 };
     let mut in_tx = false;
     // DSWP queue batching: producer-side staging buffers (published with
     // one `push_n` per batch) and consumer-side refill buffers (refilled
@@ -757,7 +587,7 @@ fn worker_loop(
     // Delta privatization: merge-covered world calls land here instead of
     // taking any shard lock; the buffer is handed to the section barrier
     // at exit for the deterministic coalesce.
-    let mut delta_buf = ctx.delta.then(DeltaBuffer::new);
+    let mut delta_buf = ctx.sec.delta.then(DeltaBuffer::new);
     let mut staged: Vec<Vec<u64>> = (0..ctx.queues.len()).map(|_| Vec::new()).collect();
     let mut refill: Vec<VecDeque<u64>> = (0..ctx.queues.len()).map(|_| VecDeque::new()).collect();
     let mut scratch: Vec<u64> = Vec::new();
@@ -767,42 +597,15 @@ fn worker_loop(
         }
         // Sampled before the step so a retired op attributes to the site
         // that produced it.
-        let site = if metrics_on { vm.site() } else { None };
-        let step = vm.step(&mut globals)?;
-        if ctx.trace.is_some() || telemetry_on {
-            for ev in vm.drain_call_events() {
-                let t = now();
-                if ev.enter {
-                    if telemetry_on {
-                        region_stack.push((ev.func.clone(), t));
-                    }
-                    if let Some(tr) = ctx.trace {
-                        tr.record(
-                            widx,
-                            t,
-                            TraceEvent::RegionEnter {
-                                func: ev.func,
-                                args: ev.args,
-                            },
-                        );
-                    }
-                } else {
-                    if telemetry_on {
-                        if let Some((f, t0)) = region_stack.pop() {
-                            span(spans, t0, t, SpanKind::Region { func: f });
-                        }
-                    }
-                    if let Some(tr) = ctx.trace {
-                        tr.record(widx, t, TraceEvent::RegionExit { func: ev.func });
-                    }
-                }
-            }
+        let site = obs.site(&vm);
+        let step = vm.step(&mut globals).map_err(|e| worker_failed(func, e))?;
+        if watching {
+            obs.regions(&mut vm, now);
         }
-        match step {
+        let p = match step {
             StepOutcome::Ran { cost } => {
-                if let (Some(ml), Some(site)) = (mloc.as_mut(), site) {
-                    ml.retire(ctx.bc, site, cost);
-                }
+                obs.retire(site, cost);
+                continue;
             }
             StepOutcome::Finished(_) => {
                 // Publish any staged queue values before exiting.
@@ -813,305 +616,163 @@ fn worker_loop(
                 // Failed/canceled workers never get here, so their partial
                 // deltas are dropped with the failed section.
                 if let Some(buf) = delta_buf.take() {
-                    if !buf.is_empty() || buf.lock_elisions > 0 {
-                        ctx.delta_out.lock().push((widx, buf));
-                    }
+                    ctx.delta_out.lock().push((widx, buf));
                 }
-                // Publish this worker's metrics in one batch.
-                if let Some(ms) = ctx.metrics {
-                    let mut reg = mreg.take().unwrap_or_default();
-                    if let Some(ml) = mloc.as_ref() {
-                        ml.publish(ctx.module, ctx.bc, &mut reg);
-                    }
-                    ms.publish(&reg);
-                }
+                obs.publish();
                 return Ok(());
             }
-            StepOutcome::Special(p) => {
-                let name = ctx.module.intrinsics.name(p.intrinsic.0 as usize);
-                // Periodic stalls plus the persistent slow-worker drag.
-                let stall = ctx.injector.worker_stall(tid) + ctx.injector.slow_worker(tid);
-                if stall > 0 {
-                    std::thread::sleep(Duration::from_micros(stall));
+            StepOutcome::Special(p) => p,
+        };
+        // Periodic stalls plus the persistent slow-worker drag.
+        let stall = ctx.injector.worker_stall(tid) + ctx.injector.slow_worker(tid);
+        if stall > 0 {
+            std::thread::sleep(Duration::from_micros(stall));
+        }
+        match p.op {
+            Some(RtOp::LockAcquire) => {
+                let l = p.args[0].as_int() as usize;
+                if ctx.sec.elide_acquire(l, delta_buf.as_mut()) {
+                    vm.resolve_special(Value::Int(0));
+                    continue;
                 }
-                match name {
-                    "__lock_acquire" => {
-                        let l = p.args[0].as_int() as usize;
-                        if ctx.elided.get(l).copied().unwrap_or(false) {
-                            // Delta privatization covers everything this
-                            // lock guards: proceed without touching it.
-                            if let Some(buf) = delta_buf.as_mut() {
-                                buf.lock_elisions += 1;
-                            }
-                            vm.resolve_special(Value::Int(0));
-                            continue;
-                        }
-                        // Blocking wait ahead: publish staged values first.
+                // Blocking wait ahead: publish staged values first.
+                if !flush_staged(ctx, &mut staged) {
+                    return Err(canceled());
+                }
+                if let Some(wd) = ctx.watchdog {
+                    wd.acquiring(widx, l);
+                }
+                let t0 = stamp();
+                if !ctx.locks[l].acquire_canceling(ctx.cancel) {
+                    if let Some(wd) = ctx.watchdog {
+                        wd.wait_abandoned(widx);
+                    }
+                    return Err(canceled());
+                }
+                let t1 = stamp();
+                if let Some(wd) = ctx.watchdog {
+                    wd.acquired(widx, l);
+                }
+                let delay = ctx.injector.lock_grant_delay();
+                if delay > 0 {
+                    std::thread::sleep(Duration::from_micros(delay));
+                }
+                obs.lock_acquired(l, t0, t1, stamp());
+                vm.resolve_special(Value::Int(0));
+            }
+            Some(RtOp::LockRelease) => {
+                let l = p.args[0].as_int() as usize;
+                if !ctx.sec.elided(l) {
+                    let t = stamp();
+                    ctx.locks[l].release();
+                    if let Some(wd) = ctx.watchdog {
+                        wd.released(widx, l);
+                    }
+                    obs.lock_released(l, t, stamp());
+                }
+                vm.resolve_special(Value::Int(0));
+            }
+            Some(RtOp::Push { .. }) => {
+                let id = p.args[0].as_int();
+                let q = ctx.sec.queue(id)?;
+                let qs = ctx.injector.queue_stall_delay();
+                if qs > 0 {
+                    std::thread::sleep(Duration::from_micros(qs));
+                }
+                staged[q].push(p.args[1].to_bits());
+                if staged[q].len() >= batch {
+                    obs.begin_wait(stamp());
+                    if !flush_staged(ctx, &mut staged) {
+                        return Err(canceled());
+                    }
+                }
+                let t = stamp();
+                obs.queue_op(true, id, t, t, || ctx.queues[q].len());
+                vm.resolve_special(Value::Int(0));
+            }
+            Some(RtOp::Pop { float }) => {
+                let id = p.args[0].as_int();
+                let q = ctx.sec.queue(id)?;
+                let qs = ctx.injector.queue_stall_delay();
+                if qs > 0 {
+                    std::thread::sleep(Duration::from_micros(qs));
+                }
+                let (bits, attempt) = match refill[q].pop_front() {
+                    Some(b) => (b, 0),
+                    None => {
+                        // Blocking wait ahead: publish staged values
+                        // first, then take one value (blocking) and
+                        // opportunistically batch up whatever else is
+                        // already there.
+                        obs.begin_wait(stamp());
                         if !flush_staged(ctx, &mut staged) {
                             return Err(canceled());
                         }
-                        if let Some(wd) = ctx.watchdog {
-                            wd.acquiring(widx, l);
-                        }
-                        let t0 = if telemetry_on || metrics_on { now() } else { 0 };
-                        if !ctx.locks[l].acquire_canceling(ctx.cancel) {
-                            if let Some(wd) = ctx.watchdog {
-                                wd.wait_abandoned(widx);
-                            }
+                        let Some(first) = ctx.queues[q].pop_canceling(ctx.cancel) else {
                             return Err(canceled());
-                        }
-                        if telemetry_on || metrics_on {
-                            let t1 = now();
-                            if telemetry_on {
-                                span(spans, t0, t1, SpanKind::LockWait { rank: l });
-                            }
-                            if let Some(mr) = mreg.as_mut() {
-                                mr.observe(
-                                    &format!("lock_wait.{}", ctx.lock_sets[l]),
-                                    t1.saturating_sub(t0),
-                                );
-                            }
-                        }
-                        if let Some(wd) = ctx.watchdog {
-                            wd.acquired(widx, l);
-                        }
-                        let delay = ctx.injector.lock_grant_delay();
-                        if delay > 0 {
-                            std::thread::sleep(Duration::from_micros(delay));
-                        }
-                        if telemetry_on {
-                            lock_held.insert(l, now());
-                        }
-                        vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::LockAcquire { lock: l });
-                        }
-                    }
-                    "__lock_release" => {
-                        let l = p.args[0].as_int() as usize;
-                        if ctx.elided.get(l).copied().unwrap_or(false) {
-                            vm.resolve_special(Value::Int(0));
-                            continue;
-                        }
-                        if telemetry_on {
-                            if let Some(t0) = lock_held.remove(&l) {
-                                span(spans, t0, now(), SpanKind::LockHold { rank: l });
-                            }
-                        }
-                        ctx.locks[l].release();
-                        if let Some(wd) = ctx.watchdog {
-                            wd.released(widx, l);
-                        }
-                        vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::LockRelease { lock: l });
-                        }
-                    }
-                    "__q_push" | "__q_push_f" => {
-                        let id = p.args[0].as_int();
-                        let q = *ctx
-                            .queue_index
-                            .get(&id)
-                            .ok_or(ExecError::UnknownQueue { id })?;
-                        let qs = ctx.injector.queue_stall_delay();
-                        if qs > 0 {
-                            std::thread::sleep(Duration::from_micros(qs));
-                        }
-                        staged[q].push(p.args[1].to_bits());
-                        if staged[q].len() >= batch {
-                            let t0 = if telemetry_on { now() } else { 0 };
-                            if !flush_staged(ctx, &mut staged) {
-                                return Err(canceled());
-                            }
-                            if telemetry_on {
-                                let t1 = now();
-                                if t1 > t0 {
-                                    span(spans, t0, t1, SpanKind::QueuePushWait { queue: id });
-                                }
-                            }
-                        }
-                        if telemetry_on {
-                            let t = now();
-                            span(spans, t, t, SpanKind::QueuePush { queue: id });
-                        }
-                        if let Some(mr) = mreg.as_mut() {
-                            mr.observe(
-                                &format!("queue_occupancy.{id}"),
-                                ctx.queues[q].len() as u64,
-                            );
-                        }
-                        vm.resolve_special(Value::Int(0));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::QueuePush { queue: id });
-                        }
-                    }
-                    "__q_pop" | "__q_pop_f" => {
-                        let id = p.args[0].as_int();
-                        let q = *ctx
-                            .queue_index
-                            .get(&id)
-                            .ok_or(ExecError::UnknownQueue { id })?;
-                        let qs = ctx.injector.queue_stall_delay();
-                        if qs > 0 {
-                            std::thread::sleep(Duration::from_micros(qs));
-                        }
-                        let bits = match refill[q].pop_front() {
-                            Some(b) => b,
-                            None => {
-                                // Blocking wait ahead: publish staged
-                                // values first, then take one value
-                                // (blocking) and opportunistically batch
-                                // up whatever else is already there.
-                                let t0 = if telemetry_on { now() } else { 0 };
-                                if !flush_staged(ctx, &mut staged) {
-                                    return Err(canceled());
-                                }
-                                let Some(first) = ctx.queues[q].pop_canceling(ctx.cancel) else {
-                                    return Err(canceled());
-                                };
-                                if telemetry_on {
-                                    let t1 = now();
-                                    if t1 > t0 {
-                                        span(spans, t0, t1, SpanKind::QueuePopWait { queue: id });
-                                    }
-                                }
-                                if batch > 1 {
-                                    scratch.clear();
-                                    ctx.queues[q].pop_n(&mut scratch, batch - 1);
-                                    refill[q].extend(scratch.drain(..));
-                                }
-                                first
-                            }
                         };
-                        if telemetry_on {
-                            let t = now();
-                            span(spans, t, t, SpanKind::QueuePop { queue: id });
+                        let t1 = stamp();
+                        if batch > 1 {
+                            scratch.clear();
+                            ctx.queues[q].pop_n(&mut scratch, batch - 1);
+                            refill[q].extend(scratch.drain(..));
                         }
-                        if let Some(mr) = mreg.as_mut() {
-                            mr.observe(
-                                &format!("queue_occupancy.{id}"),
-                                ctx.queues[q].len() as u64,
-                            );
-                        }
-                        vm.resolve_special(Value::from_bits(bits, name == "__q_pop_f"));
-                        if let Some(tr) = ctx.trace {
-                            tr.record(widx, now(), TraceEvent::QueuePop { queue: id });
-                        }
+                        (first, t1)
                     }
-                    "__tx_begin" => {
-                        // Blocking wait ahead: publish staged values first.
-                        if !flush_staged(ctx, &mut staged) {
-                            return Err(canceled());
-                        }
-                        if !ctx.tm_lock.acquire_canceling(ctx.cancel) {
-                            return Err(canceled());
-                        }
-                        if telemetry_on {
-                            tx_start = now();
-                        }
-                        in_tx = true;
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    "__tx_commit" => {
-                        if !in_tx {
-                            return Err(ExecError::TxCommitWithoutBegin);
-                        }
-                        if telemetry_on {
-                            // Pessimistic TM: the window commits, no aborts.
-                            span(spans, tx_start, now(), SpanKind::Tx { aborts: 0 });
-                        }
-                        if let Some(mr) = mreg.as_mut() {
-                            // Pessimistic TM here: every window commits.
-                            mr.inc("tm.commits", 1);
-                        }
-                        ctx.tm_lock.release();
-                        in_tx = false;
-                        vm.resolve_special(Value::Int(0));
-                    }
-                    "__par_invoke" => return Err(ExecError::NestedParallelSection),
-                    _ => {
-                        // Delta fast path: a call whose entire slot
-                        // footprint is merge-declared runs against the
-                        // worker-private buffer — no shard lock, no STM.
-                        if let Some(buf) = delta_buf.as_mut() {
-                            if let Some(slots) = ctx.registry.delta_route(name, &p.args) {
-                                let t0 = if telemetry_on || metrics_on { now() } else { 0 };
-                                let out = buf.apply(ctx.registry, name, &p.args, &slots);
-                                if telemetry_on || metrics_on {
-                                    let t1 = now();
-                                    if telemetry_on {
-                                        span(
-                                            spans,
-                                            t0,
-                                            t1,
-                                            SpanKind::WorldCall {
-                                                intrinsic: name.to_string(),
-                                            },
-                                        );
-                                    }
-                                    if let Some(mr) = mreg.as_mut() {
-                                        mr.observe(
-                                            &format!("world_call.{name}"),
-                                            t1.saturating_sub(t0),
-                                        );
-                                    }
-                                }
-                                vm.resolve_special(out.value);
-                                if let Some(tr) = ctx.trace {
-                                    tr.record(
-                                        widx,
-                                        now(),
-                                        TraceEvent::WorldCall {
-                                            intrinsic: name.to_string(),
-                                            args: p.args.clone(),
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                        }
+                };
+                obs.queue_op(false, id, attempt, stamp(), || ctx.queues[q].len());
+                vm.resolve_special(Value::from_bits(bits, float));
+            }
+            Some(RtOp::TxBegin) => {
+                // Blocking wait ahead: publish staged values first.
+                if !flush_staged(ctx, &mut staged) {
+                    return Err(canceled());
+                }
+                if !ctx.tm_lock.acquire_canceling(ctx.cancel) {
+                    return Err(canceled());
+                }
+                obs.tx_begin(stamp());
+                in_tx = true;
+                vm.resolve_special(Value::Int(0));
+            }
+            Some(RtOp::TxCommit) => {
+                if !in_tx {
+                    return Err(ExecError::TxCommitWithoutBegin);
+                }
+                // Pessimistic TM: the window commits, no aborts.
+                obs.tx_commit(0, stamp());
+                ctx.tm_lock.release();
+                in_tx = false;
+                vm.resolve_special(Value::Int(0));
+            }
+            Some(RtOp::ParInvoke) => return Err(ExecError::NestedParallelSection),
+            None => {
+                let name = ctx.run.module.intrinsics.name(p.intrinsic.0 as usize);
+                let t0 = stamp();
+                let out = match Section::delta_call(ctx.registry, delta_buf.as_mut(), name, &p.args)
+                {
+                    Some(out) => out,
+                    None => {
                         // World calls never wait on queues (handlers only
                         // touch world slots), so staged pushes can stay
                         // parked across them: shard/world locks are leaf
                         // locks and cannot be held by a sibling that is
                         // blocked on one of our queues.
-                        let obs = ShardObserver {
+                        let shard_obs = ShardObserver {
                             watchdog: ctx.watchdog,
                             worker: widx,
                             rank_base: ctx.locks.len(),
                             injector: Some(ctx.injector),
                         };
-                        let t0 = if telemetry_on || metrics_on { now() } else { 0 };
-                        let out = ctx.world.call(ctx.registry, name, &p.args, &obs);
-                        if telemetry_on || metrics_on {
-                            let t1 = now();
-                            if telemetry_on {
-                                span(
-                                    spans,
-                                    t0,
-                                    t1,
-                                    SpanKind::WorldCall {
-                                        intrinsic: name.to_string(),
-                                    },
-                                );
-                            }
-                            if let Some(mr) = mreg.as_mut() {
-                                mr.observe(&format!("world_call.{name}"), t1.saturating_sub(t0));
-                            }
-                        }
-                        vm.resolve_special(out.value);
-                        if let Some(tr) = ctx.trace {
-                            tr.record(
-                                widx,
-                                now(),
-                                TraceEvent::WorldCall {
-                                    intrinsic: name.to_string(),
-                                    args: p.args.clone(),
-                                },
-                            );
-                        }
+                        ctx.world.call(ctx.registry, name, &p.args, &shard_obs)
                     }
+                };
+                let t1 = stamp();
+                obs.world_call(name, &p.args, t0, t1);
+                if obs.metrics() {
+                    obs.observe(&format!("world_call.{name}"), t1.saturating_sub(t0));
                 }
+                vm.resolve_special(out.value);
             }
         }
     }
@@ -1134,6 +795,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceEvent;
     use commset_analysis::depanalysis::analyze_commutativity;
     use commset_analysis::effects::summarize;
     use commset_analysis::hotloop::find_hot_loop;
@@ -1144,6 +806,7 @@ mod tests {
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
+    use commset_transform::SyncMode;
     use commset_transform::{doall, dswp};
     use std::collections::BTreeSet;
 

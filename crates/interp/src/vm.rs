@@ -21,6 +21,7 @@ use commset_ir::repr::{
 };
 use commset_lang::ast::{BinOp, Type, UnOp};
 use commset_runtime::Value;
+use commset_transform::{runtime_op, RtOp};
 
 /// An out-of-bounds global-array access, reported by a [`GlobalMem`]
 /// backend; the VM attaches function context and converts it to
@@ -96,6 +97,8 @@ struct WatchState {
 pub struct PendingSpecial {
     /// The intrinsic being called.
     pub intrinsic: IntrinsicId,
+    /// The decoded runtime op; `None` for a world call.
+    pub op: Option<RtOp>,
     /// Evaluated arguments (string literals become interned handles via
     /// `str_args`).
     pub args: Vec<Value>,
@@ -497,6 +500,7 @@ impl<'m> Vm<'m> {
                         self.pending = true;
                         return Ok(StepOutcome::Special(PendingSpecial {
                             intrinsic: *iid,
+                            op: runtime_op(self.module.intrinsics.name(iid.0 as usize)),
                             args: vals,
                             str_args,
                         }));

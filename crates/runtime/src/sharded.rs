@@ -345,18 +345,8 @@ impl ShardedWorld {
     pub fn coalesce_delta(&self, registry: &Registry, buffer: crate::delta::DeltaBuffer) -> u64 {
         let mut merged = 0u64;
         for (name, delta) in buffer.drain() {
-            let spec = registry
-                .merge_of(&name)
-                .unwrap_or_else(|| panic!("delta slot `{name}` has no merge spec"));
             let idx = self.shard_of(&name);
-            let mut guard = self.shards[idx].lock();
-            match guard.take_boxed(&name) {
-                Some(mut base) => {
-                    spec.apply(base.as_mut(), delta);
-                    guard.install_boxed(name, base);
-                }
-                None => guard.install_boxed(name, delta),
-            }
+            self.shards[idx].lock().merge_delta(registry, name, delta);
             merged += 1;
         }
         merged

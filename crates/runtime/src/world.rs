@@ -7,6 +7,8 @@
 //! owns the world exclusively (simulated time serializes all access); the
 //! thread executor wraps it in a mutex.
 
+use crate::delta::DeltaBuffer;
+use crate::intrinsics::Registry;
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -156,6 +158,44 @@ impl World {
     /// Moves every slot of `other` into `self` (replacing collisions).
     pub fn absorb(&mut self, mut other: World) {
         self.slots.append(&mut other.slots);
+    }
+
+    /// Folds one privatized `delta` into slot `name` through the slot's
+    /// declared merge operator; a missing slot is installed from the delta
+    /// directly (identity base).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `registry` declares no merge for the slot or the types
+    /// mismatch (wiring bug).
+    pub fn merge_delta(&mut self, registry: &Registry, name: String, delta: Box<dyn Any + Send>) {
+        let spec = registry
+            .merge_of(&name)
+            .unwrap_or_else(|| panic!("delta slot `{name}` has no merge spec"));
+        match self.take_boxed(&name) {
+            Some(mut base) => {
+                spec.apply(base.as_mut(), delta);
+                self.install_boxed(name, base);
+            }
+            None => self.install_boxed(name, delta),
+        }
+    }
+
+    /// Folds one worker's finished delta buffer into this world, slot by
+    /// slot in name order (the single-owner twin of
+    /// [`ShardedWorld::coalesce_delta`](crate::sharded::ShardedWorld::coalesce_delta)).
+    /// Returns the number of slots merged.
+    ///
+    /// # Panics
+    ///
+    /// As [`World::merge_delta`].
+    pub fn coalesce_delta(&mut self, registry: &Registry, buffer: DeltaBuffer) -> u64 {
+        let mut merged = 0u64;
+        for (name, delta) in buffer.drain() {
+            self.merge_delta(registry, name, delta);
+            merged += 1;
+        }
+        merged
     }
 }
 

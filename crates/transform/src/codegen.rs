@@ -186,19 +186,85 @@ pub fn renumber(s: &mut Stmt, ids: &mut IdGen) {
     }
 }
 
-/// The runtime intrinsics generated code relies on. Added to the program as
-/// extern declarations if not already present.
-pub const RUNTIME_EXTERNS: &[(&str, &str)] = &[
-    ("__q_push", "extern void __q_push(int q, int v);"),
-    ("__q_pop", "extern int __q_pop(int q);"),
-    ("__q_push_f", "extern void __q_push_f(int q, float v);"),
-    ("__q_pop_f", "extern float __q_pop_f(int q);"),
-    ("__lock_acquire", "extern void __lock_acquire(int l);"),
-    ("__lock_release", "extern void __lock_release(int l);"),
-    ("__tx_begin", "extern void __tx_begin();"),
-    ("__tx_commit", "extern void __tx_commit();"),
-    ("__par_invoke", "extern void __par_invoke(int section);"),
+/// What a runtime intrinsic does: the executors' decoded view of the
+/// calls the sync engine emits. Every intrinsic name outside
+/// [`RUNTIME_EXTERNS`] is a world call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RtOp {
+    /// `__par_invoke(section)`: run a parallel section.
+    ParInvoke,
+    /// `__lock_acquire(l)`: take the rank-`l` CommSet lock.
+    LockAcquire,
+    /// `__lock_release(l)`: release the rank-`l` CommSet lock.
+    LockRelease,
+    /// `__q_push(q, v)` / `__q_push_f(q, v)`: enqueue on pipeline queue `q`.
+    Push {
+        /// The value is a float (`_f` variant).
+        float: bool,
+    },
+    /// `__q_pop(q)` / `__q_pop_f(q)`: dequeue from pipeline queue `q`.
+    Pop {
+        /// The value is a float (`_f` variant).
+        float: bool,
+    },
+    /// `__tx_begin()`: open a transaction window.
+    TxBegin,
+    /// `__tx_commit()`: commit the open transaction window.
+    TxCommit,
+}
+
+/// The runtime intrinsics generated code relies on, with their extern
+/// declarations (added to the program if not already present) and the op
+/// each one decodes to. This is the only name table of the runtime
+/// intrinsics: executors decode through [`runtime_op`].
+pub const RUNTIME_EXTERNS: &[(&str, &str, RtOp)] = &[
+    (
+        "__q_push",
+        "extern void __q_push(int q, int v);",
+        RtOp::Push { float: false },
+    ),
+    (
+        "__q_pop",
+        "extern int __q_pop(int q);",
+        RtOp::Pop { float: false },
+    ),
+    (
+        "__q_push_f",
+        "extern void __q_push_f(int q, float v);",
+        RtOp::Push { float: true },
+    ),
+    (
+        "__q_pop_f",
+        "extern float __q_pop_f(int q);",
+        RtOp::Pop { float: true },
+    ),
+    (
+        "__lock_acquire",
+        "extern void __lock_acquire(int l);",
+        RtOp::LockAcquire,
+    ),
+    (
+        "__lock_release",
+        "extern void __lock_release(int l);",
+        RtOp::LockRelease,
+    ),
+    ("__tx_begin", "extern void __tx_begin();", RtOp::TxBegin),
+    ("__tx_commit", "extern void __tx_commit();", RtOp::TxCommit),
+    (
+        "__par_invoke",
+        "extern void __par_invoke(int section);",
+        RtOp::ParInvoke,
+    ),
 ];
+
+/// Decodes an intrinsic name: `Some(op)` for a runtime intrinsic, `None`
+/// for a world call.
+pub fn runtime_op(name: &str) -> Option<RtOp> {
+    RUNTIME_EXTERNS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .map(|(.., op)| *op)
+}
 
 /// Ensures the runtime extern declarations exist in `program`.
 pub fn ensure_runtime_externs(program: &mut Program) {
@@ -210,7 +276,7 @@ pub fn ensure_runtime_externs(program: &mut Program) {
             _ => None,
         })
         .collect();
-    for (name, decl) in RUNTIME_EXTERNS {
+    for (name, decl, _) in RUNTIME_EXTERNS {
         if present.contains(*name) {
             continue;
         }
@@ -616,6 +682,37 @@ mod tests {
         ensure_runtime_externs(&mut p);
         assert_eq!(p.items.len(), n);
         assert_eq!(n, RUNTIME_EXTERNS.len());
+    }
+
+    #[test]
+    fn runtime_externs_decode_to_their_ops() {
+        for (name, decl, op) in RUNTIME_EXTERNS {
+            assert!(decl.contains(&format!(" {name}(")), "{name}: {decl}");
+            assert_eq!(runtime_op(name), Some(*op), "{name}");
+            match op {
+                RtOp::Push { float } | RtOp::Pop { float } => {
+                    assert_eq!(*float, name.ends_with("_f"), "{name}")
+                }
+                _ => assert!(!name.ends_with("_f"), "{name}"),
+            }
+        }
+        let ops: BTreeSet<String> = RUNTIME_EXTERNS
+            .iter()
+            .map(|(.., op)| format!("{op:?}"))
+            .collect();
+        assert_eq!(ops.len(), RUNTIME_EXTERNS.len(), "one entry per op");
+        // Everything else is a world call, `__`-prefixed user intrinsics
+        // and near-misses included.
+        for name in [
+            "emit",
+            "fs_read",
+            "__user_hook",
+            "__q_peek",
+            "__lock",
+            "__par_invoke2",
+        ] {
+            assert_eq!(runtime_op(name), None, "{name}");
+        }
     }
 
     #[test]

@@ -25,4 +25,5 @@ pub mod partition;
 pub mod plan;
 pub mod sync;
 
+pub use codegen::{runtime_op, RtOp};
 pub use plan::{ParallelPlan, ParallelProgram, QueueSpec, Scheme, SyncMode, WorkerSpec};

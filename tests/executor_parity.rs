@@ -1,0 +1,109 @@
+//! Cross-executor observation parity: the discrete-event simulator and
+//! the real-thread executor share one observer, so the same program must
+//! produce the same *number* of each observable event on both substrates.
+//!
+//! Each sample runs against the synthetic world with telemetry and a
+//! trace sink on, once under the DES and once on OS threads. Counts are
+//! compared per span kind and per trace-event kind. Two span kinds are
+//! left out by design: `*Wait` spans (whether a worker waited depends on
+//! timing) and `Worker` lifetime spans (one per worker, not an event).
+//! Timestamps, orders and durations differ between the substrates and are
+//! not compared.
+
+use commset::profile::run_profile_with;
+use commset::spec::{build_table, parse_effects};
+use commset::{Compiler, Scheme, SyncMode};
+use commset_interp::{ExecConfig, TraceEvent, TraceSink};
+use commset_telemetry::SpanKind;
+use std::collections::BTreeMap;
+
+fn samples_dir() -> &'static str {
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples")
+}
+
+/// Per-kind event counts of one run: span kinds and trace-event kinds.
+type Counts = (BTreeMap<String, u64>, BTreeMap<String, u64>);
+
+fn span_key(kind: &SpanKind) -> Option<String> {
+    match kind {
+        SpanKind::Worker
+        | SpanKind::LockWait { .. }
+        | SpanKind::QueuePushWait { .. }
+        | SpanKind::QueuePopWait { .. } => None,
+        // The DES models optimistic aborts, the thread executor's TM is
+        // pessimistic: count windows, not their abort tallies.
+        SpanKind::Tx { .. } => Some("tx".into()),
+        other => Some(other.label()),
+    }
+}
+
+fn event_key(ev: &TraceEvent) -> String {
+    match ev {
+        TraceEvent::RegionEnter { func, .. } => format!("enter {func}"),
+        TraceEvent::RegionExit { func } => format!("exit {func}"),
+        TraceEvent::LockAcquire { lock } => format!("lock+ {lock}"),
+        TraceEvent::LockRelease { lock } => format!("lock- {lock}"),
+        TraceEvent::QueuePush { queue } => format!("push {queue}"),
+        TraceEvent::QueuePop { queue } => format!("pop {queue}"),
+        TraceEvent::WorldCall { intrinsic, .. } => format!("call {intrinsic}"),
+    }
+}
+
+fn observe(sample: &str, scheme: Scheme, threads: usize, real: bool) -> Counts {
+    let dir = samples_dir();
+    let src = std::fs::read_to_string(format!("{dir}/{sample}.cmm")).expect("sample source");
+    let fx = std::fs::read_to_string(format!("{dir}/{sample}.effects")).expect("sample sidecar");
+    let spec = parse_effects(&fx).expect("sidecar parses");
+    let table = build_table(&src, &spec).expect("table builds");
+    let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
+    let compiler = Compiler::new(table).with_irrevocable(&irrevocable);
+    let analysis = compiler.analyze(&src).expect("analyzes");
+    let sink = TraceSink::new();
+    let cfg = ExecConfig::with_trace(sink.clone());
+    let out = run_profile_with(
+        &compiler,
+        &analysis,
+        &spec,
+        scheme,
+        threads,
+        SyncMode::Spin,
+        real,
+        &cfg,
+    )
+    .unwrap_or_else(|e| panic!("{sample} (real={real}): {e}"));
+    let mut spans = BTreeMap::new();
+    for sp in &out.report.spans {
+        if let Some(k) = span_key(&sp.kind) {
+            *spans.entry(k).or_insert(0) += 1;
+        }
+    }
+    let mut events = BTreeMap::new();
+    for r in sink.take() {
+        *events.entry(event_key(&r.event)).or_insert(0) += 1;
+    }
+    (spans, events)
+}
+
+fn assert_parity(sample: &str, scheme: Scheme, threads: usize) {
+    let (des_spans, des_events) = observe(sample, scheme, threads, false);
+    let (thr_spans, thr_events) = observe(sample, scheme, threads, true);
+    assert!(!des_spans.is_empty() && !des_events.is_empty(), "{sample}");
+    assert_eq!(
+        des_spans, thr_spans,
+        "{sample}: span counts differ (left: DES, right: threads)"
+    );
+    assert_eq!(
+        des_events, thr_events,
+        "{sample}: trace-event counts differ (left: DES, right: threads)"
+    );
+}
+
+#[test]
+fn md5sum_dswp_observes_the_same_events_on_both_executors() {
+    assert_parity("md5sum", Scheme::Dswp, 4);
+}
+
+#[test]
+fn histogram_doall_observes_the_same_events_on_both_executors() {
+    assert_parity("histogram", Scheme::Doall, 4);
+}
