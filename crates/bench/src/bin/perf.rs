@@ -47,7 +47,7 @@
 use commset::Scheme;
 use commset_bench::diff::{diff_reports, DiffConfig};
 use commset_interp::bundle::Json;
-use commset_interp::{Backend, ExecConfig, RecoveryPolicy, ThreadOutcome, WorldMode};
+use commset_interp::{Backend, ExecConfig, RecoveryPolicy, ThreadOutcome, TraceSink, WorldMode};
 use commset_runtime::{DeltaSnapshot, ShardStatsSnapshot};
 use commset_sim::CostModel;
 use commset_telemetry::{RecoveryReport, RunReport};
@@ -64,7 +64,7 @@ struct Cell {
     queue_full_spins: u64,
     queue_empty_spins: u64,
     /// The unified profiling report from one extra, *untimed* run with
-    /// telemetry on (so the measured iterations stay instrumentation-free).
+    /// the trace on (so the measured iterations stay instrumentation-free).
     telemetry: Option<RunReport>,
     /// The execution supervisor's account of that instrumented run:
     /// retries taken, ladder rungs walked, final mode. `is_clean()` for a
@@ -195,13 +195,13 @@ fn measure(
         }
     }
     let last = last?;
-    // One extra run with telemetry on, outside the timed loop: the report
+    // One extra traced run, outside the timed loop: the report
     // rides along in the JSON without perturbing the wall-clock numbers.
     // It goes through the execution supervisor, so every cell also
     // records a RecoveryReport — clean on a healthy host, and an explicit
     // account of retries/degradation if the instrumented run hiccups.
     let telem_cfg = ExecConfig {
-        telemetry: true,
+        trace: Some(TraceSink::new()),
         ..cfg
     };
     let policy = RecoveryPolicy {

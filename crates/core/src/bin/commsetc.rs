@@ -59,7 +59,7 @@
 //!
 //! `profile` executes one run of the chosen schedule against a synthetic
 //! deterministic world (the checker's model semantics, costs from the
-//! sidecar) with telemetry on, and prints the unified run profile: stage
+//! sidecar) with its trace on, and prints the unified run profile: stage
 //! balance, lock contention by rank, queue traffic and runtime counters.
 //! The default backend is the discrete-event simulator (bit-deterministic
 //! profiles); `--real` uses OS threads and monotonic clocks instead.
@@ -103,7 +103,7 @@ use commset::report::parse_journal;
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_checker::{check_source, fuzz_annotations};
-use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy};
+use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy, TraceSink};
 use commset_lang::printer::print_program;
 use commset_telemetry::{chrome_trace_json, Journal};
 use std::process::ExitCode;
@@ -534,7 +534,6 @@ fn run(args: &Args) -> Result<(), String> {
                 if args.real { "threads" } else { "sim" },
             ]));
             let cfg = ExecConfig {
-                telemetry: true,
                 metrics: true,
                 journal: Some(journal.clone()),
                 ..ExecConfig::default()
@@ -582,7 +581,7 @@ fn run(args: &Args) -> Result<(), String> {
                 let src =
                     SyntheticSource::new(&args.file, &source, &effects_text, scheme, args.sync)?;
                 let cfg = ExecConfig {
-                    telemetry: true,
+                    trace: Some(TraceSink::new()),
                     metrics: args.metrics,
                     journal: journal.clone(),
                     ..ExecConfig::default()
@@ -656,7 +655,6 @@ fn run(args: &Args) -> Result<(), String> {
                 }
             } else {
                 let cfg = ExecConfig {
-                    telemetry: true,
                     metrics: args.metrics,
                     journal: journal.clone(),
                     ..ExecConfig::default()

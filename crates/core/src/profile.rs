@@ -1,9 +1,9 @@
 //! The `commsetc profile` runner: execute a compiled `.cmm` program
-//! against a *synthetic deterministic world* with telemetry on, yielding a
+//! against a *synthetic deterministic world* with its trace on, yielding a
 //! [`RunReport`] (stage balance, lock contention by rank, queue traffic,
 //! unified counters) without the user writing any intrinsic handlers.
 //!
-//! The synthetic world mirrors the dynamic checker's abstract model
+//! The synthetic world is the dynamic checker's abstract model
 //! ([`commset-checker`]'s `ModelWorld`): return values are pure hash
 //! functions of `(intrinsic, args)`, handle allocators yield deterministic
 //! fresh handles, argument-less effect-free size queries return the
@@ -22,74 +22,49 @@
 
 use crate::spec::EffectsSpec;
 use crate::{Analysis, Compiler, Scheme, SyncMode};
-use commset_checker::model::hash_call;
+use commset_checker::{ModelConfig, ModelWorld};
 use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig};
 use commset_ir::IntrinsicTable;
-use commset_lang::ast::Type;
 use commset_runtime::intrinsics::{IntrinsicOutcome, Registry};
 use commset_runtime::{Value, World};
 use commset_sim::CostModel;
 use commset_telemetry::RunReport;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// World slot holding the per-instance stream countdowns.
-const STREAMS_SLOT: &str = "__profile_streams";
+/// World slot holding the checker-model world the synthetic handlers
+/// run against, built on first use from the sidecar's model knobs.
+const MODEL_SLOT: &str = "__profile_model";
 
-type Streams = BTreeMap<(String, i64), i64>;
-
-/// Builds a handler registry for every intrinsic in `table`, with the
-/// checker-model semantics described in the module docs.
+/// Builds a handler registry for every intrinsic in `table`: each handler
+/// runs the call through the checker's [`ModelWorld`] (the semantics
+/// described in the module docs), configured with the sidecar's
+/// `model size` and `model stream`.
 pub fn synthetic_registry(table: &IntrinsicTable, spec: &EffectsSpec) -> Registry {
-    let size = spec.model_size.unwrap_or(6);
-    let stream_len = spec.model_stream.unwrap_or(3);
+    let cfg = ModelConfig {
+        size: spec.model_size.unwrap_or(6),
+        stream_len: spec.model_stream.unwrap_or(3),
+        ..ModelConfig::default()
+    };
+    let table = Arc::new(table.clone());
     let mut reg = Registry::new();
-    for (name, sig) in table.iter() {
+    for (name, _) in table.iter() {
         let owned = name.to_string();
-        let fresh = table.is_fresh_handle(name);
-        let ret = sig.ret;
-        let size_query = ret == Type::Int && sig.params.is_empty() && sig.writes.is_empty();
-        // Stream modeling: an int-returning intrinsic that writes a
-        // per-instance channel, keyed by its first argument.
-        let stream_chan = (ret == Type::Int && !sig.params.is_empty())
-            .then(|| {
-                sig.writes
-                    .iter()
-                    .find(|c| table.is_per_instance(**c))
-                    .map(|c| table.channels.name(*c).to_string())
-            })
-            .flatten();
+        let (table, cfg) = (Arc::clone(&table), cfg.clone());
         reg.register(name, move |world: &mut World, args: &[Value]| {
-            let h = hash_call(&owned, args);
-            let value = if fresh {
-                Value::Int((h & 0x3fff_ffff) as i64 | 1)
-            } else if let Some(chan) = &stream_chan {
-                let key = args.first().map(|v| v.as_int()).unwrap_or(0);
-                let streams = world.get_mut::<Streams>(STREAMS_SLOT);
-                let remaining = streams.entry((chan.clone(), key)).or_insert(stream_len);
-                let v = i64::from(*remaining > 0);
-                if *remaining > 0 {
-                    *remaining -= 1;
-                }
-                Value::Int(v)
-            } else {
-                match ret {
-                    Type::Void => Value::Int(0),
-                    Type::Float => Value::Float((h % 1000) as f64),
-                    Type::Int if size_query => Value::Int(size),
-                    _ => Value::Int((h % 1009) as i64),
-                }
-            };
-            IntrinsicOutcome::value(value)
+            let model = world
+                .get_mut::<Option<ModelWorld>>(MODEL_SLOT)
+                .get_or_insert_with(|| ModelWorld::new(cfg.clone()));
+            IntrinsicOutcome::value(model.call(&table, &owned, args))
         });
     }
     reg
 }
 
-/// A fresh world carrying the stream-countdown slot the synthetic
-/// registry's handlers expect.
+/// A fresh world carrying the model slot the synthetic registry's
+/// handlers expect.
 pub fn synthetic_world() -> World {
     let mut w = World::new();
-    w.install(STREAMS_SLOT, Streams::new());
+    w.install(MODEL_SLOT, None::<ModelWorld>);
     w
 }
 
@@ -106,7 +81,7 @@ pub struct ProfileOutcome {
 }
 
 /// Compiles `analysis` under `(scheme, threads, sync)` and profiles one
-/// run against the synthetic world with telemetry enabled.
+/// traced run against the synthetic world.
 ///
 /// `real` selects the real-thread executor; the default is the
 /// deterministic discrete-event simulator.
@@ -124,17 +99,14 @@ pub fn run_profile(
     sync: SyncMode,
     real: bool,
 ) -> Result<ProfileOutcome, String> {
-    let cfg = ExecConfig {
-        telemetry: true,
-        ..ExecConfig::default()
-    };
+    let cfg = ExecConfig::default();
     run_profile_with(compiler, analysis, spec, scheme, threads, sync, real, &cfg)
 }
 
 /// [`run_profile`] with a caller-supplied [`ExecConfig`] — the hook for
 /// `--metrics` (hotspot registry) and an attached event journal.
-/// Telemetry is forced on regardless of `cfg.telemetry`: a profile
-/// without a span report is not a profile.
+/// The trace is forced on when `cfg.trace` is unset: a profile without a
+/// run report is not a profile.
 ///
 /// # Errors
 ///
@@ -156,7 +128,7 @@ pub fn run_profile_with(
     let registry = synthetic_registry(&compiler.intrinsics, spec);
     let mut world = synthetic_world();
     let cfg = ExecConfig {
-        telemetry: true,
+        trace: Some(cfg.trace.clone().unwrap_or_default()),
         ..cfg.clone()
     };
     let plans = [plan];
@@ -164,7 +136,7 @@ pub fn run_profile_with(
         let out = run_threaded_with(&module, &registry, &plans, world, &cfg)
             .map_err(|e| e.to_string())?;
         Ok(ProfileOutcome {
-            report: out.telemetry.expect("telemetry was enabled"),
+            report: out.telemetry.expect("the trace was on"),
             sim_time: None,
             metrics: out.metrics,
         })
@@ -179,7 +151,7 @@ pub fn run_profile_with(
         )
         .map_err(|e| e.to_string())?;
         Ok(ProfileOutcome {
-            report: out.telemetry.expect("telemetry was enabled"),
+            report: out.telemetry.expect("the trace was on"),
             sim_time: Some(out.sim_time),
             metrics: out.metrics,
         })
@@ -189,7 +161,7 @@ pub fn run_profile_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_checker::{ModelConfig, ModelWorld};
+    use commset_lang::ast::Type;
 
     fn table_and_spec() -> (IntrinsicTable, EffectsSpec) {
         let mut t = IntrinsicTable::new();

@@ -197,7 +197,6 @@ pub fn replay_bundle(bundle: &FailureBundle) -> Result<ReplayOutcome, String> {
     )?;
     let cfg = ExecConfig {
         fault: bundle.fault.clone(),
-        watchdog: bundle.watchdog,
         world: parse_world_mode(&bundle.world_mode)?,
         queue_batch: bundle.queue_batch.max(1),
         deadline_ms: bundle.deadline_ms,
@@ -258,6 +257,7 @@ pub fn replay_bundle(bundle: &FailureBundle) -> Result<ReplayOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commset_interp::TraceSink;
 
     /// A DOALL-able program whose worker divides by zero on one iteration:
     /// a deterministic program error that every backend reproduces.
@@ -286,7 +286,6 @@ mod tests {
             backend: backend.into(),
             world_mode: "auto".into(),
             queue_batch: 8,
-            watchdog: true,
             deadline_ms: None,
             fault: commset_runtime::FaultPlan::default(),
             error: error.into(),
@@ -337,10 +336,7 @@ mod tests {
             &src,
             false,
             4,
-            &ExecConfig {
-                telemetry: true,
-                ..ExecConfig::default()
-            },
+            &ExecConfig::with_trace(TraceSink::new()),
             &RecoveryPolicy::default(),
         )
         .unwrap();

@@ -264,8 +264,6 @@ pub struct FailureBundle {
     pub world_mode: String,
     /// DSWP queue batch size in effect.
     pub queue_batch: usize,
-    /// Whether the watchdog ran.
-    pub watchdog: bool,
     /// The deadline in effect, if any.
     pub deadline_ms: Option<u64>,
     /// The full fault-injection plan.
@@ -336,7 +334,6 @@ impl FailureBundle {
         let _ = writeln!(out, "  \"backend\": \"{}\",", escape(&self.backend));
         let _ = writeln!(out, "  \"world_mode\": \"{}\",", escape(&self.world_mode));
         let _ = writeln!(out, "  \"queue_batch\": {},", self.queue_batch);
-        let _ = writeln!(out, "  \"watchdog\": {},", self.watchdog);
         let _ = writeln!(out, "  \"deadline_ms\": {},", opt_u64(self.deadline_ms));
         let _ = writeln!(
             out,
@@ -465,10 +462,6 @@ impl FailureBundle {
             backend: str_field("backend")?,
             world_mode: str_field("world_mode")?,
             queue_batch: u64_field("queue_batch")? as usize,
-            watchdog: v
-                .get("watchdog")
-                .and_then(Json::as_bool)
-                .ok_or("bundle missing `watchdog`")?,
             deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
             fault,
             error: str_field("error")?,
@@ -529,7 +522,6 @@ mod tests {
             backend: "threads".into(),
             world_mode: "sharded".into(),
             queue_batch: 8,
-            watchdog: true,
             deadline_ms: Some(40),
             fault: FaultPlan {
                 seed: u64::MAX - 3,
@@ -578,6 +570,14 @@ mod tests {
         let b = sample();
         let parsed = FailureBundle::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
+        // Bundles written while the watchdog was a knob carry a
+        // `"watchdog"` key; the reader ignores it.
+        let old = b.to_json().replace(
+            "  \"deadline_ms\"",
+            "  \"watchdog\": true,\n  \"deadline_ms\"",
+        );
+        assert!(old.contains("\"watchdog\": true,"), "{old}");
+        assert_eq!(FailureBundle::from_json(&old).unwrap(), b);
     }
 
     #[test]

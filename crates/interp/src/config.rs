@@ -1,5 +1,5 @@
-//! Executor configuration: fault injection, STM retry discipline, the
-//! waits-for watchdog and trace recording.
+//! Executor configuration: fault injection, STM retry discipline, world
+//! mode, deadlines and instrumentation.
 
 use crate::trace::TraceSink;
 use commset_runtime::{BackoffPolicy, FaultPlan};
@@ -32,8 +32,9 @@ pub enum WorldMode {
 /// Knobs shared by the simulated and real-thread executors.
 ///
 /// The default configuration injects no faults, uses the default
-/// [`BackoffPolicy`] for transactional retries, and keeps the watchdog on
-/// (its overhead is one mutexed map update per blocking lock event).
+/// [`BackoffPolicy`] for transactional retries and records nothing. The
+/// waits-for watchdog always runs (its overhead is one mutexed map update
+/// per blocking lock event).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Adversarial schedule to inject; `FaultPlan::none()` by default.
@@ -42,11 +43,14 @@ pub struct ExecConfig {
     /// threshold). The simulated executor uses `max_aborts` to decide when
     /// a modeled transaction escalates to the rank-0 global lock.
     pub backoff: BackoffPolicy,
-    /// Run the waits-for-graph watchdog; on by default.
-    pub watchdog: bool,
-    /// When set, the executors record commutative-region entries/exits,
-    /// lock and queue events and world-intrinsic calls into this sink
-    /// (see [`crate::trace`]); off (`None`) by default.
+    /// When set, the executors record one event stream — region
+    /// entries/exits, lock, queue and transaction events, world-intrinsic
+    /// calls and worker lifetimes — and fold it two ways at the end of
+    /// the run: its trace records into this sink (see [`crate::trace`])
+    /// and a `commset_telemetry::RunReport` (stage balance, lock waits vs
+    /// holds by rank, queue blocking, STM windows) attached to the
+    /// outcome. Off (`None`) by default; when off the executors consult
+    /// only this option, so runs pay no observation cost.
     pub trace: Option<TraceSink>,
     /// Shared-world implementation for the real-thread executor
     /// ([`WorldMode::Auto`] by default).
@@ -57,12 +61,6 @@ pub struct ExecConfig {
     /// with up to this many per shared-queue access. `1` disables
     /// batching; default 8.
     pub queue_batch: usize,
-    /// Collect span-based telemetry (region timings, lock waits vs holds
-    /// keyed by rank, queue blocking, STM windows) and attach a built
-    /// `commset_telemetry::RunReport` to the outcome. Off by default; when
-    /// off the executors consult only this flag, so runs pay no telemetry
-    /// cost.
-    pub telemetry: bool,
     /// Per-section deadline in milliseconds; `None` (the default) runs
     /// unbounded. In the real-thread executor a monitor waits out the
     /// deadline, escalates to the watchdog for a diagnosis, then trips the
@@ -89,11 +87,9 @@ impl Default for ExecConfig {
         ExecConfig {
             fault: FaultPlan::none(),
             backoff: BackoffPolicy::default(),
-            watchdog: true,
             trace: None,
             world: WorldMode::Auto,
             queue_batch: 8,
-            telemetry: false,
             deadline_ms: None,
             metrics: false,
             journal: None,
@@ -102,12 +98,12 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The default configuration (no faults, watchdog on).
+    /// The default configuration (no faults, no instrumentation).
     pub fn new() -> Self {
         ExecConfig::default()
     }
 
-    /// A configuration injecting `fault`, watchdog on.
+    /// A configuration injecting `fault`.
     pub fn with_fault(fault: FaultPlan) -> Self {
         ExecConfig {
             fault,
@@ -115,7 +111,8 @@ impl ExecConfig {
         }
     }
 
-    /// A configuration recording into `trace`, no faults, watchdog on.
+    /// A configuration recording into `trace` (and attaching the run
+    /// report), no faults.
     pub fn with_trace(trace: TraceSink) -> Self {
         ExecConfig {
             trace: Some(trace),
@@ -132,11 +129,10 @@ mod tests {
     fn default_is_quiet_and_watched() {
         let c = ExecConfig::new();
         assert!(c.fault.is_none());
-        assert!(c.watchdog);
         assert!(c.backoff.max_aborts > 0);
         assert_eq!(c.world, WorldMode::Auto);
         assert!(c.queue_batch >= 1);
-        assert!(!c.telemetry, "telemetry must be opt-in");
+        assert!(c.trace.is_none(), "the event stream must be opt-in");
         assert!(!c.metrics, "the metrics registry must be opt-in");
         assert!(c.journal.is_none(), "the event journal must be opt-in");
         assert!(c.deadline_ms.is_none(), "deadlines must be opt-in");

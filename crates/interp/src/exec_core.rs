@@ -6,14 +6,16 @@
 //! * [`Section`] — per-section setup derived from the plan (queue
 //!   id→index map, lock kind, lock-set names, delta privatization and
 //!   the elided locks) plus the lock-elision and delta-route fast paths.
-//! * [`Observer`] — one per worker: region spans, lock/queue/TM/world-call
-//!   spans, the `lock_wait.*` and `queue_occupancy.*` observations, trace
-//!   records and per-op retire counts. The executor passes every
-//!   timestamp in — logical ticks on the DES, nanoseconds on threads —
-//!   and reads its clock only when [`Observer::on`].
-//! * [`RunObs`] — the run-wide sinks, the `__par_invoke` section bracket
-//!   (plan lookup, section ordinal, journal) and the end-of-run fold into
-//!   a [`RunReport`] and the metrics registry.
+//! * [`Observer`] — one per worker: one [`Event`] per region entry or
+//!   exit, lock, queue, transaction and world call, plus the
+//!   `lock_wait.*` and `queue_occupancy.*` observations and per-op retire
+//!   counts. The executor passes every timestamp in — logical ticks on
+//!   the DES, nanoseconds on threads — and reads its clock only when
+//!   [`Observer::on`].
+//! * [`RunObs`] — the run's event stream and metrics sink, the
+//!   `__par_invoke` section bracket (plan lookup, section ordinal,
+//!   journal) and the end-of-run folds: the stream into a [`RunReport`]
+//!   and the caller's trace sink, the metrics into one registry.
 //! * [`coalesce_deltas`] — the section-barrier delta fold.
 //!
 //! What stays in each executor is how it schedules and blocks: the DES's
@@ -24,16 +26,17 @@ use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
 use crate::metrics::MetricsLocal;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::{self, Event, EventKind, Interval, TraceEvent, TraceSink};
 use crate::vm::PendingSpecial;
 use commset_ir::Module;
 use commset_runtime::intrinsics::IntrinsicOutcome;
+use commset_runtime::sync::Mutex;
 use commset_runtime::{
     DeltaBuffer, DeltaSnapshot, FaultInjector, Registry, Value, DELTA_POISON_MSG,
 };
 use commset_telemetry::{
     ClockUnit, Journal, JournalEvent, MetricsRegistry, MetricsSink, RunCounters, RunReport,
-    SectionMeta, SpanKind, SpanRecord, TelemetrySink,
+    SectionMeta,
 };
 use commset_transform::{ParallelPlan, SyncMode};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,7 +147,7 @@ impl Section {
         Some(buf.apply(registry, name, args, &slots))
     }
 
-    /// The report metadata of this section (telemetry only).
+    /// The report metadata of this section (trace on).
     pub fn meta(
         &self,
         plan: &ParallelPlan,
@@ -200,15 +203,21 @@ pub(crate) fn coalesce_deltas(
     Ok(delta)
 }
 
-/// Run-wide observation state: the sinks every worker publishes into,
-/// the main thread's retire counters and the section bracket.
+/// Run-wide observation state: the event stream and the metrics sink
+/// every worker publishes into, the main thread's retire counters and the
+/// section bracket.
+///
+/// The stream is on exactly when `cfg.trace` is set. Its trace view
+/// reaches the caller's sink when the run is dropped, so a run that fails
+/// keeps the records its workers produced.
 pub(crate) struct RunObs<'a> {
     pub module: &'a Module,
     /// The module's compiled bytecode every VM of the run executes.
     pub bc: &'a BcModule,
     trace: Option<&'a TraceSink>,
     journal: Option<&'a Journal>,
-    spans: Option<TelemetrySink>,
+    /// Every worker's events, one batch per worker per section.
+    stream: Mutex<Vec<Event>>,
     metrics: Option<MetricsSink>,
     /// Retires of the main (sequential) thread.
     main: MetricsLocal,
@@ -225,7 +234,7 @@ impl<'a> RunObs<'a> {
             bc,
             trace: cfg.trace.as_ref(),
             journal: cfg.journal.as_ref(),
-            spans: cfg.telemetry.then(TelemetrySink::new),
+            stream: Mutex::new(Vec::new()),
             metrics: cfg.metrics.then(MetricsSink::new),
             main: MetricsLocal::new(),
             metas: Vec::new(),
@@ -234,15 +243,10 @@ impl<'a> RunObs<'a> {
         }
     }
 
-    /// True when spans are collected.
-    pub fn telemetry(&self) -> bool {
-        self.spans.is_some()
-    }
-
-    /// True when region entries and exits are observed (trace or
-    /// telemetry): only then do workers watch their region calls.
-    pub fn watching(&self) -> bool {
-        self.trace.is_some() || self.spans.is_some()
+    /// True when the event stream is on: only then do workers watch their
+    /// region calls and sections keep their report metadata.
+    pub fn tracing(&self) -> bool {
+        self.trace.is_some()
     }
 
     /// The main thread's retire site, sampled before a step; `None`
@@ -296,21 +300,21 @@ impl<'a> RunObs<'a> {
         self.metas.extend(meta);
     }
 
-    /// The end-of-run fold: builds the [`RunReport`] (telemetry on) and
-    /// the merged metrics registry (metrics on), with `counters` and the
-    /// executor-specific `extra` counters folded in and the registry
-    /// journaled at `t`. `tm_commits` is filled in here from the
-    /// observers' count of committed transaction windows.
+    /// The end-of-run fold: builds the [`RunReport`] from the event
+    /// stream (trace on) and the merged metrics registry (metrics on),
+    /// with `counters` and the executor-specific `extra` counters folded
+    /// in and the registry journaled at `t`. `tm_commits` is filled in
+    /// here from the observers' count of committed transaction windows.
     pub fn finish(
-        self,
+        mut self,
         clock: ClockUnit,
         mut counters: RunCounters,
         extra: &[(&str, u64)],
         t: u64,
     ) -> (Option<RunReport>, Option<MetricsRegistry>) {
-        counters.tm_commits = self.tx_commits.into_inner();
+        counters.tm_commits = *self.tx_commits.get_mut();
         let c = &counters;
-        let metrics = self.metrics.map(|ms| {
+        let metrics = self.metrics.take().map(|ms| {
             let mut reg = ms.take();
             self.main.publish(self.module, self.bc, &mut reg);
             let folded = [
@@ -336,30 +340,47 @@ impl<'a> RunObs<'a> {
             }
             reg
         });
-        let report = self
-            .spans
-            .map(|s| RunReport::build(clock, s.take(), self.metas, counters));
+        let metas = std::mem::take(&mut self.metas);
+        let report = self.tracing().then(|| {
+            let mut events = self.stream.lock();
+            trace::order(&mut events);
+            RunReport::build(clock, trace::spans(&events), metas, counters)
+        });
         (report, metrics)
     }
 }
 
+impl Drop for RunObs<'_> {
+    /// The trace view of the stream reaches the caller's sink when the
+    /// run ends, however it ends.
+    fn drop(&mut self) {
+        if let Some(sink) = self.trace {
+            let mut events = std::mem::take(&mut *self.stream.lock());
+            trace::order(&mut events);
+            sink.extend(events.into_iter().filter_map(Event::into_trace));
+        }
+    }
+}
+
 /// One worker's observer. Every recording method is a no-op unless the
-/// instrumentation it feeds is on; spans and metrics accumulate privately
-/// and reach the run's sinks through [`Observer::flush_spans`] and
-/// [`Observer::publish`].
+/// instrumentation it feeds is on. Events and metrics accumulate
+/// privately; the events reach the run's stream when the observer is
+/// dropped — at the worker's section end, whether it finished or failed —
+/// and the metrics through [`Observer::publish`].
 pub(crate) struct Observer<'a> {
     run: &'a RunObs<'a>,
-    trace: Option<&'a TraceSink>,
     lock_sets: &'a [String],
     section: usize,
     worker: usize,
-    telemetry: bool,
+    /// The event stream is on.
+    tracing: bool,
     metrics: bool,
-    spans: Vec<SpanRecord>,
+    events: Vec<Event>,
     local: MetricsLocal,
     reg: MetricsRegistry,
-    /// Open region instances (enter seen, exit pending): (func, start).
-    open_regions: Vec<(String, u64)>,
+    /// Entry times of the open region instances (enter seen, exit
+    /// pending).
+    open_regions: Vec<u64>,
     /// Grant time of each held lock, by rank.
     held: Vec<Option<u64>>,
     /// Start of the current blocking wait (a worker waits on at most one
@@ -373,13 +394,12 @@ impl<'a> Observer<'a> {
     pub fn new(run: &'a RunObs<'a>, sec: &'a Section, section: usize, worker: usize) -> Self {
         Observer {
             run,
-            trace: run.trace,
             lock_sets: &sec.lock_sets,
             section,
             worker,
-            telemetry: run.spans.is_some(),
+            tracing: run.tracing(),
             metrics: run.metrics.is_some(),
-            spans: Vec::new(),
+            events: Vec::new(),
             local: MetricsLocal::new(),
             reg: MetricsRegistry::new(),
             open_regions: Vec::new(),
@@ -393,7 +413,7 @@ impl<'a> Observer<'a> {
     /// True when any instrumentation is on: the only time a timestamp is
     /// worth reading.
     pub fn on(&self) -> bool {
-        self.telemetry || self.metrics || self.trace.is_some()
+        self.tracing || self.metrics
     }
 
     /// True when metrics are collected.
@@ -425,25 +445,22 @@ impl<'a> Observer<'a> {
         }
     }
 
-    fn span(&mut self, start: u64, end: u64, kind: SpanKind) {
-        self.spans.push(SpanRecord {
-            section: self.section,
-            worker: self.worker,
-            start,
-            end,
+    fn push(&mut self, time: u64, kind: EventKind) {
+        let (section, worker) = (self.section, self.worker);
+        self.events.push(Event {
+            section,
+            worker,
+            time,
             kind,
         });
     }
 
-    fn record(&self, t: u64, event: TraceEvent) {
-        if let Some(tr) = self.trace {
-            tr.record(self.worker, t, event);
-        }
+    fn traced(&mut self, time: u64, event: TraceEvent, span: Option<Interval>) {
+        self.push(time, EventKind::Traced { event, span });
     }
 
-    /// Turns the VM's buffered region entries and exits into region spans
-    /// and trace records, stamped with `now()` (read only when there are
-    /// events).
+    /// Records the VM's buffered region entries and exits, stamped with
+    /// `now()` (read only when there are events).
     pub fn regions(&mut self, vm: &mut BcVm<'_>, now: impl FnOnce() -> u64) {
         let events = vm.drain_call_events();
         if events.is_empty() {
@@ -451,59 +468,49 @@ impl<'a> Observer<'a> {
         }
         let t = now();
         for ev in events {
-            if self.telemetry {
-                if ev.enter {
-                    self.open_regions.push((ev.func.clone(), t));
-                } else if let Some((func, t0)) = self.open_regions.pop() {
-                    self.span(t0, t, SpanKind::Region { func });
-                }
-            }
-            let event = if ev.enter {
-                TraceEvent::RegionEnter {
-                    func: ev.func,
-                    args: ev.args,
-                }
+            let (func, args) = (ev.func, ev.args);
+            if ev.enter {
+                self.open_regions.push(t);
+                self.traced(t, TraceEvent::RegionEnter { func, args }, None);
             } else {
-                TraceEvent::RegionExit { func: ev.func }
-            };
-            self.record(t, event);
+                let span = self.open_regions.pop().map(|t0| (t0, t));
+                self.traced(t, TraceEvent::RegionExit { func }, span);
+            }
         }
     }
 
     /// A blocking attempt at `t`: opens a wait unless one is open (a
     /// retried attempt keeps its first start).
     pub fn begin_wait(&mut self, t: u64) {
-        if (self.telemetry || self.metrics) && self.wait_start.is_none() {
+        if self.on() && self.wait_start.is_none() {
             self.wait_start = Some(t);
         }
     }
 
     /// Lock `rank` was granted at `grant` to an attempt made at `attempt`
     /// (or at the start of an open wait); the worker holds it from `at`.
-    /// The wait is recorded only when it lasted (`grant > start`).
+    /// The wait counts only when it lasted (`grant > start`).
     pub fn lock_acquired(&mut self, rank: usize, attempt: u64, grant: u64, at: u64) {
         let from = self.wait_start.take().unwrap_or(attempt);
-        if grant > from {
-            if self.telemetry {
-                self.span(from, grant, SpanKind::LockWait { rank });
-            }
-            if self.metrics {
-                self.reg
-                    .observe(&format!("lock_wait.{}", self.lock_sets[rank]), grant - from);
-            }
+        let waited = grant > from;
+        if waited && self.metrics {
+            self.reg
+                .observe(&format!("lock_wait.{}", self.lock_sets[rank]), grant - from);
         }
-        if self.telemetry {
+        if self.tracing {
             self.held[rank] = Some(at);
+            let wait = waited.then_some((from, grant));
+            self.traced(at, TraceEvent::LockAcquire { lock: rank }, wait);
         }
-        self.record(at, TraceEvent::LockAcquire { lock: rank });
     }
 
     /// Lock `rank` was held until `until` and released at `at`.
     pub fn lock_released(&mut self, rank: usize, until: u64, at: u64) {
-        if let Some(t0) = self.held.get_mut(rank).and_then(Option::take) {
-            self.span(t0, until, SpanKind::LockHold { rank });
+        if self.tracing {
+            let held = self.held.get_mut(rank).and_then(Option::take);
+            let hold = held.map(|t0| (t0, until));
+            self.traced(at, TraceEvent::LockRelease { lock: rank }, hold);
         }
-        self.record(at, TraceEvent::LockRelease { lock: rank });
     }
 
     /// A push (`push`) or pop on queue `id` completed at `t`, its last
@@ -517,34 +524,19 @@ impl<'a> Observer<'a> {
         t: u64,
         occupancy: impl FnOnce() -> usize,
     ) {
-        let wait = self.wait_start.take();
-        if self.telemetry {
-            let (waited, done) = if push {
-                (
-                    SpanKind::QueuePushWait { queue: id },
-                    SpanKind::QueuePush { queue: id },
-                )
-            } else {
-                (
-                    SpanKind::QueuePopWait { queue: id },
-                    SpanKind::QueuePop { queue: id },
-                )
-            };
-            if let Some(from) = wait {
-                self.span(from, attempt, waited);
-            }
-            self.span(t, t, done);
-        }
+        let wait = self.wait_start.take().map(|from| (from, attempt));
         if self.metrics {
             self.reg
                 .observe(&format!("queue_occupancy.{id}"), occupancy() as u64);
         }
-        let event = if push {
-            TraceEvent::QueuePush { queue: id }
-        } else {
-            TraceEvent::QueuePop { queue: id }
-        };
-        self.record(t, event);
+        if self.tracing {
+            let event = if push {
+                TraceEvent::QueuePush { queue: id }
+            } else {
+                TraceEvent::QueuePop { queue: id }
+            };
+            self.traced(t, event, wait);
+        }
     }
 
     /// A transaction window opened at `t`.
@@ -556,44 +548,25 @@ impl<'a> Observer<'a> {
     /// optimistic aborts.
     pub fn tx_commit(&mut self, aborts: u64, t: u64) {
         self.tx_commits += 1;
-        if self.telemetry {
-            self.span(self.tx_start, t, SpanKind::Tx { aborts });
+        if self.tracing {
+            let since = self.tx_start;
+            self.push(t, EventKind::TxCommit { since, aborts });
         }
     }
 
     /// The world intrinsic `name` ran from `start` to `end`.
     pub fn world_call(&mut self, name: &str, args: &[Value], start: u64, end: u64) {
-        if self.telemetry {
-            self.span(
-                start,
-                end,
-                SpanKind::WorldCall {
-                    intrinsic: name.to_string(),
-                },
-            );
-        }
-        if self.trace.is_some() {
-            self.record(
-                end,
-                TraceEvent::WorldCall {
-                    intrinsic: name.to_string(),
-                    args: args.to_vec(),
-                },
-            );
+        if self.tracing {
+            let (intrinsic, args) = (name.to_string(), args.to_vec());
+            let event = TraceEvent::WorldCall { intrinsic, args };
+            self.traced(end, event, Some((start, end)));
         }
     }
 
     /// The worker's lifetime inside the section.
     pub fn worker_span(&mut self, start: u64, end: u64) {
-        if self.telemetry {
-            self.span(start, end, SpanKind::Worker);
-        }
-    }
-
-    /// Hands the spans recorded so far to the run's telemetry sink.
-    pub fn flush_spans(&mut self) {
-        if let (Some(sink), false) = (&self.run.spans, self.spans.is_empty()) {
-            sink.record_batch(std::mem::take(&mut self.spans));
+        if self.tracing {
+            self.push(end, EventKind::Worker { since: start });
         }
     }
 
@@ -611,31 +584,51 @@ impl<'a> Observer<'a> {
     }
 }
 
+impl Drop for Observer<'_> {
+    /// Hands the worker's events to the run's stream: one batch per
+    /// worker per section.
+    fn drop(&mut self) {
+        if !self.events.is_empty() {
+            self.run.stream.lock().append(&mut self.events);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::{run_sequential, run_simulated_with, run_threaded_with, ExecConfig, ExecError};
+    use crate::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
+    use crate::{
+        run_sequential, run_simulated_with, run_supervised, run_threaded_with, Backend, ExecConfig,
+        ExecError, RecoveryPolicy, TraceEvent, TraceRecord, TraceSink,
+    };
     use commset_ir::{lower_program, IntrinsicTable, Module};
-    use commset_runtime::{Registry, World};
+    use commset_runtime::intrinsics::IntrinsicOutcome;
+    use commset_runtime::{Registry, Value, World};
     use commset_sim::CostModel;
+    use commset_telemetry::RunReport;
     use commset_transform::{ParallelPlan, Scheme, SyncMode, WorkerSpec};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     fn module(src: &str) -> Module {
         let unit = commset_lang::compile_unit(src).unwrap();
         lower_program(&unit.program, IntrinsicTable::new()).unwrap()
     }
 
-    /// Section 0: one worker running `func(0, 1)`, nothing else.
-    fn one_worker_plan(func: &str) -> ParallelPlan {
+    /// Section 0: `n` workers running `func(tid, n)`, nothing else.
+    fn plan(func: &str, n: i64) -> ParallelPlan {
         ParallelPlan {
             scheme: Scheme::Doall,
             sync: SyncMode::Spin,
-            nthreads: 1,
-            workers: vec![WorkerSpec {
-                func: func.into(),
-                tid: 0,
-                nt: 1,
-                stage: 0,
-            }],
+            nthreads: n as usize,
+            workers: (0..n)
+                .map(|tid| WorkerSpec {
+                    func: func.into(),
+                    tid,
+                    nt: n,
+                    stage: 0,
+                })
+                .collect(),
             queues: Vec::new(),
             locks: Vec::new(),
             stage_desc: vec!["worker".into()],
@@ -668,11 +661,134 @@ mod tests {
              void __par0_w(int tid, int nt) { __par_invoke(0); }
              int main() { __par_invoke(0); return 0; }",
         );
-        let plans = [one_worker_plan("__par0_w")];
+        let plans = [plan("__par0_w", 1)];
         let (reg, cm, cfg) = (Registry::new(), CostModel::default(), ExecConfig::default());
         let sim = run_simulated_with(&m, &reg, &plans, &mut World::new(), &cm, &cfg).unwrap_err();
         assert_eq!(sim, ExecError::NestedParallelSection, "DES");
         let thr = run_threaded_with(&m, &reg, &plans, World::new(), &cfg).unwrap_err();
         assert_eq!(thr, ExecError::NestedParallelSection, "threads");
+    }
+
+    /// Two workers, eight region instances, one world call in each.
+    const REGIONS_SRC: &str = "
+        extern void __par_invoke(int section);
+        extern void tick(int i);
+        void __commset_region_0(int i) { tick(i); }
+        void __par0_w(int tid, int nt) {
+            for (int i = tid; i < 8; i = i + nt) { __commset_region_0(i); }
+        }
+        int main() { __par_invoke(0); return 0; }";
+
+    /// A registry whose `tick` panics on its first call when `flaky`.
+    fn tick_registry(flaky: bool) -> Registry {
+        let armed = Arc::new(AtomicBool::new(flaky));
+        let mut r = Registry::new();
+        r.register("tick", move |_, _| {
+            assert!(!armed.swap(false, Ordering::SeqCst), "flaky tick");
+            IntrinsicOutcome::unit()
+        });
+        r
+    }
+
+    /// Region instances in the report of a single-section run.
+    fn regions(report: Option<RunReport>) -> u64 {
+        let report = report.expect("a traced run attaches its report");
+        report.sections[0].workers.iter().map(|w| w.regions).sum()
+    }
+
+    /// Asserts that each worker's records come in the order it produced
+    /// them: every region's entry, then its world call, then its exit, at
+    /// non-decreasing times.
+    fn assert_worker_order(recs: &[TraceRecord], label: &str) {
+        let func = || "__commset_region_0".to_string();
+        for w in 0..2 {
+            let mine: Vec<&TraceRecord> = recs.iter().filter(|r| r.worker == w).collect();
+            assert!(mine.windows(2).all(|p| p[0].time <= p[1].time), "{label}");
+            let got: Vec<&TraceEvent> = mine.iter().map(|r| &r.event).collect();
+            let want: Vec<TraceEvent> = (w as i64..8)
+                .step_by(2)
+                .flat_map(|i| {
+                    let (args, intrinsic) = (vec![Value::Int(i)], "tick".to_string());
+                    [
+                        TraceEvent::RegionEnter {
+                            func: func(),
+                            args: args.clone(),
+                        },
+                        TraceEvent::WorldCall { intrinsic, args },
+                        TraceEvent::RegionExit { func: func() },
+                    ]
+                })
+                .collect();
+            assert_eq!(got, want.iter().collect::<Vec<_>>(), "{label} w{w}");
+        }
+    }
+
+    #[test]
+    fn each_worker_streams_its_events_in_its_own_order_on_both_executors() {
+        let (m, plans) = (module(REGIONS_SRC), [plan("__par0_w", 2)]);
+        let reg = tick_registry(false);
+        let des = || {
+            let sink = TraceSink::new();
+            let cfg = ExecConfig::with_trace(sink.clone());
+            let cm = CostModel::default();
+            let out = run_simulated_with(&m, &reg, &plans, &mut World::new(), &cm, &cfg);
+            assert_eq!(
+                regions(out.unwrap().telemetry),
+                8,
+                "the report folds the stream"
+            );
+            sink.take()
+        };
+        let recs = des();
+        assert_worker_order(&recs, "DES");
+        assert_eq!(recs, des(), "two DES runs stream identically");
+        let sink = TraceSink::new();
+        let cfg = ExecConfig::with_trace(sink.clone());
+        run_threaded_with(&m, &reg, &plans, World::new(), &cfg).unwrap();
+        assert_worker_order(&sink.take(), "threads");
+    }
+
+    /// [`REGIONS_SRC`] on two workers at every rung, with a flaky `tick`.
+    struct Flaky(Module, Registry);
+
+    impl ProgramSource for Flaky {
+        fn parallel(&self, _threads: usize) -> Result<CompiledProgram, String> {
+            let (module, plans) = (self.0.clone(), vec![plan("__par0_w", 2)]);
+            Ok(CompiledProgram { module, plans })
+        }
+        fn sequential(&self) -> Result<Module, String> {
+            Err("no sequential form".into())
+        }
+        fn fresh_world(&self) -> World {
+            World::new()
+        }
+        fn registry(&self) -> &Registry {
+            &self.1
+        }
+        fn describe(&self) -> ProgramDesc {
+            ProgramDesc::default()
+        }
+    }
+
+    #[test]
+    fn a_retried_run_reports_the_final_attempts_events_only() {
+        let src = Flaky(module(REGIONS_SRC), tick_registry(true));
+        let sink = TraceSink::new();
+        let cfg = ExecConfig::with_trace(sink.clone());
+        let policy = RecoveryPolicy::default();
+        let out = run_supervised(&src, Backend::Threads, 2, &cfg, &policy, None).unwrap();
+        assert_eq!(out.recovery.retries, 1, "{:?}", out.recovery);
+        assert_eq!(
+            regions(out.telemetry),
+            8,
+            "the final attempt's regions only"
+        );
+        // The shared sink holds both attempts: the failed one entered at
+        // least the region whose world call panicked.
+        let recs = sink.take();
+        let enters = recs
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::RegionEnter { .. }));
+        assert!(enters.count() > 8);
     }
 }

@@ -18,7 +18,7 @@
 //! * [`seq`] — the sequential executor (the evaluation baseline), with
 //!   simulated-time accounting.
 //! * `exec_core` — what the two parallel executors share: per-section
-//!   setup, the per-worker observer (spans, metrics, trace), the
+//!   setup, the per-worker observer (the event stream and metrics), the
 //!   lock-elision and delta fast paths, the delta fold, the
 //!   `__par_invoke` bracket and the end-of-run report fold. Every
 //!   executor matches on the runtime op each special carries
@@ -34,24 +34,25 @@
 //!   errors, executor-contract violations and parallel-runtime failures
 //!   surface as `Result::Err`, never as panics.
 //! * [`config`] — the shared [`config::ExecConfig`] knob set (fault
-//!   injection, STM retry discipline, waits-for watchdog, trace sink,
-//!   telemetry).
+//!   injection, STM retry discipline, world mode, deadlines, trace sink,
+//!   metrics, journal).
 //! * [`supervise`] — the self-healing execution supervisor: per-section
 //!   deadlines, transient-failure retry with backoff, a degradation ladder
 //!   (sharded → single lock → thread halving → sequential) with
 //!   oracle-validated degraded results, and replayable failure bundles.
 //! * [`bundle`] — the `.repro.json` failure-bundle format (and the small
 //!   JSON reader it needs), consumed by `commsetc replay`.
-//! * [`trace`] — deterministic execution-trace recording
+//! * [`trace`] — the run's one event stream and its trace view
 //!   ([`trace::TraceSink`]): region entries/exits, lock ranks, queue
 //!   operations and world-intrinsic calls, consumed by the
-//!   commutativity checker and the differential tests.
+//!   executor-parity tests and the benchmark.
 //!
-//! Both parallel executors also support span-based profiling: with
-//! `ExecConfig::telemetry` on, the outcome carries a
-//! [`commset_telemetry::RunReport`] (stage balance, lock contention by
-//! rank, queue traffic, unified counters) built from monotonic-nanosecond
-//! spans on real threads and deterministic ticks under the DES.
+//! With `ExecConfig::trace` set, both parallel executors record each
+//! observed event once and fold the stream twice: into the caller's
+//! [`trace::TraceSink`] and into the [`commset_telemetry::RunReport`]
+//! (stage balance, lock contention by rank, queue traffic, unified
+//! counters) the outcome carries — monotonic nanoseconds on real threads,
+//! deterministic ticks under the DES.
 
 pub mod bundle;
 pub mod bytecode;

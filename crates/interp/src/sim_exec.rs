@@ -77,9 +77,10 @@ pub struct SimOutcome {
     pub sim_time: u64,
     /// Statistics from the parallel sections.
     pub stats: SimStats,
-    /// The unified profiling report, present iff [`ExecConfig::telemetry`]
-    /// was on. Timestamps are deterministic logical ticks, so the report
-    /// is bit-identical across runs.
+    /// The unified profiling report, folded from the run's event stream;
+    /// present iff [`ExecConfig::trace`] was set. Timestamps are
+    /// deterministic logical ticks, so the report is bit-identical across
+    /// runs.
     pub telemetry: Option<RunReport>,
     /// The merged metrics registry (opcode retires, hot-block ranks,
     /// lock/channel wait histograms, queue occupancy, delta merge
@@ -104,7 +105,7 @@ enum WStatus {
 }
 
 /// Runs the transformed program under the DES with the default
-/// configuration (no faults, watchdog on).
+/// configuration (no faults, no instrumentation).
 ///
 /// `plans` must contain one plan per `__par_invoke` section in the
 /// program, keyed by its `section` field.
@@ -125,8 +126,8 @@ pub fn run_simulated(
     run_simulated_with(module, registry, plans, world, cm, &ExecConfig::default())
 }
 
-/// [`run_simulated`] with explicit fault-injection, backoff and watchdog
-/// configuration.
+/// [`run_simulated`] with an explicit configuration: fault injection,
+/// backoff, deadline, world mode and instrumentation.
 ///
 /// # Errors
 ///
@@ -248,7 +249,7 @@ struct Worker<'a> {
     obs: Observer<'a>,
 }
 
-/// Executes one parallel section; returns (end time, stats, telemetry
+/// Executes one parallel section; returns (end time, stats, report
 /// metadata).
 #[allow(clippy::too_many_arguments)]
 fn run_section(
@@ -284,7 +285,7 @@ fn run_section(
         .map(|q| SimQueue::new(injector.clamp_capacity(q.capacity)))
         .collect();
     let mut tm = TmModel::new();
-    let watchdog = cfg.watchdog.then(Watchdog::new);
+    let watchdog = Watchdog::new();
     // The virtual world is internally thread-safe (the paper's "Lib"
     // discipline): each intrinsic execution serializes on the channels it
     // writes, and readers wait for in-flight writers. This is what makes
@@ -294,12 +295,12 @@ fn run_section(
     let mut channel_free: HashMap<u32, u64> = HashMap::new();
 
     let spawn_t = start + cm.par_spawn;
-    let watching = run.watching();
+    let tracing = run.tracing();
     let mut workers: Vec<Worker<'_>> = Vec::with_capacity(plan.workers.len());
     for (k, w) in plan.workers.iter().enumerate() {
         let args = [Value::Int(w.tid), Value::Int(w.nt)];
         let mut vm = BcVm::for_name(run.module, run.bc, &w.func, &args)?;
-        if watching {
+        if tracing {
             vm.watch_calls_matching("__commset_region_");
         }
         workers.push(Worker {
@@ -389,18 +390,16 @@ fn run_section(
                         cm,
                         cfg,
                         injector,
-                        watchdog.as_ref(),
+                        &watchdog,
                     )?;
                     false
                 }
             };
-            if watching {
-                // Region events and this step's spans, at the worker's
-                // clock and in step order across workers.
+            if tracing {
+                // Region events at the worker's clock after the step.
                 let w = &mut workers[i];
                 let clock = w.clock;
                 w.obs.regions(&mut w.vm, || clock);
-                w.obs.flush_spans();
             }
             if !ran || workers[i].clock >= horizon {
                 break;
@@ -429,12 +428,11 @@ fn run_section(
         + cm.par_spawn;
     for w in &mut workers {
         w.obs.worker_span(spawn_t, w.clock);
-        w.obs.flush_spans();
         w.obs.publish();
     }
     // The DES has no SPSC rings: empty-pop counts stand in for empty
     // spins, the full side has no modeled counter.
-    let meta = run.telemetry().then(|| {
+    let meta = run.tracing().then(|| {
         let spins = queues.iter().map(|q| (0, q.empty_pops)).collect();
         sec.meta(plan, ord, spins, (start, end))
     });
@@ -451,7 +449,7 @@ fn run_section(
         queue_pushes: queues.iter().map(|q| q.pushes).sum(),
         queue_stalls: queues.iter().map(|q| q.empty_pops).sum(),
         fault: FaultStats::default(),
-        watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
+        watchdog: watchdog.report(),
         delta,
     };
     Ok((end, stats, meta))
@@ -474,7 +472,7 @@ fn handle_special(
     cm: &CostModel,
     cfg: &ExecConfig,
     injector: &FaultInjector,
-    watchdog: Option<&Watchdog>,
+    watchdog: &Watchdog,
 ) -> Result<(), ExecError> {
     // A stalled worker pauses at its synchronization events; a slow
     // worker pays its drag at every one of them.
@@ -491,18 +489,14 @@ fn handle_special(
             }
             let t = w.clock;
             let was_blocked = w.lock_retry;
-            if let Some(wd) = watchdog {
-                wd.acquiring(i, l);
-            }
+            watchdog.acquiring(i, l);
             match locks[l].try_acquire(t, was_blocked, cm) {
                 AcquireOutcome::Granted(grant) => {
                     if was_blocked {
                         locks[l].pending = locks[l].pending.saturating_sub(1);
                         w.lock_retry = false;
                     }
-                    if let Some(wd) = watchdog {
-                        wd.acquired(i, l);
-                    }
+                    watchdog.acquired(i, l);
                     w.clock = grant + injector.lock_grant_delay();
                     w.obs.lock_acquired(l, t, grant, w.clock);
                     w.vm.resolve_special(Value::Int(0));
@@ -527,9 +521,7 @@ fn handle_special(
             }
             let t = w.clock;
             w.clock = locks[l].release(t, cm);
-            if let Some(wd) = watchdog {
-                wd.released(i, l);
-            }
+            watchdog.released(i, l);
             w.obs.lock_released(l, t, w.clock);
             w.vm.resolve_special(Value::Int(0));
             // Wake the blocked requesters; the scheduler grants in clock
@@ -1040,11 +1032,11 @@ mod tests {
     fn telemetry_is_deterministic_and_does_not_perturb_the_model() {
         let cm = CostModel::default();
         let (module, plan) = compile_pipeline(4);
-        let run = |telemetry: bool| {
+        let run = |traced: bool| {
             let mut world = World::new();
             world.install("out", Vec::<i64>::new());
             let cfg = ExecConfig {
-                telemetry,
+                trace: traced.then(crate::trace::TraceSink::new),
                 ..ExecConfig::default()
             };
             run_simulated_with(
@@ -1058,11 +1050,11 @@ mod tests {
             .unwrap()
         };
         let off = run(false);
-        assert!(off.telemetry.is_none(), "telemetry must be opt-in");
+        assert!(off.telemetry.is_none(), "the report must be opt-in");
         let on = run(true);
         assert_eq!(
             on.sim_time, off.sim_time,
-            "telemetry must not change simulated time"
+            "observation must not change simulated time"
         );
         let report = on.telemetry.unwrap();
         assert_eq!(report.sections.len(), 1);

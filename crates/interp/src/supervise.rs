@@ -161,8 +161,8 @@ pub struct SupervisedOutcome {
     pub world: World,
     /// What the supervisor did to get here.
     pub recovery: RecoveryReport,
-    /// Telemetry from the accepted attempt, when enabled and the rung was
-    /// parallel.
+    /// The run report of the accepted attempt, folded from that attempt's
+    /// events only, when `cfg.trace` was set and the rung was parallel.
     pub telemetry: Option<RunReport>,
 }
 
@@ -427,7 +427,6 @@ fn capture_bundle(
         .to_string(),
         world_mode: world_mode.to_string(),
         queue_batch: cfg.queue_batch,
-        watchdog: cfg.watchdog,
         deadline_ms: policy.deadline_ms.or(cfg.deadline_ms),
         fault: cfg.fault.clone(),
         error: err.render(),
@@ -455,7 +454,7 @@ fn capture_bundle(
 /// Runs the program under the recovery policy.
 ///
 /// `threads` is the initial worker count; `base_cfg` supplies the fault
-/// plan, trace/telemetry flags and starting world mode. When `validate` is
+/// plan, trace sink and starting world mode. When `validate` is
 /// given, every *degraded* success (any rung below the first) is checked
 /// against the sequential oracle — result values must match and the
 /// validator must accept the worlds — before it is returned.

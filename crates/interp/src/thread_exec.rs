@@ -141,8 +141,9 @@ pub struct ThreadOutcome {
     pub world: World,
     /// Fault/watchdog statistics.
     pub stats: ThreadStats,
-    /// The unified profiling report, present iff [`ExecConfig::telemetry`]
-    /// was on. Timestamps are monotonic nanoseconds since the run's start.
+    /// The unified profiling report, folded from the run's event stream;
+    /// present iff [`ExecConfig::trace`] was set. Timestamps are monotonic
+    /// nanoseconds since the run's start.
     pub telemetry: Option<RunReport>,
     /// The merged metrics registry (opcode retires, hot-block ranks,
     /// lock/channel wait histograms, queue occupancy, delta merge
@@ -152,7 +153,7 @@ pub struct ThreadOutcome {
 }
 
 /// Runs the transformed program on real threads with the default
-/// configuration (no faults, watchdog on).
+/// configuration (no faults, no instrumentation).
 ///
 /// # Errors
 ///
@@ -171,8 +172,8 @@ pub fn run_threaded(
     run_threaded_with(module, registry, plans, world, &ExecConfig::default())
 }
 
-/// [`run_threaded`] with explicit fault-injection and watchdog
-/// configuration (delays and stalls are realized as microsecond sleeps).
+/// [`run_threaded`] with an explicit configuration (fault delays and
+/// stalls are realized as microsecond sleeps).
 ///
 /// # Errors
 ///
@@ -282,7 +283,7 @@ struct SectionCtx<'a> {
     /// Finished per-worker buffers, pushed at worker exit and coalesced by
     /// the section in worker-index order.
     delta_out: &'a Mutex<Vec<(usize, DeltaBuffer)>>,
-    watchdog: Option<&'a Watchdog>,
+    watchdog: &'a Watchdog,
     run: &'a RunObs<'a>,
     queue_batch: usize,
     /// The run's epoch: span and trace timestamps are nanoseconds since
@@ -303,7 +304,7 @@ struct SectionOutcome {
     /// Pops that found a queue empty.
     empty_spins: u64,
     /// Plan-derived naming + per-queue spins for the report builder
-    /// (present iff telemetry is on).
+    /// (present iff the trace is on).
     meta: Option<SectionMeta>,
     /// Delta-privatized activity of this section.
     delta: DeltaSnapshot,
@@ -339,7 +340,7 @@ fn run_section(
         .map(|q| SpscQueue::new(injector.clamp_capacity(q.capacity)))
         .collect();
     let cancel = AtomicBool::new(false);
-    let watchdog = cfg.watchdog.then(Watchdog::new);
+    let watchdog = Watchdog::new();
     let delta_out: Mutex<Vec<(usize, DeltaBuffer)>> = Mutex::new(Vec::new());
     let ctx = SectionCtx {
         registry,
@@ -351,7 +352,7 @@ fn run_section(
         cancel: &cancel,
         injector,
         delta_out: &delta_out,
-        watchdog: watchdog.as_ref(),
+        watchdog: &watchdog,
         run,
         queue_batch: cfg.queue_batch.max(1),
         epoch,
@@ -369,7 +370,7 @@ fn run_section(
         if let Some(ms) = cfg.deadline_ms {
             let fired = &deadline_fired;
             let done = &workers_done;
-            let wd = watchdog.as_ref();
+            let wd = &watchdog;
             let cancel = &cancel;
             scope.spawn(move || {
                 let deadline = Duration::from_millis(ms);
@@ -380,9 +381,7 @@ fn run_section(
                         // Escalation order: ask the watchdog whether the
                         // overrun is a cycle (its findings land in the
                         // section report), then cancel cooperatively.
-                        if let Some(wd) = wd {
-                            wd.check();
-                        }
+                        wd.check();
                         fired.store(true, Ordering::SeqCst);
                         cancel.store(true, Ordering::SeqCst);
                         break;
@@ -407,11 +406,9 @@ fn run_section(
                     let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker_loop(ctx, widx, &func, tid, nt, globals, &mut obs)
                     }));
-                    // The lifetime span is recorded here (not inside the
-                    // loop) so spans of panicked/failed workers still
-                    // reach the sink.
+                    // The lifetime event is recorded here (not inside the
+                    // loop) so failed workers have one too.
                     obs.worker_span(w_start, now());
-                    obs.flush_spans();
                     let outcome = match body {
                         Ok(r) => r,
                         Err(payload) => Err(ExecError::WorkerFailed {
@@ -503,12 +500,12 @@ fn run_section(
         stage: "__delta_coalesce".into(),
         cause: panic_message(&*payload),
     })??;
-    let meta = run.telemetry().then(|| {
+    let meta = run.tracing().then(|| {
         let span = (sec_start, epoch.elapsed().as_nanos() as u64);
         sec.meta(plan, section_ord, queue_spins, span)
     });
     Ok(SectionOutcome {
-        watchdog: watchdog.map(|wd| wd.report()).unwrap_or_default(),
+        watchdog: watchdog.report(),
         drained,
         full_spins,
         empty_spins,
@@ -547,7 +544,7 @@ fn flush_staged(ctx: &SectionCtx<'_>, staged: &mut [Vec<u64>]) -> bool {
 
 /// One worker's execution; every failure mode returns an error.
 ///
-/// Observations accumulate in the caller-owned observer, whose spans the
+/// Observations accumulate in the caller-owned observer, whose events the
 /// spawn wrapper publishes even when this loop errors or panics.
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
@@ -566,13 +563,12 @@ fn worker_loop(
         func,
         &[Value::Int(tid), Value::Int(nt)],
     )?;
-    let watching = ctx.run.watching();
-    if watching {
+    let tracing = ctx.run.tracing();
+    if tracing {
         vm.watch_calls_matching("__commset_region_");
     }
-    // Monotonic timestamps for trace records, telemetry spans and
-    // metrics: nanoseconds since the run's epoch, read only when some
-    // instrumentation is on.
+    // Monotonic timestamps for the event stream and metrics: nanoseconds
+    // since the run's epoch, read only when some instrumentation is on.
     let now = || ctx.epoch.elapsed().as_nanos() as u64;
     let on = obs.on();
     let stamp = || if on { now() } else { 0 };
@@ -599,7 +595,7 @@ fn worker_loop(
         // that produced it.
         let site = obs.site(&vm);
         let step = vm.step(&mut globals).map_err(|e| worker_failed(func, e))?;
-        if watching {
+        if tracing {
             obs.regions(&mut vm, now);
         }
         let p = match step {
@@ -639,20 +635,14 @@ fn worker_loop(
                 if !flush_staged(ctx, &mut staged) {
                     return Err(canceled());
                 }
-                if let Some(wd) = ctx.watchdog {
-                    wd.acquiring(widx, l);
-                }
+                ctx.watchdog.acquiring(widx, l);
                 let t0 = stamp();
                 if !ctx.locks[l].acquire_canceling(ctx.cancel) {
-                    if let Some(wd) = ctx.watchdog {
-                        wd.wait_abandoned(widx);
-                    }
+                    ctx.watchdog.wait_abandoned(widx);
                     return Err(canceled());
                 }
                 let t1 = stamp();
-                if let Some(wd) = ctx.watchdog {
-                    wd.acquired(widx, l);
-                }
+                ctx.watchdog.acquired(widx, l);
                 let delay = ctx.injector.lock_grant_delay();
                 if delay > 0 {
                     std::thread::sleep(Duration::from_micros(delay));
@@ -665,9 +655,7 @@ fn worker_loop(
                 if !ctx.sec.elided(l) {
                     let t = stamp();
                     ctx.locks[l].release();
-                    if let Some(wd) = ctx.watchdog {
-                        wd.released(widx, l);
-                    }
+                    ctx.watchdog.released(widx, l);
                     obs.lock_released(l, t, stamp());
                 }
                 vm.resolve_special(Value::Int(0));
@@ -759,7 +747,7 @@ fn worker_loop(
                         // locks and cannot be held by a sibling that is
                         // blocked on one of our queues.
                         let shard_obs = ShardObserver {
-                            watchdog: ctx.watchdog,
+                            watchdog: Some(ctx.watchdog),
                             worker: widx,
                             rank_base: ctx.locks.len(),
                             injector: Some(ctx.injector),
@@ -931,28 +919,16 @@ mod tests {
         let cfg = ExecConfig::with_trace(sink.clone());
         let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
         assert_eq!(*out.world.get::<i64>("acc"), (0..200).sum::<i64>());
+        // The trace sees every region instance and its lock traffic.
         let recs = sink.take();
-        let enters: Vec<&crate::trace::TraceRecord> = recs
+        let enters = recs
             .iter()
-            .filter(|r| matches!(r.event, TraceEvent::RegionEnter { .. }))
-            .collect();
-        assert_eq!(enters.len(), 200, "one region instance per iteration");
-        // Per-worker times strictly increase: the per-worker subsequence
-        // is a valid logical order.
-        for w in 0..3 {
-            let times: Vec<u64> = recs
-                .iter()
-                .filter(|r| r.worker == w)
-                .map(|r| r.time)
-                .collect();
-            assert!(
-                times.windows(2).all(|p| p[0] <= p[1]),
-                "worker {w}: {times:?}"
-            );
-        }
-        assert!(recs
+            .filter(|r| matches!(r.event, TraceEvent::RegionEnter { .. }));
+        assert_eq!(enters.count(), 200, "one region instance per iteration");
+        let locks = recs
             .iter()
-            .any(|r| matches!(r.event, TraceEvent::LockAcquire { .. })));
+            .filter(|r| matches!(r.event, TraceEvent::LockAcquire { .. }));
+        assert!(locks.count() > 0);
     }
 
     #[test]
@@ -960,13 +936,10 @@ mod tests {
         let (module, plan) = compile_doall(SUM_SRC, 3, SyncMode::Spin);
         let mut world = World::new();
         world.install("acc", 0i64);
-        let cfg = ExecConfig {
-            telemetry: true,
-            ..ExecConfig::default()
-        };
+        let cfg = ExecConfig::with_trace(crate::trace::TraceSink::new());
         let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
         assert_eq!(*out.world.get::<i64>("acc"), (0..200).sum::<i64>());
-        let report = out.telemetry.expect("telemetry on must attach a report");
+        let report = out.telemetry.expect("a trace must attach a report");
         assert_eq!(report.sections.len(), 1);
         let s = &report.sections[0];
         assert_eq!(s.workers.len(), 3);
@@ -977,7 +950,7 @@ mod tests {
         );
         assert!(s.locks[0].acquires > 0, "{:?}", s.locks);
         assert!(s.workers.iter().all(|w| w.total > 0));
-        // Off by default: no report, no span cost.
+        // Off by default: no report, no observation cost.
         let (module2, plan2) = compile_doall(SUM_SRC, 3, SyncMode::Spin);
         let mut world2 = World::new();
         world2.install("acc", 0i64);

@@ -4,8 +4,8 @@
 //! every runtime counter and every timed span of a parallel run lands, so
 //! benchmark deltas become *attributable* instead of anecdotal.
 //!
-//! * [`span`] — the span model: a [`span::TelemetrySink`] the executors
-//!   append [`span::SpanRecord`]s to (commutative-region execution, lock
+//! * [`span`] — the span model: the [`span::SpanRecord`]s the executors
+//!   fold from their event stream (commutative-region execution, lock
 //!   waits vs. holds keyed by CommSet lock rank, queue push/pop blocking,
 //!   STM windows, world-intrinsic calls), in monotonic nanoseconds on
 //!   real threads and deterministic logical ticks under the simulator.
@@ -28,8 +28,9 @@
 //!   causal IDs (run → attempt → rung → section → worker),
 //!   replay-linkable to `.repro.json` failure bundles.
 //!
-//! Telemetry is zero-cost when off: executors consult one `bool` knob
-//! per layer (`ExecConfig::telemetry` / `ExecConfig::metrics` in
+//! Telemetry is zero-cost when off: the executors consult one option per
+//! layer (`ExecConfig::trace` for the event stream and the run report it
+//! folds into, `ExecConfig::metrics` for the registry, in
 //! `commset-interp`) and touch nothing else.
 
 pub mod chrome;
@@ -48,4 +49,4 @@ pub use report::{
     ClockUnit, LockReport, QueueReport, RunCounters, RunReport, SectionMeta, SectionProfile,
     StageReport, WorkerReport,
 };
-pub use span::{SpanKind, SpanRecord, TelemetrySink};
+pub use span::{SpanKind, SpanRecord};

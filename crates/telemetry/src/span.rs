@@ -1,18 +1,12 @@
-//! Span recording: the executors' side of the telemetry layer.
+//! The span model of the telemetry layer.
 //!
 //! A [`SpanRecord`] is one timed interval (or instant, when
 //! `start == end`) of one worker's execution inside one parallel section.
-//! The real-thread executor stamps spans in monotonic nanoseconds since
-//! the run's epoch; the simulated executor stamps them in its
-//! deterministic logical ticks — the sink itself is clock-agnostic and
-//! the [`crate::report::RunReport`] records which unit applies.
-//!
-//! Workers batch spans locally and publish them with one
-//! [`TelemetrySink::record_batch`] per worker, so the profiling layer
-//! does not itself serialize the workers it is measuring.
-
-use commset_runtime::sync::Mutex;
-use std::sync::Arc;
+//! The executors fold their spans from the run's one event stream
+//! (`commset_interp::trace`): the real-thread executor stamps monotonic
+//! nanoseconds since the run's epoch, the simulated executor its
+//! deterministic logical ticks — spans are clock-agnostic and the
+//! [`crate::report::RunReport`] records which unit applies.
 
 /// What one span measures.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,102 +125,9 @@ impl SpanRecord {
     }
 }
 
-/// A cloneable, thread-safe span log shared between an executor and the
-/// report builder. Clones share the same underlying buffer.
-#[derive(Clone, Default)]
-pub struct TelemetrySink {
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-impl std::fmt::Debug for TelemetrySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TelemetrySink")
-            .field("spans", &self.len())
-            .finish()
-    }
-}
-
-impl TelemetrySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        TelemetrySink::default()
-    }
-
-    /// Appends one span.
-    pub fn record(&self, span: SpanRecord) {
-        self.spans.lock().push(span);
-    }
-
-    /// Appends a worker's whole local buffer with one lock acquisition.
-    pub fn record_batch(&self, spans: Vec<SpanRecord>) {
-        if spans.is_empty() {
-            return;
-        }
-        self.spans.lock().extend(spans);
-    }
-
-    /// Number of spans currently buffered.
-    pub fn len(&self) -> usize {
-        self.spans.lock().len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes and returns all buffered spans, ordered by
-    /// `(section, worker, start, end)` so reports built from the same
-    /// events are identical however worker batches interleaved.
-    pub fn take(&self) -> Vec<SpanRecord> {
-        let mut out = std::mem::take(&mut *self.spans.lock());
-        out.sort_by(|a, b| {
-            (a.section, a.worker, a.start, a.end).cmp(&(b.section, b.worker, b.start, b.end))
-        });
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batches_merge_and_take_orders_canonically() {
-        let sink = TelemetrySink::new();
-        let other = sink.clone();
-        other.record_batch(vec![
-            SpanRecord {
-                section: 0,
-                worker: 1,
-                start: 5,
-                end: 9,
-                kind: SpanKind::Worker,
-            },
-            SpanRecord {
-                section: 0,
-                worker: 0,
-                start: 2,
-                end: 3,
-                kind: SpanKind::LockWait { rank: 0 },
-            },
-        ]);
-        sink.record(SpanRecord {
-            section: 0,
-            worker: 0,
-            start: 0,
-            end: 1,
-            kind: SpanKind::Region {
-                func: "__commset_region_0".into(),
-            },
-        });
-        assert_eq!(sink.len(), 3);
-        let spans = sink.take();
-        assert!(sink.is_empty());
-        assert_eq!(spans[0].worker, 0);
-        assert_eq!(spans[0].start, 0);
-        assert_eq!(spans[2].worker, 1);
-    }
 
     #[test]
     fn kind_labels_and_blocking_classification() {

@@ -41,7 +41,6 @@ fn md5sum_report(metrics: bool) -> (ProfileOutcome, Option<Journal>) {
         ]))
     });
     let cfg = ExecConfig {
-        telemetry: true,
         metrics,
         journal: journal.clone(),
         ..ExecConfig::default()

@@ -12,7 +12,7 @@
 //! To refresh the golden after an intentional change, rerun with
 //! `SIM_GOLDEN_REGEN=1` and review the resulting diff.
 
-use commset_interp::{ExecConfig, SimStats, WorldMode};
+use commset_interp::{ExecConfig, SimStats, TraceSink, WorldMode};
 use commset_runtime::{FaultPlan, WorkerStall};
 use commset_sim::CostModel;
 use commset_workloads::{SchemeSpec, Workload};
@@ -95,11 +95,11 @@ fn line(
     }
 }
 
-/// `cfg` with span telemetry and the metrics registry on: both are
+/// `cfg` with the event stream and the metrics registry on: both are
 /// passive on the DES, so the line must not change.
 fn observed(cfg: &ExecConfig) -> ExecConfig {
     ExecConfig {
-        telemetry: true,
+        trace: Some(TraceSink::new()),
         metrics: true,
         ..cfg.clone()
     }
@@ -132,7 +132,7 @@ fn sweep() -> String {
         for (tag, cfg) in extra {
             let l = line(&w, &oracle, first, 4, tag, cfg, &cm);
             let seen = line(&w, &oracle, first, 4, tag, &observed(cfg), &cm);
-            assert_eq!(l, seen, "telemetry and metrics moved a DES figure");
+            assert_eq!(l, seen, "the trace and metrics moved a DES figure");
             out += &l;
             out.push('\n');
         }

@@ -10,7 +10,7 @@
 use commset::profile::{run_profile, synthetic_registry, synthetic_world, ProfileOutcome};
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
-use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig};
+use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig, TraceSink};
 use commset_sim::CostModel;
 use commset_telemetry::chrome_trace_json;
 
@@ -117,7 +117,7 @@ fn chrome_trace_export_has_the_perfetto_shape() {
     assert!(doc.contains("\"cat\": \"queue\""), "{doc}");
 }
 
-/// Telemetry must be zero-cost when off: the DES model may not shift by a
+/// Observation must be zero-cost when off: the DES model may not shift by a
 /// single tick, the outcome must carry no report, and the real-thread
 /// executor's wall clock must stay in the same ballpark.
 #[test]
@@ -137,12 +137,12 @@ fn telemetry_off_is_free_and_absent() {
     let plans = [plan];
     let cm = CostModel::default();
 
-    // DES: the simulated clock is identical with and without telemetry —
+    // DES: the simulated clock is identical with and without the trace —
     // instrumentation observes the model, it never participates in it.
-    let run_sim = |telemetry: bool| {
+    let run_sim = |traced: bool| {
         let mut world = synthetic_world();
         let cfg = ExecConfig {
-            telemetry,
+            trace: traced.then(TraceSink::new),
             ..ExecConfig::default()
         };
         run_simulated_with(&module, &registry, &plans, &mut world, &cm, &cfg)
@@ -150,16 +150,16 @@ fn telemetry_off_is_free_and_absent() {
     };
     let off = run_sim(false);
     let on = run_sim(true);
-    assert_eq!(off.sim_time, on.sim_time, "telemetry perturbed the model");
+    assert_eq!(off.sim_time, on.sim_time, "the trace perturbed the model");
     assert!(off.telemetry.is_none(), "off must attach no report");
     assert!(on.telemetry.is_some(), "on must attach a report");
 
     // Real threads: an uninstrumented run completes with no report and
     // within a generous multiple of the instrumented run's wall clock
     // (the guard catches pathological always-on overhead, not noise).
-    let run_thr = |telemetry: bool| {
+    let run_thr = |traced: bool| {
         let cfg = ExecConfig {
-            telemetry,
+            trace: traced.then(TraceSink::new),
             ..ExecConfig::default()
         };
         run_threaded_with(&module, &registry, &plans, synthetic_world(), &cfg)
@@ -167,11 +167,11 @@ fn telemetry_off_is_free_and_absent() {
     };
     // Warm up, then take the best of 3 per mode to tame scheduler noise.
     let _ = run_thr(false);
-    let best = |telemetry: bool| {
+    let best = |traced: bool| {
         (0..3)
             .map(|_| {
-                let out = run_thr(telemetry);
-                if telemetry {
+                let out = run_thr(traced);
+                if traced {
                     assert!(out.telemetry.is_some());
                 } else {
                     assert!(out.telemetry.is_none());
@@ -185,7 +185,7 @@ fn telemetry_off_is_free_and_absent() {
     let wall_on = best(true);
     assert!(
         wall_off <= wall_on.saturating_mul(10) + std::time::Duration::from_millis(50),
-        "telemetry-off run is implausibly slower than instrumented \
+        "untraced run is implausibly slower than a traced one \
          ({wall_off:?} vs {wall_on:?})"
     );
 }
