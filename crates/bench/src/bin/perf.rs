@@ -1,124 +1,71 @@
-//! Wall-clock benchmark harness on **real OS threads**.
+//! Simulated-clock benchmark harness.
 //!
-//! Unlike `figure6` (which regenerates the paper's plots from the
-//! discrete-event simulator), `perf` measures actual elapsed time of the
-//! real-thread executor, comparing the historical single-mutex world
-//! against the rank-ordered sharded world on every workload, scheme and
-//! thread count, and reporting the shard/queue contention counters next
-//! to each number.
+//! For every workload x non-sequential scheme x threads {1, 2, 4, 8},
+//! `perf` runs the discrete-event simulator (DES) once in
+//! `WorldMode::Auto`; merge-declared DOALL rows also run once in
+//! `WorldMode::Deltas`. The DES models full `threads`-way parallelism
+//! whatever the host has, so every number in the report is a
+//! deterministic logical tick or counter: two runs write the same bytes.
+//! Host wall time is measured by `perfbench`, not here.
 //!
 //! Run: `cargo run --release -p commset-bench --bin perf`
 //!
 //! Flags:
 //!
-//! * `--quick` — 1 iteration, 2 threads only (the CI smoke mode);
-//! * `--iters K` — median-of-K iterations (default 3);
 //! * `--out PATH` — output path (default `BENCH_PARALLEL.json`);
 //! * `--delta-smoke WORKLOAD` — CI's delta gate: run one merge-declared
-//!   workload in `WorldMode::Deltas` and fail if the privatized path
-//!   ever touches a shard lock.
-//! * `--diff OLD.json [--against NEW.json]` — the noise-aware perf
-//!   regression gate: diff a candidate report against the committed
-//!   baseline cell-by-cell (tight 5% band on the deterministic
-//!   simulator columns, factor + absolute-floor band on the noisy
-//!   wall-clock columns — see `commset_bench::diff`). Without
-//!   `--against`, a quick suite runs in-process as the candidate.
-//!   Exit 1 on any regression; unknown flags and unreadable files
-//!   exit 2 with the usage line.
-//!
-//! Workloads whose registries declare merge operators get a third
-//! `deltas` cell per DOALL row (CCD-style privatization), with the
-//! shard counters proving the update path took no locks, plus a pair of
-//! deterministic simulator times (`sim_time` / `sim_time_deltas`): the
-//! DES models full `threads`-way parallelism whatever the host has, so
-//! the modeled pair shows the contention win even when the wall clock
-//! is measured on a small machine.
+//!   workload on real threads in `WorldMode::Deltas` and fail if the
+//!   privatized path ever touches a shard lock.
+//! * `--diff OLD.json [--against NEW.json]` — the regression gate: diff
+//!   a candidate report against the committed baseline cell-by-cell
+//!   (5% band on the simulated columns, lost cells fail — see
+//!   `commset_bench::diff`). Without `--against`, the suite runs
+//!   in-process as the candidate. Exit 1 on any regression; unknown
+//!   flags and unreadable files exit 2 with the usage line.
 //!
 //! The output is a machine-readable JSON report (written without any
-//! external serialization dependency): one entry per
-//! `workload x scheme x thread-count`, with wall-clock microseconds and
-//! contention counters for both world modes, the sharded-over-single
-//! ratio, per-mode speedups over the same scheme at one thread, and a
-//! full telemetry `RunReport` (stage balance, lock contention by rank,
-//! queue traffic) captured by one extra untimed instrumented run.
-//! Every measured run is validated against the sequential oracle — a
-//! benchmark that computes the wrong answer aborts.
+//! external serialization dependency), one line per
+//! `workload x scheme x thread-count`: `sim_time`, the speedup over the
+//! same scheme at one thread, the Deltas-world time and ratio, and the
+//! DES's TM, queue and delta counters. Every run is validated against
+//! the sequential oracle — a benchmark that computes the wrong answer
+//! aborts.
 
 use commset::Scheme;
-use commset_bench::diff::{diff_reports, DiffConfig};
+use commset_bench::diff::diff_reports;
 use commset_interp::bundle::Json;
-use commset_interp::{Backend, ExecConfig, RecoveryPolicy, ThreadOutcome, TraceSink, WorldMode};
-use commset_runtime::{DeltaSnapshot, ShardStatsSnapshot};
+use commset_interp::{ExecConfig, SimStats, WorldMode};
+use commset_runtime::{DeltaSnapshot, World};
 use commset_sim::CostModel;
-use commset_telemetry::{RecoveryReport, RunReport};
 use commset_workloads::{SchemeSpec, Workload};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One measured cell: the median run of a (workload, scheme, threads,
-/// world-mode) configuration.
-struct Cell {
-    wall_us: u128,
-    shard: ShardStatsSnapshot,
-    delta: DeltaSnapshot,
-    queue_full_spins: u64,
-    queue_empty_spins: u64,
-    /// The unified profiling report from one extra, *untimed* run with
-    /// the trace on (so the measured iterations stay instrumentation-free).
-    telemetry: Option<RunReport>,
-    /// The execution supervisor's account of that instrumented run:
-    /// retries taken, ladder rungs walked, final mode. `is_clean()` for a
-    /// healthy cell.
-    recovery: Option<RecoveryReport>,
-}
+/// The thread counts of the matrix; 1 is each scheme's speedup baseline.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-struct Row {
-    workload: String,
-    scheme: String,
-    threads: usize,
-    single: Cell,
-    /// `None` when the workload's registry declares no slot bindings —
-    /// `WorldMode::Auto` would never shard it, so forcing the sharded
-    /// world would only measure the whole-world slow path.
-    sharded: Option<Cell>,
-    /// `None` unless the registry declares merge operators and the
-    /// scheme is DOALL — pipeline sections never delta-route, so a
-    /// deltas cell there would just re-measure `sharded`.
-    deltas: Option<Cell>,
-    /// Modeled time on the discrete-event simulator, default world. The
-    /// DES models `threads`-way parallelism whatever the host has, so
-    /// this pair is the deterministic, noise-free contention story the
-    /// wall clock can't tell on a small machine.
-    sim_time: Option<u64>,
-    /// Modeled time with `WorldMode::Deltas`: privatized updates skip the
-    /// commutative channel's serialization charge, so on reduction
-    /// workloads this is strictly below `sim_time` at 2+ threads.
-    sim_time_deltas: Option<u64>,
-}
-
-/// One validated run on the simulated executor; `None` if the scheme is
-/// inapplicable (panics on executor failure — sim runs must not fail).
-fn sim_time(
+/// One validated DES run; `None` if the scheme is inapplicable (panics
+/// on executor failure — sim runs must not fail).
+fn sim_run(
     w: &Workload,
     spec: &SchemeSpec,
     threads: usize,
     mode: WorldMode,
     cm: &CostModel,
-    seq_world: &commset_runtime::World,
-) -> Option<u64> {
+    seq_world: &World,
+) -> Option<(u64, SimStats)> {
     let cfg = ExecConfig {
         world: mode,
         ..ExecConfig::default()
     };
     match w.run_scheme_with(spec, threads, cm, &cfg) {
-        Ok((time, world, _)) => {
+        Ok((time, world, stats)) => {
             (w.validate)(seq_world, &world).unwrap_or_else(|e| {
                 panic!(
                     "{}: {} x{threads} sim ({mode:?}) computed a wrong answer: {e}",
                     w.name, spec.label
                 )
             });
-            Some(time)
+            Some((time, stats))
         }
         Err(Ok(_diag)) => None,
         Err(Err(e)) => panic!(
@@ -128,138 +75,21 @@ fn sim_time(
     }
 }
 
-fn median(mut xs: Vec<u128>) -> u128 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
+fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
 
-/// Runs one configuration `iters` times, validating every run, and
-/// returns the median-wall cell.
-fn measure(
-    w: &Workload,
-    spec: &SchemeSpec,
-    threads: usize,
-    mode: WorldMode,
-    iters: usize,
-    seq_world: &commset_runtime::World,
-) -> Option<Cell> {
-    let cfg = ExecConfig {
-        world: mode,
-        ..ExecConfig::default()
-    };
-    let mut walls = Vec::with_capacity(iters);
-    let mut last: Option<ThreadOutcome> = None;
-    for _ in 0..iters {
-        match w.run_scheme_threaded(spec, threads, &cfg) {
-            Ok(out) => {
-                (w.validate)(seq_world, &out.world).unwrap_or_else(|e| {
-                    panic!(
-                        "{}: {} x{threads} ({mode:?}) computed a wrong answer: {e}",
-                        w.name, spec.label
-                    )
-                });
-                assert!(
-                    out.stats.watchdog.is_clean(),
-                    "{}: {} x{threads} ({mode:?}): watchdog {:?}",
-                    w.name,
-                    spec.label,
-                    out.stats.watchdog
-                );
-                if mode == WorldMode::Deltas {
-                    // The point of the deltas cell: updates land in
-                    // per-worker buffers, so the shard locks stay cold.
-                    // One fast acquire is tolerated for a main-thread
-                    // pre-section call (md5sum's `file_count`).
-                    let s = &out.stats.shard;
-                    assert!(
-                        out.stats.delta.applies > 0,
-                        "{}: {} x{threads}: deltas cell never took the privatized path",
-                        w.name,
-                        spec.label
-                    );
-                    assert!(
-                        s.fast_acquires + s.multi_acquires + s.whole_acquires <= 1,
-                        "{}: {} x{threads}: deltas cell touched the shard locks: {s:?}",
-                        w.name,
-                        spec.label
-                    );
-                }
-                walls.push(out.wall.as_micros());
-                last = Some(out);
-            }
-            Err(Ok(_diag)) => return None, // scheme inapplicable
-            Err(Err(e)) => panic!(
-                "{}: {} x{threads} ({mode:?}): executor failed: {e}",
-                w.name, spec.label
-            ),
-        }
-    }
-    let last = last?;
-    // One extra traced run, outside the timed loop: the report
-    // rides along in the JSON without perturbing the wall-clock numbers.
-    // It goes through the execution supervisor, so every cell also
-    // records a RecoveryReport — clean on a healthy host, and an explicit
-    // account of retries/degradation if the instrumented run hiccups.
-    let telem_cfg = ExecConfig {
-        trace: Some(TraceSink::new()),
-        ..cfg
-    };
-    let policy = RecoveryPolicy {
-        max_retries: 1,
-        ..RecoveryPolicy::default()
-    };
-    let (telemetry, recovery) =
-        match w.run_scheme_supervised(spec, threads, Backend::Threads, &telem_cfg, &policy) {
-            Ok(out) => (out.telemetry, Some(out.recovery)),
-            Err(Ok(_diag)) => (None, None),
-            Err(Err(fail)) => (None, Some(fail.recovery)),
-        };
-    Some(Cell {
-        wall_us: median(walls),
-        shard: last.stats.shard,
-        delta: last.stats.delta,
-        queue_full_spins: last.stats.queue_full_spins,
-        queue_empty_spins: last.stats.queue_empty_spins,
-        telemetry,
-        recovery,
-    })
-}
-
-fn cell_json(c: &Cell) -> String {
+fn delta_json(d: &DeltaSnapshot) -> String {
     format!(
-        "{{\"wall_us\": {}, \"shard\": {{\"fast_acquires\": {}, \"fast_waits\": {}, \
-         \"multi_acquires\": {}, \"whole_acquires\": {}}}, \
-         \"delta\": {{\"applies\": {}, \"coalesces\": {}, \"merged_slots\": {}, \
-         \"lock_elisions\": {}}}, \
-         \"queue_full_spins\": {}, \"queue_empty_spins\": {}, \"telemetry\": {}, \
-         \"recovery\": {}}}",
-        c.wall_us,
-        c.shard.fast_acquires,
-        c.shard.fast_waits,
-        c.shard.multi_acquires,
-        c.shard.whole_acquires,
-        c.delta.applies,
-        c.delta.coalesces,
-        c.delta.merged_slots,
-        c.delta.lock_elisions,
-        c.queue_full_spins,
-        c.queue_empty_spins,
-        c.telemetry
-            .as_ref()
-            .map(|r| r.to_json())
-            .unwrap_or_else(|| "null".to_string()),
-        c.recovery
-            .as_ref()
-            .map(|r| r.to_json())
-            .unwrap_or_else(|| "null".to_string())
+        "{{\"applies\": {}, \"coalesces\": {}, \"merged_slots\": {}, \"lock_elisions\": {}}}",
+        d.applies, d.coalesces, d.merged_slots, d.lock_elisions
     )
 }
 
-/// CI's delta perf gate: run one merge-declared reduction workload
-/// entirely in `WorldMode::Deltas` (every DOALL scheme, 2 threads),
-/// validate against the sequential oracle, and fail hard if the delta
-/// path ever touched a shard lock. The `measure` assertions do the
-/// enforcement; this just narrates the counters.
+/// CI's delta perf gate: run one merge-declared reduction workload on
+/// real threads entirely in `WorldMode::Deltas` (every DOALL scheme, 2
+/// threads), validate against the sequential oracle, and fail hard if
+/// the delta path ever touched a shard lock.
 fn delta_smoke(name: &str) {
     let cm = CostModel::default();
     let w = commset_workloads::all()
@@ -271,23 +101,49 @@ fn delta_smoke(name: &str) {
         "{name} declares no merge operators — not a delta workload"
     );
     let (_, seq_world) = w.run_sequential(&cm);
+    let cfg = ExecConfig {
+        world: WorldMode::Deltas,
+        ..ExecConfig::default()
+    };
     let mut cells = 0u32;
     for spec in &w.schemes {
         if spec.scheme != Scheme::Doall {
             continue;
         }
-        let Some(cell) = measure(&w, spec, 2, WorldMode::Deltas, 1, &seq_world) else {
-            continue;
+        let out = match w.run_scheme_threaded(spec, 2, &cfg) {
+            Ok(out) => out,
+            Err(Ok(_diag)) => continue, // scheme inapplicable
+            Err(Err(e)) => panic!("{name}: {} x2 (Deltas): executor failed: {e}", spec.label),
         };
-        eprintln!(
-            "{:<8} {:<26} x2 deltas: {:>8}us  applies {}  coalesces {}  elisions {}  shard locks {:?}",
-            w.name,
+        (w.validate)(&seq_world, &out.world).unwrap_or_else(|e| {
+            panic!(
+                "{name}: {} x2 (Deltas) computed a wrong answer: {e}",
+                spec.label
+            )
+        });
+        assert!(
+            out.stats.watchdog.is_clean(),
+            "{name}: {} x2 (Deltas): watchdog {:?}",
             spec.label,
-            cell.wall_us,
-            cell.delta.applies,
-            cell.delta.coalesces,
-            cell.delta.lock_elisions,
-            cell.shard
+            out.stats.watchdog
+        );
+        // Updates land in per-worker buffers, so the shard locks stay
+        // cold. One fast acquire is tolerated for a main-thread
+        // pre-section call (md5sum's `file_count`).
+        let (s, d) = (&out.stats.shard, &out.stats.delta);
+        assert!(
+            d.applies > 0,
+            "{name}: {} x2: deltas run never took the privatized path",
+            spec.label
+        );
+        assert!(
+            s.fast_acquires + s.multi_acquires + s.whole_acquires <= 1,
+            "{name}: {} x2: deltas run touched the shard locks: {s:?}",
+            spec.label
+        );
+        eprintln!(
+            "{name:<8} {:<26} x2 deltas: applies {}  coalesces {}  elisions {}  shard locks {s:?}",
+            spec.label, d.applies, d.coalesces, d.lock_elisions
         );
         cells += 1;
     }
@@ -299,8 +155,7 @@ fn delta_smoke(name: &str) {
 /// a mis-invocation from a perf regression, which exits 1).
 fn usage() -> ! {
     eprintln!(
-        "usage: perf [--quick] [--iters K] [--out PATH] \
-         [--delta-smoke WORKLOAD] \
+        "usage: perf [--out PATH] [--delta-smoke WORKLOAD] \
          [--diff OLD.json [--against NEW.json]]"
     );
     std::process::exit(2);
@@ -318,18 +173,18 @@ fn read_report(path: &str) -> Json {
 }
 
 /// The `--diff` mode: baseline vs candidate (a saved report, or a fresh
-/// in-process quick run). Exits 1 when any column regressed.
+/// in-process run). Exits 1 when any column regressed.
 fn run_diff(old_path: &str, against: Option<&str>) -> ! {
     let old = read_report(old_path);
     let new = match against {
         Some(path) => read_report(path),
         None => {
-            eprintln!("no --against report: running the quick suite as the candidate");
-            let (json, _) = run_suite(true, 1);
+            eprintln!("no --against report: running the suite as the candidate");
+            let (json, _) = run_suite();
             Json::parse(&json).expect("in-process report serializes round-trip")
         }
     };
-    let report = diff_reports(&old, &new, &DiffConfig::default()).unwrap_or_else(|e| {
+    let report = diff_reports(&old, &new).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         usage();
     });
@@ -341,47 +196,20 @@ fn run_diff(old_path: &str, against: Option<&str>) -> ! {
 }
 
 fn main() {
-    let mut quick = false;
-    let mut iters = 3usize;
     let mut out_path = "BENCH_PARALLEL.json".to_string();
     let mut diff_path: Option<String> = None;
     let mut against: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--quick" => quick = true,
-            "--iters" => {
-                iters = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(k) => k,
-                    None => usage(),
-                };
-            }
-            "--out" => {
-                out_path = match args.next() {
-                    Some(p) => p,
-                    None => usage(),
-                }
-            }
+            "--out" => out_path = value(),
             "--delta-smoke" => {
-                let name = match args.next() {
-                    Some(n) => n,
-                    None => usage(),
-                };
-                delta_smoke(&name);
+                delta_smoke(&value());
                 return;
             }
-            "--diff" => {
-                diff_path = match args.next() {
-                    Some(p) => Some(p),
-                    None => usage(),
-                }
-            }
-            "--against" => {
-                against = match args.next() {
-                    Some(p) => Some(p),
-                    None => usage(),
-                }
-            }
+            "--diff" => diff_path = Some(value()),
+            "--against" => against = Some(value()),
             other => {
                 eprintln!("error: unknown flag `{other}`");
                 usage();
@@ -395,217 +223,79 @@ fn main() {
         eprintln!("error: --against only applies with --diff");
         usage();
     }
-    if quick {
-        iters = 1;
-    }
-    let (json, rows) = run_suite(quick, iters);
+    let (json, rows) = run_suite();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path} failed: {e}"));
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "wrote {out_path} ({rows} configurations, {iters} iteration(s), \
-         host has {host_threads} hardware thread(s))",
-    );
+    eprintln!("wrote {out_path} ({rows} configurations)");
 }
 
-/// Runs the whole measurement matrix and serializes the report; returns
+/// Runs the whole simulated matrix and serializes the report; returns
 /// `(json, row count)`. Shared by the default write-a-report mode and
 /// `--diff`'s in-process candidate.
-fn run_suite(quick: bool, iters: usize) -> (String, usize) {
-    let threads: Vec<usize> = if quick { vec![2] } else { vec![1, 2, 4, 8] };
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+fn run_suite() -> (String, usize) {
     let cm = CostModel::default();
-
-    let mut rows: Vec<Row> = Vec::new();
+    let mut lines: Vec<String> = Vec::new();
     for w in commset_workloads::all() {
         let (_, seq_world) = w.run_sequential(&cm);
         for spec in &w.schemes {
             if spec.scheme == Scheme::Sequential {
                 continue;
             }
-            for &t in &threads {
-                let Some(single) = measure(&w, spec, t, WorldMode::SingleLock, iters, &seq_world)
+            let delta_row = w.registry.has_merges() && spec.scheme == Scheme::Doall;
+            // The 1-thread time of this scheme: the speedup baseline.
+            let mut base: Option<u64> = None;
+            for t in THREADS {
+                let Some((sim, stats)) = sim_run(&w, spec, t, WorldMode::Auto, &cm, &seq_world)
                 else {
                     continue;
                 };
-                let sharded = if w.registry.has_bindings() {
-                    measure(&w, spec, t, WorldMode::Sharded, iters, &seq_world)
-                } else {
-                    None
-                };
-                let deltas = if w.registry.has_merges() && spec.scheme == Scheme::Doall {
-                    measure(&w, spec, t, WorldMode::Deltas, iters, &seq_world)
-                } else {
-                    None
-                };
-                let sim = sim_time(&w, spec, t, WorldMode::Auto, &cm, &seq_world);
-                let sim_deltas = if deltas.is_some() {
-                    sim_time(&w, spec, t, WorldMode::Deltas, &cm, &seq_world)
-                } else {
-                    None
-                };
-                let mut extra = match sim {
-                    Some(s) => format!("  [sim {s}]"),
-                    None => String::new(),
-                };
-                match (&deltas, sim, sim_deltas) {
-                    (Some(d), Some(s), Some(sd)) => {
-                        let _ = write!(
-                            extra,
-                            "  deltas {:>8}us  [sim {s} -> {sd}, {:.2}x]",
-                            d.wall_us,
-                            s as f64 / sd.max(1) as f64
-                        );
-                    }
-                    (Some(d), _, _) => {
-                        let _ = write!(extra, "  deltas {:>8}us", d.wall_us);
-                    }
-                    _ => {}
+                if t == 1 {
+                    base = Some(sim);
                 }
-                match &sharded {
-                    Some(sh) => eprintln!(
-                        "{:<8} {:<26} x{t}: single {:>8}us  sharded {:>8}us  (ratio {:.2}){extra}",
-                        w.name,
-                        spec.label,
-                        single.wall_us,
-                        sh.wall_us,
-                        single.wall_us as f64 / sh.wall_us.max(1) as f64
-                    ),
-                    None => eprintln!(
-                        "{:<8} {:<26} x{t}: single {:>8}us  (no slot bindings){extra}",
-                        w.name, spec.label, single.wall_us
-                    ),
+                let deltas = if delta_row {
+                    sim_run(&w, spec, t, WorldMode::Deltas, &cm, &seq_world)
+                } else {
+                    None
+                };
+                let speedup = base.map(|b| format!("{:.4}", b as f64 / sim.max(1) as f64));
+                let sim_deltas = deltas.as_ref().map(|(sd, _)| *sd);
+                let over_base =
+                    sim_deltas.map(|sd| format!("{:.4}", sim as f64 / sd.max(1) as f64));
+                let mut note = format!("{:<9} {:<26} x{t}: sim {sim:>8}", w.name, spec.label);
+                if let Some(s) = &speedup {
+                    let _ = write!(note, "  speedup {s}");
                 }
-                rows.push(Row {
-                    workload: w.name.to_string(),
-                    scheme: spec.label.clone(),
-                    threads: t,
-                    single,
-                    sharded,
-                    deltas,
-                    sim_time: sim,
-                    sim_time_deltas: sim_deltas,
-                });
+                if let (Some(sd), Some(r)) = (sim_deltas, &over_base) {
+                    let _ = write!(note, "  deltas {sd:>8} ({r}x)");
+                }
+                eprintln!("{note}");
+                let line = format!(
+                    "{{\"workload\": \"{}\", \"scheme\": \"{}\", \"threads\": {t}, \
+                     \"sim_time\": {sim}, \"sim_speedup\": {}, \"sim_time_deltas\": {}, \
+                     \"sim_deltas_over_base\": {}, \"tm_commits\": {}, \"tm_aborts\": {}, \
+                     \"tm_fallbacks\": {}, \"queue_pushes\": {}, \"queue_stalls\": {}, \
+                     \"delta\": {}}}",
+                    w.name,
+                    spec.label,
+                    opt(speedup),
+                    opt(sim_deltas),
+                    opt(over_base),
+                    stats.tm_commits,
+                    stats.tm_aborts,
+                    stats.tm_fallbacks,
+                    stats.queue_pushes,
+                    stats.queue_stalls,
+                    opt(deltas.map(|(_, ds)| delta_json(&ds.delta))),
+                );
+                lines.push(line);
             }
         }
     }
 
-    // Wall at one thread per (workload, scheme, mode), for speedups.
-    #[allow(clippy::type_complexity)]
-    let mut base: BTreeMap<(String, String), (u128, Option<u128>, Option<u128>)> = BTreeMap::new();
-    for r in &rows {
-        if r.threads == 1 {
-            base.insert(
-                (r.workload.clone(), r.scheme.clone()),
-                (
-                    r.single.wall_us,
-                    r.sharded.as_ref().map(|c| c.wall_us),
-                    r.deltas.as_ref().map(|c| c.wall_us),
-                ),
-            );
-        }
-    }
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"generated_by\": \"commset-bench perf\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"iterations\": {iters},");
-    let _ = writeln!(json, "  \"host_threads\": {host_threads},");
-    let _ = writeln!(
-        json,
-        "  \"threads\": [{}],",
-        threads
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
+    let threads = THREADS.map(|t| t.to_string()).join(", ");
+    let json = format!(
+        "{{\n  \"generated_by\": \"commset-bench perf\",\n  \"threads\": [{threads}],\n  \
+         \"results\": [\n    {}\n  ]\n}}\n",
+        lines.join(",\n    ")
     );
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let key = (r.workload.clone(), r.scheme.clone());
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(json, "      \"scheme\": \"{}\",", r.scheme);
-        let _ = writeln!(json, "      \"threads\": {},", r.threads);
-        let _ = writeln!(json, "      \"single_lock\": {},", cell_json(&r.single));
-        match &r.sharded {
-            Some(sh) => {
-                let ratio = r.single.wall_us as f64 / sh.wall_us.max(1) as f64;
-                let _ = writeln!(json, "      \"sharded\": {},", cell_json(sh));
-                let _ = writeln!(json, "      \"sharded_over_single\": {ratio:.4},");
-            }
-            None => {
-                let _ = writeln!(json, "      \"sharded\": null,");
-                let _ = writeln!(json, "      \"sharded_over_single\": null,");
-            }
-        }
-        match &r.deltas {
-            Some(d) => {
-                let ratio = r.single.wall_us as f64 / d.wall_us.max(1) as f64;
-                let _ = writeln!(json, "      \"deltas\": {},", cell_json(d));
-                let _ = writeln!(json, "      \"deltas_over_single\": {ratio:.4},");
-            }
-            None => {
-                let _ = writeln!(json, "      \"deltas\": null,");
-                let _ = writeln!(json, "      \"deltas_over_single\": null,");
-            }
-        }
-        match r.sim_time {
-            Some(s) => {
-                let _ = writeln!(json, "      \"sim_time\": {s},");
-            }
-            None => {
-                let _ = writeln!(json, "      \"sim_time\": null,");
-            }
-        }
-        match (r.sim_time, r.sim_time_deltas) {
-            (Some(s), Some(sd)) => {
-                let v = s as f64 / sd.max(1) as f64;
-                let _ = writeln!(json, "      \"sim_time_deltas\": {sd},");
-                let _ = writeln!(json, "      \"sim_deltas_over_base\": {v:.4},");
-            }
-            _ => {
-                let _ = writeln!(json, "      \"sim_time_deltas\": null,");
-                let _ = writeln!(json, "      \"sim_deltas_over_base\": null,");
-            }
-        }
-        match base.get(&key) {
-            Some(&(single1, sharded1, deltas1)) => {
-                let ss = single1 as f64 / r.single.wall_us.max(1) as f64;
-                let _ = writeln!(json, "      \"speedup_single\": {ss:.4},");
-                match (sharded1, &r.sharded) {
-                    (Some(b), Some(sh)) => {
-                        let v = b as f64 / sh.wall_us.max(1) as f64;
-                        let _ = writeln!(json, "      \"speedup_sharded\": {v:.4},");
-                    }
-                    _ => {
-                        let _ = writeln!(json, "      \"speedup_sharded\": null,");
-                    }
-                }
-                match (deltas1, &r.deltas) {
-                    (Some(b), Some(d)) => {
-                        let v = b as f64 / d.wall_us.max(1) as f64;
-                        let _ = writeln!(json, "      \"speedup_deltas\": {v:.4}");
-                    }
-                    _ => {
-                        let _ = writeln!(json, "      \"speedup_deltas\": null");
-                    }
-                }
-            }
-            None => {
-                let _ = writeln!(json, "      \"speedup_single\": null,");
-                let _ = writeln!(json, "      \"speedup_sharded\": null,");
-                let _ = writeln!(json, "      \"speedup_deltas\": null");
-            }
-        }
-        let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    (json, rows.len())
+    (json, lines.len())
 }

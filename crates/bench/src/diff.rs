@@ -1,52 +1,30 @@
-//! The noise-aware perf regression differ behind `perf --diff`.
+//! The perf regression differ behind `perf --diff`.
 //!
-//! Compares two `BENCH_PARALLEL.json` reports cell-by-cell — cells are
-//! matched on `(workload, scheme, threads)`, so a quick-mode run (2
-//! threads only) diffs cleanly against the committed full matrix. Two
-//! tolerance regimes, because the report carries two kinds of numbers:
+//! Compares two `BENCH_PARALLEL.json` reports cell-by-cell; cells are
+//! matched on `(workload, scheme, threads)`. Every gated column is a
+//! deterministic simulated clock (`sim_time`, `sim_time_deltas`), so any
+//! drift is a real behavior change and the band is tight: 5% relative
+//! plus a small absolute floor against integer jitter on tiny cells.
 //!
-//! * **simulator columns** (`sim_time`, `sim_time_deltas`) are
-//!   deterministic logical ticks — any drift is a real behavior change,
-//!   so the band is tight (5% relative + a small absolute floor against
-//!   integer jitter on tiny cells);
-//! * **wall-clock columns** (`*.wall_us`) are host- and load-dependent —
-//!   a regression needs *both* a large factor (1.75x) and a large
-//!   absolute delta (10ms), so laptop noise and CI-runner variance don't
-//!   page anyone.
-//!
-//! A cell present in one report but not the other is counted and
-//! narrated but is never a failure: quick mode legitimately covers a
-//! subset of the committed matrix.
+//! `perf` always runs the full matrix, so lost coverage is a regression
+//! too: a baseline cell missing from the candidate, or a simulated column
+//! that went from a number to `null`, means a schedule stopped applying.
+//! Cells and columns only the candidate has pass.
 
 use commset_interp::bundle::Json;
 use std::fmt::Write as _;
 
-/// Tolerance knobs. The defaults are the CI gate's contract: an injected
-/// >=20% simulator slowdown must trip, a self-diff must be silent.
-#[derive(Debug, Clone)]
-pub struct DiffConfig {
-    /// Relative band for deterministic simulator columns (0.05 = 5%).
-    pub sim_rel: f64,
-    /// Absolute tick floor under which simulator drift is ignored.
-    pub sim_abs: u64,
-    /// Factor a wall-clock column must grow by to count as regressed.
-    pub wall_factor: f64,
-    /// Absolute microsecond floor a wall-clock column must also exceed.
-    pub wall_abs_us: u64,
-}
+/// Relative band for the simulated columns (0.05 = 5%). With
+/// [`SIM_ABS`] this is the CI gate's contract: an injected >=20%
+/// simulated slowdown must trip, a self-diff must be silent.
+pub const SIM_REL: f64 = 0.05;
+/// Absolute tick floor under which simulated drift is ignored.
+pub const SIM_ABS: u64 = 50;
 
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            sim_rel: 0.05,
-            sim_abs: 50,
-            wall_factor: 1.75,
-            wall_abs_us: 10_000,
-        }
-    }
-}
+/// The gated columns: deterministic simulated ticks.
+const SIM_COLUMNS: [&str; 2] = ["sim_time", "sim_time_deltas"];
 
-/// One compared column of one matched cell.
+/// One compared column of one baseline cell.
 #[derive(Debug, Clone)]
 pub struct ColumnDiff {
     /// Workload name.
@@ -55,16 +33,27 @@ pub struct ColumnDiff {
     pub scheme: String,
     /// Thread count.
     pub threads: u64,
-    /// Column path, e.g. `sim_time` or `sharded.wall_us`.
+    /// Column name, e.g. `sim_time`.
     pub column: String,
     /// Baseline value.
     pub old: u64,
-    /// Candidate value.
-    pub new: u64,
-    /// `new / old` (1.0 when the baseline is 0).
-    pub ratio: f64,
-    /// True when the column exceeded its tolerance regime.
+    /// Candidate value; `None` when the candidate lost the cell or the
+    /// column went to `null`.
+    pub new: Option<u64>,
+    /// True when the column exceeded the band or was lost.
     pub regressed: bool,
+}
+
+impl ColumnDiff {
+    /// `new / old` (1.0 when the baseline is 0); `None` for a lost column.
+    pub fn ratio(&self) -> Option<f64> {
+        let n = self.new?;
+        Some(if self.old == 0 {
+            1.0
+        } else {
+            n as f64 / self.old as f64
+        })
+    }
 }
 
 /// The outcome of diffing two reports.
@@ -72,7 +61,7 @@ pub struct ColumnDiff {
 pub struct DiffReport {
     /// Cells matched on `(workload, scheme, threads)`.
     pub matched: usize,
-    /// Cells only in the baseline (e.g. full matrix vs quick run).
+    /// Cells only in the baseline (their columns count as regressions).
     pub only_old: usize,
     /// Cells only in the candidate.
     pub only_new: usize,
@@ -81,7 +70,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// The columns that exceeded tolerance.
+    /// The columns that exceeded tolerance or were lost.
     pub fn regressions(&self) -> Vec<&ColumnDiff> {
         self.columns.iter().filter(|c| c.regressed).collect()
     }
@@ -96,14 +85,18 @@ impl DiffReport {
         } else {
             let _ = writeln!(
                 s,
-                "{:<10} {:<26} {:>3}  {:<22} {:>12} {:>12} {:>7}",
+                "{:<10} {:<26} {:>3}  {:<16} {:>12} {:>12} {:>7}",
                 "workload", "scheme", "thr", "column", "old", "new", "ratio"
             );
             for c in &regs {
+                let (new, ratio) = match (c.new, c.ratio()) {
+                    (Some(n), Some(r)) => (n.to_string(), format!("{r:.2}x")),
+                    _ => ("lost".to_string(), "-".to_string()),
+                };
                 let _ = writeln!(
                     s,
-                    "{:<10} {:<26} {:>3}  {:<22} {:>12} {:>12} {:>6.2}x  REGRESSED",
-                    c.workload, c.scheme, c.threads, c.column, c.old, c.new, c.ratio
+                    "{:<10} {:<26} {:>3}  {:<16} {:>12} {:>12} {:>7}  REGRESSED",
+                    c.workload, c.scheme, c.threads, c.column, c.old, new, ratio
                 );
             }
         }
@@ -129,28 +122,18 @@ fn cell_key(r: &Json) -> Option<(String, String, u64)> {
     ))
 }
 
-/// Walks a dotted column path (`sharded.wall_us`) down nested objects.
-fn column_value(r: &Json, path: &str) -> Option<u64> {
-    let mut v = r;
-    for seg in path.split('.') {
-        v = v.get(seg)?;
-    }
-    v.as_u64()
+fn column_value(r: &Json, column: &str) -> Option<u64> {
+    r.get(column)?.as_u64()
 }
 
-/// Simulator columns: deterministic ticks, tight band.
-const SIM_COLUMNS: [&str; 2] = ["sim_time", "sim_time_deltas"];
-/// Wall-clock columns: noisy, factor + absolute-floor band.
-const WALL_COLUMNS: [&str; 3] = ["single_lock.wall_us", "sharded.wall_us", "deltas.wall_us"];
-
 /// Diffs candidate `new` against baseline `old` (both the JSON of a
-/// `perf` report) under `cfg`.
+/// `perf` report).
 ///
 /// # Errors
 ///
 /// Returns a message when either report lacks the `results` array — a
 /// wrong or truncated file, not a perf report.
-pub fn diff_reports(old: &Json, new: &Json, cfg: &DiffConfig) -> Result<DiffReport, String> {
+pub fn diff_reports(old: &Json, new: &Json) -> Result<DiffReport, String> {
     let old_results = old
         .get("results")
         .and_then(Json::as_arr)
@@ -169,36 +152,33 @@ pub fn diff_reports(old: &Json, new: &Json, cfg: &DiffConfig) -> Result<DiffRepo
             .iter()
             .enumerate()
             .find(|(_, n)| cell_key(n).as_ref() == Some(&key));
-        let Some((idx, new_cell)) = found else {
-            report.only_old += 1;
-            continue;
+        let new_cell = match found {
+            Some((idx, cell)) => {
+                matched_new[idx] = true;
+                report.matched += 1;
+                Some(cell)
+            }
+            None => {
+                report.only_old += 1;
+                None
+            }
         };
-        matched_new[idx] = true;
-        report.matched += 1;
-        for (path, sim) in SIM_COLUMNS
-            .iter()
-            .map(|p| (*p, true))
-            .chain(WALL_COLUMNS.iter().map(|p| (*p, false)))
-        {
-            let (Some(o), Some(n)) = (column_value(old_cell, path), column_value(new_cell, path))
-            else {
-                continue; // column absent (null) on either side
+        for column in SIM_COLUMNS {
+            let Some(o) = column_value(old_cell, column) else {
+                continue; // baseline has no number here: nothing to lose
             };
-            let ratio = if o == 0 { 1.0 } else { n as f64 / o as f64 };
-            let grew = n.saturating_sub(o);
-            let regressed = if sim {
-                grew > cfg.sim_abs.max((o as f64 * cfg.sim_rel) as u64)
-            } else {
-                n as f64 > o as f64 * cfg.wall_factor && grew > cfg.wall_abs_us
+            let n = new_cell.and_then(|c| column_value(c, column));
+            let regressed = match n {
+                Some(n) => n.saturating_sub(o) > SIM_ABS.max((o as f64 * SIM_REL) as u64),
+                None => true,
             };
             report.columns.push(ColumnDiff {
                 workload: key.0.clone(),
                 scheme: key.1.clone(),
                 threads: key.2,
-                column: path.to_string(),
+                column: column.to_string(),
                 old: o,
                 new: n,
-                ratio,
                 regressed,
             });
         }
@@ -212,27 +192,14 @@ mod tests {
     use super::*;
 
     /// A minimal two-cell perf report in the real serialization shape.
-    fn sample(sim_md5: u64, wall_md5: u64) -> String {
+    fn sample(sim_md5: u64) -> String {
         format!(
             r#"{{
   "generated_by": "commset-bench perf",
+  "threads": [2],
   "results": [
-    {{
-      "workload": "md5sum", "scheme": "Comm-DOALL (Lib)", "threads": 2,
-      "single_lock": {{"wall_us": {wall_md5}, "queue_full_spins": 0}},
-      "sharded": {{"wall_us": 1500}},
-      "deltas": null,
-      "sim_time": {sim_md5},
-      "sim_time_deltas": null
-    }},
-    {{
-      "workload": "grep", "scheme": "Comm-PS-DSWP", "threads": 2,
-      "single_lock": {{"wall_us": 900}},
-      "sharded": null,
-      "deltas": null,
-      "sim_time": 70000,
-      "sim_time_deltas": null
-    }}
+    {{"workload": "md5sum", "scheme": "Comm-DOALL (Lib)", "threads": 2, "sim_time": {sim_md5}, "sim_speedup": null, "sim_time_deltas": null, "sim_deltas_over_base": null, "tm_commits": 0, "tm_aborts": 0, "tm_fallbacks": 0, "queue_pushes": 0, "queue_stalls": 0, "delta": null}},
+    {{"workload": "grep", "scheme": "Comm-PS-DSWP", "threads": 2, "sim_time": 70000, "sim_speedup": null, "sim_time_deltas": null, "sim_deltas_over_base": null, "tm_commits": 0, "tm_aborts": 0, "tm_fallbacks": 0, "queue_pushes": 40, "queue_stalls": 3, "delta": null}}
   ]
 }}"#
         )
@@ -242,10 +209,36 @@ mod tests {
         Json::parse(s).expect("sample parses")
     }
 
+    fn committed_baseline() -> Json {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PARALLEL.json");
+        let text = std::fs::read_to_string(path).expect("committed baseline exists");
+        Json::parse(&text).expect("committed baseline parses")
+    }
+
+    /// Multiplies every simulated column in `v` by `factor`.
+    fn scale_sim(v: &Json, factor: f64) -> Json {
+        match v {
+            Json::Arr(items) => Json::Arr(items.iter().map(|i| scale_sim(i, factor)).collect()),
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| match v.as_u64() {
+                        Some(n) if SIM_COLUMNS.contains(&k.as_str()) => {
+                            let scaled = (n as f64 * factor).round() as u64;
+                            (k.clone(), Json::Num(scaled.to_string()))
+                        }
+                        _ => (k.clone(), scale_sim(v, factor)),
+                    })
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
     #[test]
     fn self_diff_is_clean() {
-        let a = parse(&sample(450_000, 1400));
-        let d = diff_reports(&a, &a, &DiffConfig::default()).unwrap();
+        let a = parse(&sample(450_000));
+        let d = diff_reports(&a, &a).unwrap();
         assert_eq!(d.matched, 2);
         assert!(d.regressions().is_empty(), "{}", d.render_text());
         assert_eq!(d.only_old + d.only_new, 0);
@@ -254,77 +247,94 @@ mod tests {
 
     #[test]
     fn injected_twenty_percent_sim_slowdown_is_flagged() {
-        let old = parse(&sample(450_000, 1400));
-        let new = parse(&sample(540_000, 1400)); // +20% sim ticks
-        let d = diff_reports(&old, &new, &DiffConfig::default()).unwrap();
+        let old = parse(&sample(450_000));
+        let new = parse(&sample(540_000)); // +20% sim ticks
+        let d = diff_reports(&old, &new).unwrap();
         let regs = d.regressions();
         assert_eq!(regs.len(), 1, "{}", d.render_text());
         assert_eq!(regs[0].column, "sim_time");
-        assert!((regs[0].ratio - 1.2).abs() < 1e-9);
+        assert!((regs[0].ratio().unwrap() - 1.2).abs() < 1e-9);
         assert!(d.render_text().contains("REGRESSED"));
     }
 
     #[test]
     fn small_sim_drift_within_band_passes() {
-        let old = parse(&sample(450_000, 1400));
-        let new = parse(&sample(460_000, 1400)); // +2.2%
-        let d = diff_reports(&old, &new, &DiffConfig::default()).unwrap();
+        let old = parse(&sample(450_000));
+        let new = parse(&sample(460_000)); // +2.2%
+        let d = diff_reports(&old, &new).unwrap();
         assert!(d.regressions().is_empty(), "{}", d.render_text());
     }
 
     #[test]
-    fn wall_noise_needs_factor_and_absolute_floor() {
-        // 3x growth but only ~3ms absolute: noise on a fast cell.
-        let old = parse(&sample(450_000, 1400));
-        let new = parse(&sample(450_000, 4400));
-        let d = diff_reports(&old, &new, &DiffConfig::default()).unwrap();
-        assert!(d.regressions().is_empty(), "{}", d.render_text());
-        // 3x growth AND 2.8 seconds absolute: a real wall regression.
-        let new = parse(&sample(450_000, 2_800_000));
-        let d = diff_reports(&old, &new, &DiffConfig::default()).unwrap();
-        let regs = d.regressions();
-        assert_eq!(regs.len(), 1, "{}", d.render_text());
-        assert_eq!(regs[0].column, "single_lock.wall_us");
-    }
-
-    #[test]
-    fn unmatched_cells_are_counted_not_failed() {
-        let old = parse(&sample(450_000, 1400));
-        // Candidate covers only one of the two baseline cells.
+    fn lost_cells_fail_new_cells_pass() {
+        let old = parse(&sample(450_000));
+        // Candidate lost the grep cell: a schedule stopped applying.
         let new = parse(
             r#"{"results": [
               {"workload": "md5sum", "scheme": "Comm-DOALL (Lib)", "threads": 2,
-               "single_lock": {"wall_us": 1400}, "sim_time": 450000}
+               "sim_time": 450000}
             ]}"#,
         );
-        let d = diff_reports(&old, &new, &DiffConfig::default()).unwrap();
+        let d = diff_reports(&old, &new).unwrap();
         assert_eq!(d.matched, 1);
         assert_eq!(d.only_old, 1);
         assert_eq!(d.only_new, 0);
-        assert!(d.regressions().is_empty());
+        let regs = d.regressions();
+        assert_eq!(regs.len(), 1, "{}", d.render_text());
+        assert_eq!((regs[0].workload.as_str(), regs[0].new), ("grep", None));
+        assert!(d.render_text().contains("lost"), "{}", d.render_text());
+        // The reverse direction only gains coverage: it passes.
+        let d = diff_reports(&new, &old).unwrap();
+        assert_eq!((d.matched, d.only_old, d.only_new), (1, 0, 1));
+        assert!(d.regressions().is_empty(), "{}", d.render_text());
+        // A simulated column gone to null is lost coverage too.
+        let nulled = parse(&sample(450_000).replace("\"sim_time\": 70000", "\"sim_time\": null"));
+        let d = diff_reports(&old, &nulled).unwrap();
+        assert_eq!(d.matched, 2);
+        let regs = d.regressions();
+        assert_eq!(regs.len(), 1, "{}", d.render_text());
+        assert_eq!((regs[0].column.as_str(), regs[0].new), ("sim_time", None));
+        assert!(diff_reports(&nulled, &old)
+            .unwrap()
+            .regressions()
+            .is_empty());
     }
 
     #[test]
     fn non_reports_are_errors() {
         let junk = parse(r#"{"hello": 1}"#);
-        let ok = parse(&sample(1, 1));
-        assert!(diff_reports(&junk, &ok, &DiffConfig::default())
-            .unwrap_err()
-            .contains("baseline"));
-        assert!(diff_reports(&ok, &junk, &DiffConfig::default())
-            .unwrap_err()
-            .contains("candidate"));
+        let ok = parse(&sample(1));
+        assert!(diff_reports(&junk, &ok).unwrap_err().contains("baseline"));
+        assert!(diff_reports(&ok, &junk).unwrap_err().contains("candidate"));
     }
 
     #[test]
     fn committed_baseline_self_diffs_clean() {
         // The repo's committed BENCH_PARALLEL.json must parse as a perf
         // report and self-diff with zero regressions.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PARALLEL.json");
-        let text = std::fs::read_to_string(path).expect("committed baseline exists");
-        let v = Json::parse(&text).expect("committed baseline parses");
-        let d = diff_reports(&v, &v, &DiffConfig::default()).unwrap();
+        let v = committed_baseline();
+        let d = diff_reports(&v, &v).unwrap();
         assert!(d.matched > 0);
+        assert_eq!(d.only_old + d.only_new, 0);
         assert!(d.regressions().is_empty(), "{}", d.render_text());
+    }
+
+    #[test]
+    fn committed_baseline_trips_on_twenty_percent_slowdown() {
+        // The real file, not just the sample: every simulated column
+        // slowed by 20% beyond the absolute floor must be flagged.
+        let old = committed_baseline();
+        let new = scale_sim(&old, 1.2);
+        let d = diff_reports(&old, &new).unwrap();
+        assert!(d.matched > 0);
+        let mut gated = 0;
+        for c in &d.columns {
+            if c.new.unwrap() - c.old > SIM_ABS {
+                assert!(c.regressed, "{c:?}");
+                gated += 1;
+            }
+        }
+        assert!(gated >= d.matched, "{gated} gated columns");
+        assert_eq!(d.regressions().len(), gated);
     }
 }

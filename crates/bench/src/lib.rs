@@ -10,13 +10,13 @@
 //! | Figure 3 | `figure3` | md5sum schedule timelines (Seq / PS-DSWP / DOALL) |
 //! | Figure 6 | `figure6` | speedup-vs-threads series per program + geomean |
 //!
-//! Benches (`cargo bench`, self-harnessed — the workspace carries no
-//! external dependencies) measure the compiler itself (`compiler_phases`)
-//! and the per-figure regeneration cost (`figures`).
+//! `perf` writes the simulated-clock report `BENCH_PARALLEL.json` and
+//! gates it with [`diff`]. Host wall time (compiler phases, the figure
+//! sweep, real threads) is measured by the separate `perfbench`
+//! workspace.
 
 pub mod diff;
 pub mod table1;
-pub mod timing;
 
 use commset_sim::CostModel;
 use commset_workloads::Workload;

@@ -45,11 +45,10 @@ impl Json {
     ///
     /// Returns a byte-offset diagnostic for malformed input.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(v)
@@ -119,14 +118,15 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
+        Some(b'"') => parse_string(s, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -136,7 +136,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -158,10 +158,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(s, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(s, pos)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -192,7 +192,8 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     if b.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -230,11 +231,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences intact).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf8 in string")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape in one go.
+                // Both are ASCII, so the run ends on a char boundary of the
+                // already-valid input and multi-byte scalars stay intact.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(&s[start..*pos]);
             }
         }
     }
@@ -557,6 +561,20 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} extra").is_err());
+    }
+
+    #[test]
+    fn json_strings_keep_multibyte_utf8_and_escapes() {
+        let v =
+            Json::parse(r#"["héllo → 世界 🦀", "a\"é\\b\u00e9\n🦀\t", "", "\u4e16x"]"#).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("héllo → 世界 🦀"));
+        assert_eq!(items[1].as_str(), Some("a\"é\\bé\n🦀\t"));
+        assert_eq!(items[2].as_str(), Some(""));
+        assert_eq!(items[3].as_str(), Some("世x"));
+        let obj = Json::parse("{\"clé\": \"über\"}").unwrap();
+        assert_eq!(obj.get("clé").and_then(Json::as_str), Some("über"));
+        assert!(Json::parse("\"née").is_err());
     }
 
     #[test]
