@@ -13,6 +13,9 @@
 //! only their *order*). Lock and transaction intrinsics are therefore
 //! no-ops here; pipeline queues are real FIFOs.
 //!
+//! Without a plan, the same loop runs the untransformed program: that is
+//! the sequential oracle every schedule is compared to.
+//!
 //! The run is a pure function of `(module, plan, scheduler, model config)`
 //! — same inputs, same interleaving, same final world.
 
@@ -107,8 +110,7 @@ pub struct ControlledOutcome {
     pub globals: Vec<(String, Value)>,
     /// The region interleaving that was executed.
     pub log: Vec<RegionExec>,
-    /// VM steps spent (against the step budget) — the exploration
-    /// throughput denominator the metrics registry reports.
+    /// VM steps spent (against the step budget).
     pub steps: u64,
 }
 
@@ -434,8 +436,15 @@ impl<'m> Machine<'m> {
     }
 }
 
-/// Runs the transformed `module` under `plan`, scheduling same-section
-/// region instances with `sched`.
+/// VM steps one controlled run may spend (guards against runaway loops).
+const STEP_BUDGET: u64 = 2_000_000;
+
+/// Runs `module` against a fresh model world. With a `plan`, this is a
+/// transformed program: its parallel section runs with same-section
+/// region instances scheduled by `sched`. Without one, it is the
+/// sequential oracle every schedule is compared to: sequentially
+/// consistent (no store-buffer window), every runtime intrinsic is
+/// rejected, and `sched` is never consulted.
 ///
 /// # Errors
 ///
@@ -443,25 +452,25 @@ impl<'m> Machine<'m> {
 /// exhaustion or unsupported program shapes.
 pub fn run_controlled(
     module: &Module,
-    plan: &ParallelPlan,
+    plan: Option<&ParallelPlan>,
     model_cfg: &ModelConfig,
     sched: &mut dyn Scheduler,
-    step_budget: u64,
 ) -> Result<ControlledOutcome, CheckError> {
+    let mut model_cfg = model_cfg.clone();
+    if plan.is_none() {
+        // The oracle is sequentially consistent by definition.
+        model_cfg.sb_window = None;
+    }
+    let queues = plan.map_or(&[][..], |p| &p.queues);
     // Declared before `machine` and the VMs so it outlives every borrow.
     let bc = BcModule::compile(module);
     let mut machine = Machine {
         module,
-        world: ModelWorld::new(model_cfg.clone()),
-        budget: step_budget,
-        queues: plan.queues.iter().map(|_| VecDeque::new()).collect(),
-        queue_index: plan
-            .queues
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.id, i))
-            .collect(),
+        budget: STEP_BUDGET,
+        queues: queues.iter().map(|_| VecDeque::new()).collect(),
+        queue_index: queues.iter().enumerate().map(|(i, q)| (q.id, i)).collect(),
         pause_world: model_cfg.pause_at_world_calls,
+        world: ModelWorld::new(model_cfg),
     };
     let mut globals = PlainGlobals::new(module);
     let mut main = BcVm::for_name(module, &bc, "main", &[])?;
@@ -474,29 +483,38 @@ pub fn run_controlled(
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
                 let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if p.op == Some(RtOp::ParInvoke) {
-                    let section = p.args[0].as_int();
-                    if section != plan.section {
-                        return Err(CheckError::Unsupported(format!(
-                            "section {section} has no plan"
-                        )));
+                match (p.op, plan) {
+                    (None, _) => {
+                        let v = machine.world.call(&module.intrinsics, name, &p.args);
+                        main.resolve_special(v);
                     }
-                    run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
-                    main.resolve_special(Value::Int(0));
-                } else if p.op.is_some() {
-                    return Err(CheckError::Unsupported(format!(
-                        "synchronization intrinsic {name} outside a section"
-                    )));
-                } else {
-                    let v = machine.world.call(&module.intrinsics, name, &p.args);
-                    main.resolve_special(v);
+                    (Some(_), None) => {
+                        return Err(CheckError::Unsupported(format!(
+                            "synchronization intrinsic {name} in the sequential oracle"
+                        )))
+                    }
+                    (Some(RtOp::ParInvoke), Some(plan)) => {
+                        let section = p.args[0].as_int();
+                        if section != plan.section {
+                            return Err(CheckError::Unsupported(format!(
+                                "section {section} has no plan"
+                            )));
+                        }
+                        run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
+                        main.resolve_special(Value::Int(0));
+                    }
+                    (Some(_), Some(_)) => {
+                        return Err(CheckError::Unsupported(format!(
+                            "synchronization intrinsic {name} outside a section"
+                        )))
+                    }
                 }
             }
         }
     }
 
     Ok(ControlledOutcome {
-        steps: step_budget - machine.budget,
+        steps: STEP_BUDGET - machine.budget,
         world: machine.world,
         globals: snapshot_globals(module, &mut globals),
         log,
@@ -517,55 +535,6 @@ fn snapshot_globals(module: &Module, globals: &mut PlainGlobals) -> Vec<(String,
     }
     finals.sort_by(|a, b| a.0.cmp(&b.0));
     finals
-}
-
-/// Runs the *sequential* (untransformed) `module` against a fresh model
-/// world — the oracle every controlled schedule is compared to.
-///
-/// # Errors
-///
-/// Returns a [`CheckError`] on dynamic errors, budget exhaustion, or if a
-/// synchronization intrinsic appears (the module was not sequential).
-pub fn run_sequential_model(
-    module: &Module,
-    model_cfg: &ModelConfig,
-    step_budget: u64,
-) -> Result<ControlledOutcome, CheckError> {
-    // The oracle is sequentially consistent by definition: a stray
-    // per-run store-buffer window must not leak into it.
-    let mut seq_cfg = model_cfg.clone();
-    seq_cfg.sb_window = None;
-    let bc = BcModule::compile(module);
-    let mut world = ModelWorld::new(seq_cfg);
-    let mut globals = PlainGlobals::new(module);
-    let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
-    let mut budget = step_budget;
-    loop {
-        if budget == 0 {
-            return Err(CheckError::BudgetExhausted);
-        }
-        budget -= 1;
-        match vm.step(&mut globals)? {
-            StepOutcome::Ran { .. } => {}
-            StepOutcome::Finished(_) => break,
-            StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
-                if p.op.is_some() {
-                    return Err(CheckError::Unsupported(format!(
-                        "synchronization intrinsic {name} in the sequential oracle"
-                    )));
-                }
-                let v = world.call(&module.intrinsics, name, &p.args);
-                vm.resolve_special(v);
-            }
-        }
-    }
-    Ok(ControlledOutcome {
-        steps: step_budget - budget,
-        world,
-        globals: snapshot_globals(module, &mut globals),
-        log: Vec::new(),
-    })
 }
 
 fn run_section<'m, 'e>(
@@ -713,7 +682,7 @@ mod tests {
         };
         let sync = module("extern void __tx_begin(); int main() { __tx_begin(); return 0; }");
         let cfg = ModelConfig::default();
-        let err = run_sequential_model(&sync, &cfg, 1000).unwrap_err();
+        let err = run_controlled(&sync, None, &cfg, &mut Canonical).unwrap_err();
         assert_eq!(
             err,
             CheckError::Unsupported(
@@ -731,7 +700,7 @@ mod tests {
             section: 0,
             estimated_cost: 0.0,
         };
-        let err = run_controlled(&sync, &plan, &cfg, &mut Canonical, 1000).unwrap_err();
+        let err = run_controlled(&sync, Some(&plan), &cfg, &mut Canonical).unwrap_err();
         assert_eq!(
             err,
             CheckError::Unsupported(
@@ -740,8 +709,8 @@ mod tests {
         );
         // A user intrinsic is a world call, whatever its name looks like.
         let user = module("extern int __user_hook(int x); int main() { return __user_hook(3); }");
-        assert!(run_sequential_model(&user, &cfg, 1000).is_ok());
-        assert!(run_controlled(&user, &plan, &cfg, &mut Canonical, 1000).is_ok());
+        assert!(run_controlled(&user, None, &cfg, &mut Canonical).is_ok());
+        assert!(run_controlled(&user, Some(&plan), &cfg, &mut Canonical).is_ok());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The schedule explorer — a DPOR-lite commutativity checker.
 //!
-//! [`check_source`] compiles an annotated program through the full
-//! COMMSET pipeline, runs the *sequential* program once against the
+//! [`check_source`] compiles an annotated program through the
+//! [`Compiler`] driver, runs the *sequential* program once against the
 //! abstract [`crate::model::ModelWorld`] (the oracle), then replays the
 //! *transformed* program under a budgeted family of schedules that
 //! systematically permute the order of same-CommSet region instances:
@@ -31,24 +31,17 @@
 //! explored schedules, same verdict, regardless of `jobs`.
 
 use crate::exec::{
-    render_interleaving, run_controlled, run_sequential_model, Canonical, Chaos, ControlledOutcome,
-    Delay, RegionExec, Reverse, RoundRobin, Scheduler,
+    render_interleaving, run_controlled, Canonical, Chaos, ControlledOutcome, Delay, RegionExec,
+    Reverse, RoundRobin, Scheduler,
 };
 use crate::model::ModelConfig;
 use crate::pool;
 use crate::report::{CheckFailure, CheckReport, ReplayInfo, Verdict, Violation};
 use crate::shrink::shrink_schedule;
-use commset_analysis::depanalysis::analyze_commutativity;
-use commset_analysis::effects::summarize;
-use commset_analysis::hotloop::find_hot_loop;
-use commset_analysis::metadata::manage;
-use commset_analysis::pdg::Pdg;
-use commset_analysis::scc::dag_scc;
 use commset_analysis::{region_catalog, RegionInfo};
 use commset_ir::{lower_program, IntrinsicTable, Module};
 use commset_lang::diag::Diagnostic;
-use commset_transform::{doall, dswp, ParallelPlan, SyncMode};
-use std::collections::BTreeSet;
+use commset_transform::{Analysis, Compiler, ParallelPlan, Scheme, SyncMode};
 
 /// Campaign knobs. Everything is deterministic: two runs with equal
 /// configs explore the same schedules and reach the same verdict — and
@@ -60,8 +53,6 @@ pub struct CheckConfig {
     /// Total number of schedules to explore (≥ 1; the canonical schedule
     /// always runs first).
     pub budget: usize,
-    /// VM step budget per schedule (guards against runaway loops).
-    pub step_budget: u64,
     /// Seed for the chaos schedules.
     pub seed: u64,
     /// Checker threads exploring the schedule space (the `--jobs` knob).
@@ -84,7 +75,6 @@ impl Default for CheckConfig {
         CheckConfig {
             nthreads: 2,
             budget: 24,
-            step_budget: 2_000_000,
             seed: 0x5eed_c0de,
             jobs: 1,
             relaxed: false,
@@ -251,87 +241,33 @@ pub fn schedule_specs(cfg: &CheckConfig) -> Vec<ScheduleSpec> {
     specs
 }
 
-/// The transformed module, its plan, and the scheme label.
+/// The transformed module, its plan, and the scheme label: DOALL, then
+/// PS-DSWP, then DSWP, the first that applies. Only the pick is lowered,
+/// so a lowering error propagates instead of falling through.
 fn pick_transform(
-    analysis: &PipelineOut,
-    table: &IntrinsicTable,
+    compiler: &Compiler,
+    analysis: &Analysis,
     nthreads: usize,
 ) -> Result<(Module, ParallelPlan, String), Diagnostic> {
-    let no_irrevocable = BTreeSet::new();
-    let first_err = match doall::apply_doall(
-        &analysis.managed,
-        &analysis.hot,
-        &analysis.pdg,
-        &analysis.summaries,
-        &no_irrevocable,
-        nthreads,
-        SyncMode::Lib,
-        0,
-    ) {
-        Ok(pp) => {
-            let module = lower_program(&pp.program, table.clone())?;
-            return Ok((module, pp.plan, "DOALL".to_string()));
+    let mut first_err = None;
+    for (scheme, label) in [
+        (Scheme::Doall, "DOALL"),
+        (Scheme::PsDswp, "PS-DSWP"),
+        (Scheme::Dswp, "DSWP"),
+    ] {
+        match compiler.compile_to_ast(analysis, scheme, nthreads, SyncMode::Lib) {
+            Ok(pp) => {
+                let module = lower_program(&pp.program, compiler.intrinsics.clone())?;
+                return Ok((module, pp.plan, label.to_string()));
+            }
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
         }
-        Err(e) => e,
-    };
-    if let Ok(pp) = dswp::apply_ps_dswp(
-        &analysis.managed,
-        &analysis.hot,
-        &analysis.pdg,
-        &analysis.dag,
-        &analysis.summaries,
-        &no_irrevocable,
-        nthreads,
-        SyncMode::Lib,
-        0,
-    ) {
-        let module = lower_program(&pp.program, table.clone())?;
-        return Ok((module, pp.plan, "PS-DSWP".to_string()));
     }
-    match dswp::apply_pipeline(
-        &analysis.managed,
-        &analysis.hot,
-        &analysis.pdg,
-        &analysis.dag,
-        &analysis.summaries,
-        &no_irrevocable,
-        nthreads,
-        SyncMode::Lib,
-        0,
-    ) {
-        Ok(pp) => {
-            let module = lower_program(&pp.program, table.clone())?;
-            Ok((module, pp.plan, "DSWP".to_string()))
-        }
-        // Report the DOALL inhibitor: it names the loop-carried dependence
-        // and is the most actionable of the three diagnostics.
-        Err(_) => Err(first_err),
-    }
-}
-
-struct PipelineOut {
-    managed: commset_analysis::ManagedUnit,
-    hot: commset_analysis::HotLoop,
-    pdg: Pdg,
-    dag: commset_analysis::scc::DagScc,
-    summaries: std::collections::HashMap<String, commset_analysis::effects::FuncEffects>,
-}
-
-fn run_pipeline(source: &str, table: &IntrinsicTable) -> Result<PipelineOut, Diagnostic> {
-    let unit = commset_lang::compile_unit(source)?;
-    let managed = manage(unit)?;
-    let summaries = summarize(&managed.program, table);
-    let hot = find_hot_loop(&managed, &summaries, table, "main")?;
-    let mut pdg = Pdg::build(&hot);
-    analyze_commutativity(&mut pdg, &managed, &hot);
-    let dag = dag_scc(&pdg);
-    Ok(PipelineOut {
-        managed,
-        hot,
-        pdg,
-        dag,
-        summaries,
-    })
+    // Report the DOALL inhibitor: it names the loop-carried dependence
+    // and is the most actionable of the three diagnostics.
+    Err(first_err.expect("three schemes were tried"))
 }
 
 /// Differences between `outcome` and `oracle`: world channel diffs plus
@@ -373,7 +309,7 @@ pub struct ScheduleOutcome {
     /// Set if the run aborted (deadlock, budget, dynamic error).
     pub error: Option<String>,
     /// VM steps the schedule spent (0 when the run aborted before
-    /// reporting), feeding the checker throughput metrics.
+    /// reporting): the exploration-throughput count.
     pub steps: u64,
 }
 
@@ -423,12 +359,13 @@ pub fn prepare_campaign(
     table: &IntrinsicTable,
     cfg: &CheckConfig,
 ) -> Result<PreparedCampaign, Diagnostic> {
-    let analysis = run_pipeline(source, table)?;
+    let compiler = Compiler::new(table.clone());
+    let analysis = compiler.analyze(source)?;
     let regions: Vec<RegionInfo> = region_catalog(&analysis.managed);
 
-    // The sequential oracle (the untransformed program).
-    let seq_module = lower_program(&analysis.managed.program, table.clone())?;
-    let oracle = match run_sequential_model(&seq_module, &cfg.model, cfg.step_budget) {
+    // The sequential oracle: the untransformed program, run without a plan.
+    let seq_module = compiler.compile_sequential(&analysis)?;
+    let oracle = match run_controlled(&seq_module, None, &cfg.model, &mut Canonical) {
         Ok(o) => o,
         Err(e) => {
             return Ok(PreparedCampaign::Skipped {
@@ -439,7 +376,7 @@ pub fn prepare_campaign(
     };
 
     // The transform under test.
-    let (module, plan, scheme) = match pick_transform(&analysis, table, cfg.nthreads) {
+    let (module, plan, scheme) = match pick_transform(&compiler, &analysis, cfg.nthreads) {
         Ok(t) => t,
         Err(d) => {
             return Ok(PreparedCampaign::Skipped {
@@ -488,8 +425,7 @@ impl Campaign {
             .map(|(diffs, log, _)| (diffs, log))
     }
 
-    /// [`Campaign::run_with_scheduler`] plus the VM steps the run spent —
-    /// the exploration-throughput numerator the metrics registry reports.
+    /// [`Campaign::run_with_scheduler`] plus the VM steps the run spent.
     pub fn run_with_scheduler_counted(
         &self,
         window: Option<usize>,
@@ -497,13 +433,7 @@ impl Campaign {
     ) -> Result<(Vec<String>, Vec<RegionExec>, u64), String> {
         let mut model = self.cfg.model.clone();
         model.sb_window = window;
-        match run_controlled(
-            &self.module,
-            &self.plan,
-            &model,
-            sched,
-            self.cfg.step_budget,
-        ) {
+        match run_controlled(&self.module, Some(&self.plan), &model, sched) {
             Ok(outcome) => Ok((
                 outcome_diffs(&self.oracle, &outcome),
                 outcome.log,
@@ -535,25 +465,6 @@ impl Campaign {
                 steps: 0,
             },
         }
-    }
-
-    /// Folds a campaign's outcomes into a metrics registry:
-    /// `checker.schedules` / `checker.violations` / `checker.steps`
-    /// counters and the per-schedule `checker.schedule_steps` step
-    /// histogram. Deterministic for a given outcome list, and entirely
-    /// separate from [`CheckReport`] rendering (which stays byte-stable).
-    pub fn metrics(&self, outcomes: &[ScheduleOutcome]) -> commset_telemetry::MetricsRegistry {
-        let mut reg = commset_telemetry::MetricsRegistry::new();
-        reg.inc("checker.schedules", outcomes.len() as u64);
-        reg.inc(
-            "checker.violations",
-            outcomes.iter().filter(|o| o.violates()).count() as u64,
-        );
-        reg.inc("checker.steps", outcomes.iter().map(|o| o.steps).sum());
-        for o in outcomes {
-            reg.observe("checker.schedule_steps", o.steps);
-        }
-        reg
     }
 
     /// Merges per-schedule outcomes (in spec order) into the final
@@ -639,40 +550,20 @@ pub fn check_source(
     table: &IntrinsicTable,
     cfg: &CheckConfig,
 ) -> Result<CheckReport, Diagnostic> {
-    check_source_with_metrics(source, table, cfg).map(|(report, _)| report)
-}
-
-/// [`check_source`] plus the campaign's exploration-throughput metrics
-/// (`checker.schedules`, `checker.steps`, the per-schedule step
-/// histogram). The report is byte-identical to [`check_source`]'s; the
-/// registry is empty for skipped campaigns.
-///
-/// # Errors
-///
-/// As [`check_source`].
-pub fn check_source_with_metrics(
-    source: &str,
-    table: &IntrinsicTable,
-    cfg: &CheckConfig,
-) -> Result<(CheckReport, commset_telemetry::MetricsRegistry), Diagnostic> {
     let campaign = match prepare_campaign(source, table, cfg)? {
         PreparedCampaign::Ready(c) => c,
         PreparedCampaign::Skipped { reason, regions } => {
-            return Ok((
-                CheckReport {
-                    verdict: Verdict::Skipped { reason },
-                    regions,
-                    explored: Vec::new(),
-                    violations: Vec::new(),
-                    replay: None,
-                },
-                commset_telemetry::MetricsRegistry::new(),
-            ))
+            return Ok(CheckReport {
+                verdict: Verdict::Skipped { reason },
+                regions,
+                explored: Vec::new(),
+                violations: Vec::new(),
+                replay: None,
+            })
         }
     };
     let outcomes = pool::run_specs(&campaign);
-    let metrics = campaign.metrics(&outcomes);
-    Ok((campaign.merge(&outcomes), metrics))
+    Ok(campaign.merge(&outcomes))
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ pub mod report;
 pub mod shrink;
 
 pub use exec::{
-    render_interleaving, run_controlled, run_sequential_model, Canonical, Chaos, CheckError,
-    ControlledOutcome, Delay, Recording, RegionExec, Replay, Reverse, RoundRobin, Scheduler,
+    render_interleaving, run_controlled, Canonical, Chaos, CheckError, ControlledOutcome, Delay,
+    Recording, RegionExec, Replay, Reverse, RoundRobin, Scheduler,
 };
 pub use explore::{
     check_source, prepare_campaign, schedule_specs, Campaign, CheckConfig, PickerSpec,

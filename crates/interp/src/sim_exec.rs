@@ -708,19 +708,11 @@ fn handle_special(
 mod tests {
     use super::*;
     use crate::trace::TraceEvent;
-    use commset_analysis::depanalysis::analyze_commutativity;
-    use commset_analysis::effects::summarize;
-    use commset_analysis::hotloop::find_hot_loop;
-    use commset_analysis::metadata::manage;
-    use commset_analysis::pdg::Pdg;
-    use commset_analysis::scc::dag_scc;
-    use commset_ir::{lower_program, IntrinsicTable};
+    use commset_ir::IntrinsicTable;
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
-    use commset_transform::SyncMode;
-    use commset_transform::{doall, dswp};
-    use std::collections::BTreeSet;
+    use commset_transform::{Compiler, Scheme, SyncMode};
 
     fn table() -> IntrinsicTable {
         let mut t = IntrinsicTable::new();
@@ -763,35 +755,18 @@ mod tests {
     "#;
 
     fn compile_doall(nthreads: usize, sync: SyncMode) -> (Module, ParallelPlan) {
-        let table = table();
-        let unit = commset_lang::compile_unit(DOALL_SRC).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let pp = doall::apply_doall(
-            &managed,
-            &hot,
-            &pdg,
-            &summaries,
-            &BTreeSet::new(),
-            nthreads,
-            sync,
-            0,
-        )
-        .unwrap();
-        let module = lower_program(&pp.program, table).unwrap();
-        (module, pp.plan)
+        let c = Compiler::new(table());
+        let a = c.analyze(DOALL_SRC).unwrap();
+        c.compile(&a, Scheme::Doall, nthreads, sync).unwrap()
     }
 
     #[test]
     fn doall_produces_correct_sum_and_speedup() {
         // Sequential baseline.
-        let table = table();
-        let unit = commset_lang::compile_unit(DOALL_SRC).unwrap();
-        let managed = manage(unit).unwrap();
-        let seq_module = lower_program(&managed.program, table).unwrap();
+        let c = Compiler::new(table());
+        let seq_module = c
+            .compile_sequential(&c.analyze(DOALL_SRC).unwrap())
+            .unwrap();
         let mut world = World::new();
         world.install("acc", 0i64);
         let cm = CostModel::default();
@@ -988,28 +963,10 @@ mod tests {
     "#;
 
     fn compile_pipeline(nthreads: usize) -> (Module, ParallelPlan) {
-        let table = table();
-        let unit = commset_lang::compile_unit(PIPE_SRC).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let dag = dag_scc(&pdg);
-        let pp = dswp::apply_ps_dswp(
-            &managed,
-            &hot,
-            &pdg,
-            &dag,
-            &summaries,
-            &["OUT".to_string()].into(),
-            nthreads,
-            SyncMode::Lib,
-            0,
-        )
-        .unwrap();
-        let module = lower_program(&pp.program, table).unwrap();
-        (module, pp.plan)
+        let c = Compiler::new(table()).with_irrevocable(&["OUT"]);
+        let a = c.analyze(PIPE_SRC).unwrap();
+        c.compile(&a, Scheme::PsDswp, nthreads, SyncMode::Lib)
+            .unwrap()
     }
 
     #[test]

@@ -784,19 +784,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::trace::TraceEvent;
-    use commset_analysis::depanalysis::analyze_commutativity;
-    use commset_analysis::effects::summarize;
-    use commset_analysis::hotloop::find_hot_loop;
-    use commset_analysis::metadata::manage;
-    use commset_analysis::pdg::Pdg;
-    use commset_analysis::scc::dag_scc;
-    use commset_ir::{lower_program, IntrinsicTable};
+    use commset_ir::IntrinsicTable;
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
     use commset_runtime::FaultPlan;
-    use commset_transform::SyncMode;
-    use commset_transform::{doall, dswp};
-    use std::collections::BTreeSet;
+    use commset_transform::{Compiler, Scheme, SyncMode};
 
     fn table() -> IntrinsicTable {
         let mut t = IntrinsicTable::new();
@@ -823,26 +815,30 @@ mod tests {
     }
 
     fn compile_doall(src: &str, nthreads: usize, sync: SyncMode) -> (Module, ParallelPlan) {
-        let table = table();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let pp = doall::apply_doall(
-            &managed,
-            &hot,
-            &pdg,
-            &summaries,
-            &BTreeSet::new(),
-            nthreads,
-            sync,
-            0,
-        )
-        .unwrap();
-        let module = lower_program(&pp.program, table).unwrap();
-        (module, pp.plan)
+        let c = Compiler::new(table());
+        let a = c.analyze(src).unwrap();
+        c.compile(&a, Scheme::Doall, nthreads, sync).unwrap()
+    }
+
+    /// `double` then an ordered `emit`: PS-DSWP at 4 threads, with the
+    /// output stage kept sequential.
+    const PIPE_SRC: &str = r#"
+        extern int double(int x);
+        extern void emit(int y);
+        int main() {
+            int n = 100;
+            for (int i = 0; i < n; i = i + 1) {
+                int y = double(i);
+                emit(y);
+            }
+            return 0;
+        }
+    "#;
+
+    fn compile_pipeline() -> (Module, ParallelPlan) {
+        let c = Compiler::new(table()).with_irrevocable(&["OUT"]);
+        let a = c.analyze(PIPE_SRC).unwrap();
+        c.compile(&a, Scheme::PsDswp, 4, SyncMode::Lib).unwrap()
     }
 
     const SUM_SRC: &str = r#"
@@ -869,42 +865,10 @@ mod tests {
 
     #[test]
     fn threaded_pipeline_preserves_order() {
-        let src = r#"
-            extern int double(int x);
-            extern void emit(int y);
-            int main() {
-                int n = 100;
-                for (int i = 0; i < n; i = i + 1) {
-                    int y = double(i);
-                    emit(y);
-                }
-                return 0;
-            }
-        "#;
-        let table = table();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let dag = dag_scc(&pdg);
-        let pp = dswp::apply_ps_dswp(
-            &managed,
-            &hot,
-            &pdg,
-            &dag,
-            &summaries,
-            &["OUT".to_string()].into(),
-            4,
-            SyncMode::Lib,
-            0,
-        )
-        .unwrap();
-        let module = lower_program(&pp.program, table).unwrap();
+        let (module, plan) = compile_pipeline();
         let mut world = World::new();
         world.install("out", Vec::<i64>::new());
-        let out = run_threaded(&module, &registry(), &[pp.plan], world).unwrap();
+        let out = run_threaded(&module, &registry(), &[plan], world).unwrap();
         let produced = out.world.get::<Vec<i64>>("out");
         let expected: Vec<i64> = (0..100).map(|i| i * 2).collect();
         assert_eq!(produced, &expected);
@@ -1028,39 +992,7 @@ mod tests {
         // The panicking intrinsic fires mid-pipeline, leaving the consumer
         // blocked on its queue: cancellation must unblock it and the run
         // must report the panic message, not abort the process.
-        let src = r#"
-            extern int double(int x);
-            extern void emit(int y);
-            int main() {
-                int n = 100;
-                for (int i = 0; i < n; i = i + 1) {
-                    int y = double(i);
-                    emit(y);
-                }
-                return 0;
-            }
-        "#;
-        let table = table();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let dag = dag_scc(&pdg);
-        let pp = dswp::apply_ps_dswp(
-            &managed,
-            &hot,
-            &pdg,
-            &dag,
-            &summaries,
-            &["OUT".to_string()].into(),
-            4,
-            SyncMode::Lib,
-            0,
-        )
-        .unwrap();
-        let module = lower_program(&pp.program, table).unwrap();
+        let (module, plan) = compile_pipeline();
         let mut reg = Registry::new();
         reg.register("double", |_, args| {
             let x = args[0].as_int();
@@ -1075,7 +1007,7 @@ mod tests {
         });
         let mut world = World::new();
         world.install("out", Vec::<i64>::new());
-        let err = run_threaded(&module, &reg, &[pp.plan], world).unwrap_err();
+        let err = run_threaded(&module, &reg, &[plan], world).unwrap_err();
         match err {
             ExecError::WorkerFailed { cause, .. } => {
                 assert!(cause.contains("intrinsic blew up at 30"), "cause: {cause}");
@@ -1113,10 +1045,8 @@ mod tests {
                 return 0;
             }
         "#;
-        let table = table();
         let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let module = lower_program(&managed.program, table).unwrap();
+        let module = commset_ir::lower_program(&unit.program, table()).unwrap();
         // Wrong type: "acc" holds a String, the handler wants i64.
         let mut world = World::new();
         world.install("acc", String::from("oops"));
@@ -1185,48 +1115,16 @@ mod tests {
 
     #[test]
     fn pipeline_results_hold_across_queue_batch_sizes() {
-        let src = r#"
-            extern int double(int x);
-            extern void emit(int y);
-            int main() {
-                int n = 100;
-                for (int i = 0; i < n; i = i + 1) {
-                    int y = double(i);
-                    emit(y);
-                }
-                return 0;
-            }
-        "#;
         let expected: Vec<i64> = (0..100).map(|i| i * 2).collect();
         for qb in [1usize, 2, 8, 64] {
-            let table = table();
-            let unit = commset_lang::compile_unit(src).unwrap();
-            let managed = manage(unit).unwrap();
-            let summaries = summarize(&managed.program, &table);
-            let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-            let mut pdg = Pdg::build(&hot);
-            analyze_commutativity(&mut pdg, &managed, &hot);
-            let dag = dag_scc(&pdg);
-            let pp = dswp::apply_ps_dswp(
-                &managed,
-                &hot,
-                &pdg,
-                &dag,
-                &summaries,
-                &["OUT".to_string()].into(),
-                4,
-                SyncMode::Lib,
-                0,
-            )
-            .unwrap();
-            let module = lower_program(&pp.program, table).unwrap();
+            let (module, plan) = compile_pipeline();
             let mut world = World::new();
             world.install("out", Vec::<i64>::new());
             let cfg = ExecConfig {
                 queue_batch: qb,
                 ..ExecConfig::default()
             };
-            let out = run_threaded_with(&module, &registry(), &[pp.plan], world, &cfg).unwrap();
+            let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
             assert_eq!(
                 out.world.get::<Vec<i64>>("out"),
                 &expected,

@@ -20,7 +20,7 @@
 //! Key namespaces (by convention, dot-separated):
 //!
 //! * counters — `delta.applies`, `delta.lock_elisions`, `shard.fast_acquires`,
-//!   `checker.schedules`, `checker.steps`, ...
+//!   ...
 //! * histograms — `lock_wait.<SET>`, `channel_wait.<CHANNEL>`,
 //!   `queue_occupancy.<ID>`, `queue_spin.<ID>`, `delta.merge_slots`,
 //!   `world_call.<INTRINSIC>` ...

@@ -626,18 +626,12 @@ pub fn expr_vars(e: &Expr) -> BTreeSet<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_analysis::effects::summarize;
-    use commset_analysis::hotloop::find_hot_loop;
-    use commset_analysis::metadata::manage;
+    use crate::Compiler;
     use commset_ir::IntrinsicTable;
 
     fn setup(src: &str) -> (ManagedUnit, HotLoop) {
-        let table = IntrinsicTable::new();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        (managed, hot)
+        let a = Compiler::new(IntrinsicTable::new()).analyze(src).unwrap();
+        (a.managed, a.hot)
     }
 
     #[test]

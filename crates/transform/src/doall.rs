@@ -302,10 +302,7 @@ pub fn apply_doall_scheduled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_analysis::depanalysis::analyze_commutativity;
-    use commset_analysis::effects::summarize;
-    use commset_analysis::hotloop::find_hot_loop;
-    use commset_analysis::metadata::manage;
+    use crate::Compiler;
     use commset_ir::IntrinsicTable;
     use commset_lang::printer::print_program;
 
@@ -317,15 +314,8 @@ mod tests {
     }
 
     fn run(src: &str, sync: SyncMode) -> Result<ParallelProgram, Diagnostic> {
-        let table = table();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let irrevocable: BTreeSet<String> = ["OUT".to_string()].into();
-        apply_doall(&managed, &hot, &pdg, &summaries, &irrevocable, 4, sync, 0)
+        let c = Compiler::new(table()).with_irrevocable(&["OUT"]);
+        c.compile_to_ast(&c.analyze(src).unwrap(), Scheme::Doall, 4, sync)
     }
 
     const RELAXED: &str = r#"
@@ -405,18 +395,12 @@ mod tests {
 
     #[test]
     fn blocked_schedule_generates_chunked_worker() {
-        let table = table();
-        let unit = commset_lang::compile_unit(RELAXED).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
+        let a = Compiler::new(table()).analyze(RELAXED).unwrap();
         let pp = apply_doall_scheduled(
-            &managed,
-            &hot,
-            &pdg,
-            &summaries,
+            &a.managed,
+            &a.hot,
+            &a.pdg,
+            &a.summaries,
             &BTreeSet::new(),
             4,
             SyncMode::Lib,

@@ -682,11 +682,7 @@ fn gen_stage(g: GenStage<'_>, ids: &mut IdGen) -> Result<FuncDecl, Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_analysis::depanalysis::analyze_commutativity;
-    use commset_analysis::effects::summarize;
-    use commset_analysis::hotloop::find_hot_loop;
-    use commset_analysis::metadata::manage;
-    use commset_analysis::scc::dag_scc;
+    use crate::Compiler;
     use commset_ir::IntrinsicTable;
     use commset_lang::printer::print_program;
 
@@ -709,40 +705,13 @@ mod tests {
     }
 
     fn run(src: &str, nthreads: usize, replicate: bool) -> Result<ParallelProgram, Diagnostic> {
-        let table = table();
-        let unit = commset_lang::compile_unit(src).unwrap();
-        let managed = manage(unit).unwrap();
-        let summaries = summarize(&managed.program, &table);
-        let hot = find_hot_loop(&managed, &summaries, &table, "main").unwrap();
-        let mut pdg = Pdg::build(&hot);
-        analyze_commutativity(&mut pdg, &managed, &hot);
-        let dag = dag_scc(&pdg);
-        let irrevocable: BTreeSet<String> = ["OUT".to_string(), "IN".to_string()].into();
-        if replicate {
-            apply_ps_dswp(
-                &managed,
-                &hot,
-                &pdg,
-                &dag,
-                &summaries,
-                &irrevocable,
-                nthreads,
-                SyncMode::Lib,
-                0,
-            )
+        let c = Compiler::new(table()).with_irrevocable(&["OUT", "IN"]);
+        let scheme = if replicate {
+            Scheme::PsDswp
         } else {
-            apply_pipeline(
-                &managed,
-                &hot,
-                &pdg,
-                &dag,
-                &summaries,
-                &irrevocable,
-                nthreads,
-                SyncMode::Lib,
-                0,
-            )
-        }
+            Scheme::Dswp
+        };
+        c.compile_to_ast(&c.analyze(src).unwrap(), scheme, nthreads, SyncMode::Lib)
     }
 
     /// produce (ordered) -> heavy (pure) -> emit (ordered): the md5sum

@@ -16,9 +16,12 @@
 //! * [`sync`] — the CommSet synchronization engine (rank-ordered
 //!   mutex/spin locks, transactions, `NoSync`/`Lib` handling).
 //! * [`estimate`] — static performance estimates used to rank schemes.
+//! * [`driver`] — the end-to-end [`Compiler`]: analysis, then any scheme
+//!   through the transforms above, then lowering.
 
 pub mod codegen;
 pub mod doall;
+pub mod driver;
 pub mod dswp;
 pub mod estimate;
 pub mod partition;
@@ -26,4 +29,5 @@ pub mod plan;
 pub mod sync;
 
 pub use codegen::{runtime_op, RtOp};
+pub use driver::{Analysis, Compiler};
 pub use plan::{ParallelPlan, ParallelProgram, QueueSpec, Scheme, SyncMode, WorkerSpec};

@@ -5,10 +5,12 @@
 //! itself. The relaxed-visibility half is pinned too: `sb_litmus` must
 //! pass every sequentially-consistent schedule family and fail only once
 //! store buffering is modeled, and the sound checker fixtures must stay
-//! clean even with relaxed mode forced on.
+//! clean even with relaxed mode forced on. Every rendered report of the
+//! checker fixtures and the corpus is pinned byte for byte in
+//! `samples/checker/reports.expected`.
 
 use commset::spec::{build_table, parse_effects, EffectsSpec};
-use commset_checker::{check_source, CheckConfig};
+use commset_checker::{check_source, fuzz_annotations, CheckConfig};
 use std::path::{Path, PathBuf};
 
 fn corpus_dir() -> PathBuf {
@@ -38,9 +40,10 @@ fn corpus_cfg(spec: &EffectsSpec) -> CheckConfig {
     cfg
 }
 
-fn corpus_entries() -> Vec<PathBuf> {
-    let mut entries: Vec<PathBuf> = std::fs::read_dir(corpus_dir())
-        .expect("fixtures/corpus exists and is committed")
+/// The `.cmm` sources in `dir`, sorted.
+fn cmm_files(dir: PathBuf) -> Vec<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir:?} exists and is committed: {e}"))
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "cmm"))
         .collect();
@@ -50,7 +53,7 @@ fn corpus_entries() -> Vec<PathBuf> {
 
 #[test]
 fn every_corpus_entry_is_still_flagged() {
-    let entries = corpus_entries();
+    let entries = cmm_files(corpus_dir());
     assert!(
         !entries.is_empty(),
         "the committed corpus must never be empty"
@@ -195,6 +198,55 @@ fn sound_fixtures_stay_clean_under_relaxed_mode() {
             "{name}: sound fixture flagged under relaxed mode\n{report}"
         );
     }
+}
+
+/// The full rendered [`commset_checker::CheckReport`] of every checker
+/// fixture (its sidecar's config, one checker thread) and every corpus
+/// entry (the full-family budget), plus the annotation fuzzer's report
+/// on `eclat_pred`, byte for byte. Verdicts, explored schedule names,
+/// diffs, both interleavings, the shrunk schedule and the `REPLAY:` line
+/// all sit in one file, so any drift in the checker's pipeline, oracle
+/// or controlled executor shows up as a diff. Regenerate after an
+/// intentional change with `CHECK_GOLDEN_REGEN=1` and review the diff.
+#[test]
+fn checker_reports_match_golden() {
+    let stem = |p: &Path| p.file_stem().unwrap().to_string_lossy().into_owned();
+    let mut got = String::new();
+    for path in cmm_files(checker_fixture_dir()) {
+        let (source, spec) = load(&path);
+        let table = build_table(&source, &spec).expect("externs resolve");
+        let mut cfg = spec.checker_config();
+        cfg.jobs = 1;
+        let report = check_source(&source, &table, &cfg).expect("fixture compiles");
+        got.push_str(&format!("== checker/{}\n{report}\n", stem(&path)));
+        if stem(&path) == "eclat_pred" {
+            let fuzz = fuzz_annotations(&source, &table, &cfg).expect("baseline compiles");
+            got.push_str(&format!("== fuzz/{}\n{fuzz}\n", stem(&path)));
+        }
+    }
+    for path in cmm_files(corpus_dir()) {
+        let (source, spec) = load(&path);
+        let table = build_table(&source, &spec).expect("externs resolve");
+        let report = check_source(&source, &table, &corpus_cfg(&spec)).expect("entry compiles");
+        got.push_str(&format!("== corpus/{}\n{report}\n", stem(&path)));
+    }
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../samples/checker/reports.expected");
+    if std::env::var_os("CHECK_GOLDEN_REGEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create samples/checker");
+        std::fs::write(&path, &got).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("read {path:?}: {e} (regenerate with CHECK_GOLDEN_REGEN=1)"));
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(
+            g,
+            w,
+            "checker report drifted from {path:?} at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(got, want, "checker report golden length changed");
 }
 
 /// End-to-end through the CLI: `commsetc check` replays the committed
