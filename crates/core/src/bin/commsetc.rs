@@ -67,15 +67,15 @@
 //! JSON, loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //! `--metrics` additionally prints the hotspot registry (hot blocks,
 //! opcode mix, contended locks/channels, queue occupancy, counters);
-//! `--journal-out FILE` attaches the causal event journal and saves it
-//! as JSONL.
+//! `--journal-out FILE` renders the run's JSONL event journal after the
+//! run and saves it.
 //!
 //! `report` is the hotspot view: it runs the profile with the metrics
-//! registry and event journal always on and renders the causal run
-//! summary plus the top-`--top` hotspot tables. With `--journal FILE` it
-//! skips execution and renders a previously saved JSONL journal instead
-//! (the terminal `metrics` event embeds the registry, so saved journals
-//! are self-contained).
+//! registry on, renders the journal and prints its causal run summary
+//! plus the top-`--top` hotspot tables. With `--journal FILE` it skips
+//! execution and renders a previously saved JSONL journal instead (the
+//! `metrics` event embeds the registry, so saved journals are
+//! self-contained).
 //!
 //! Intrinsic *types* come from the source's `extern` declarations. Their
 //! *effects* come from an optional sidecar file (`--effects`), one line
@@ -99,13 +99,13 @@
 use commset::merge_law::validate_custom_merges;
 use commset::profile::run_profile_with;
 use commset::replay::{replay_bundle, run_profile_supervised, SyntheticSource};
-use commset::report::parse_journal;
+use commset::report::{parse_journal, render_journal};
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_checker::{check_source, fuzz_annotations};
-use commset_interp::{ExecConfig, FailureBundle, RecoveryPolicy, TraceSink};
+use commset_interp::{run_id, Backend, ExecConfig, FailureBundle, RecoveryPolicy, TraceSink};
 use commset_lang::printer::print_program;
-use commset_telemetry::{chrome_trace_json, Journal};
+use commset_telemetry::chrome_trace_json;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -388,6 +388,32 @@ fn capture_into_corpus(
     Ok(cmm)
 }
 
+/// The deterministic run id of a `profile`/`report` run: the one a
+/// supervised run stamps on its bundles, too.
+fn journal_run_id(args: &Args, scheme: Scheme) -> u64 {
+    let backend = if args.real {
+        Backend::Threads
+    } else {
+        Backend::Sim
+    };
+    run_id(
+        &args.file,
+        &scheme.to_string(),
+        &args.sync.to_string(),
+        args.threads,
+        backend.name(),
+    )
+}
+
+/// Writes the journal `jsonl` renders when `--journal-out` names a file.
+fn save_journal(args: &Args, jsonl: impl FnOnce() -> String) -> Result<(), String> {
+    if let Some(path) = &args.journal_out {
+        std::fs::write(path, jsonl()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("wrote event journal to {path}");
+    }
+    Ok(())
+}
+
 fn run(args: &Args) -> Result<(), String> {
     // `report --journal`: render a saved journal, no compilation at all.
     if args.command == "report" {
@@ -525,17 +551,8 @@ fn run(args: &Args) -> Result<(), String> {
             let scheme = args
                 .scheme
                 .ok_or("report needs --scheme doall|dswp|ps-dswp (or --journal FILE)")?;
-            // Deterministic causal run id: same program + knobs, same id.
-            let journal = Journal::new(Journal::derive_run_id(&[
-                &args.file,
-                &scheme.to_string(),
-                &args.sync.to_string(),
-                &args.threads.to_string(),
-                if args.real { "threads" } else { "sim" },
-            ]));
             let cfg = ExecConfig {
                 metrics: true,
-                journal: Some(journal.clone()),
                 ..ExecConfig::default()
             };
             let out = run_profile_with(
@@ -550,31 +567,25 @@ fn run(args: &Args) -> Result<(), String> {
             )?;
             // Render through the journal loader: the live view and a
             // saved `--journal` view of the same run are identical.
-            let jsonl = journal.to_jsonl();
+            let jsonl = render_journal(
+                journal_run_id(args, scheme),
+                Some(&out.report),
+                out.sim_time,
+                out.metrics.as_ref(),
+                None,
+            );
             let report = parse_journal(&jsonl)?;
             print!("{}", report.render_text(args.top));
             if let Some(t) = out.sim_time {
                 println!("total simulated time: {t} ticks");
             }
-            if let Some(path) = &args.journal_out {
-                std::fs::write(path, &jsonl).map_err(|e| format!("{path}: {e}"))?;
-                eprintln!("wrote event journal to {path}");
-            }
-            Ok(())
+            save_journal(args, || jsonl)
         }
         "profile" => {
             let scheme = args
                 .scheme
                 .ok_or("profile needs --scheme doall|dswp|ps-dswp")?;
-            let journal = (args.metrics || args.journal_out.is_some()).then(|| {
-                Journal::new(Journal::derive_run_id(&[
-                    &args.file,
-                    &scheme.to_string(),
-                    &args.sync.to_string(),
-                    &args.threads.to_string(),
-                    if args.real { "threads" } else { "sim" },
-                ]))
-            });
+            let run_id = journal_run_id(args, scheme);
             if args.recover {
                 // Supervised profile: deadlines, transient retries, the
                 // degradation ladder, and failure-bundle capture.
@@ -583,7 +594,6 @@ fn run(args: &Args) -> Result<(), String> {
                 let cfg = ExecConfig {
                     trace: Some(TraceSink::new()),
                     metrics: args.metrics,
-                    journal: journal.clone(),
                     ..ExecConfig::default()
                 };
                 let mut policy = RecoveryPolicy {
@@ -615,22 +625,20 @@ fn run(args: &Args) -> Result<(), String> {
                             }
                         }
                         if args.metrics {
-                            // The supervised outcome carries no registry;
-                            // the journal's terminal metrics event does.
-                            let from_journal = journal
-                                .as_ref()
-                                .and_then(|j| parse_journal(&j.to_jsonl()).ok())
-                                .and_then(|r| r.metrics);
-                            match from_journal {
+                            match &out.metrics {
                                 Some(reg) => print!("{}", reg.render_text(args.top)),
                                 None => println!("metrics:\n  (no metrics recorded)"),
                             }
                         }
-                        if let (Some(path), Some(j)) = (&args.journal_out, &journal) {
-                            std::fs::write(path, j.to_jsonl())
-                                .map_err(|e| format!("{path}: {e}"))?;
-                            eprintln!("wrote event journal to {path}");
-                        }
+                        save_journal(args, || {
+                            render_journal(
+                                run_id,
+                                out.telemetry.as_ref(),
+                                out.sim_time,
+                                out.metrics.as_ref(),
+                                Some(&out.recovery),
+                            )
+                        })?;
                         if out.recovery.is_clean() {
                             println!(
                                 "recovery: clean ({} attempt, no retries, no degradation)",
@@ -645,10 +653,10 @@ fn run(args: &Args) -> Result<(), String> {
                         print!("{}", fail.recovery.render_text());
                         // The journal of a terminally failed run is the
                         // most interesting one; save it when asked.
-                        if let (Some(path), Some(j)) = (&args.journal_out, &journal) {
-                            if std::fs::write(path, j.to_jsonl()).is_ok() {
-                                eprintln!("wrote event journal to {path}");
-                            }
+                        let jsonl =
+                            || render_journal(run_id, None, None, None, Some(&fail.recovery));
+                        if let Err(e) = save_journal(args, jsonl) {
+                            eprintln!("{e}");
                         }
                         Err(format!("supervised run failed terminally: {}", fail.error))
                     }
@@ -656,7 +664,6 @@ fn run(args: &Args) -> Result<(), String> {
             } else {
                 let cfg = ExecConfig {
                     metrics: args.metrics,
-                    journal: journal.clone(),
                     ..ExecConfig::default()
                 };
                 let out = run_profile_with(
@@ -684,11 +691,15 @@ fn run(args: &Args) -> Result<(), String> {
                          (load in chrome://tracing or ui.perfetto.dev)"
                     );
                 }
-                if let (Some(path), Some(j)) = (&args.journal_out, &journal) {
-                    std::fs::write(path, j.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-                    eprintln!("wrote event journal to {path}");
-                }
-                Ok(())
+                save_journal(args, || {
+                    render_journal(
+                        run_id,
+                        Some(&out.report),
+                        out.sim_time,
+                        out.metrics.as_ref(),
+                        None,
+                    )
+                })
             }
         }
         "compile" => {

@@ -104,8 +104,8 @@ pub fn run_profile(
 }
 
 /// [`run_profile`] with a caller-supplied [`ExecConfig`] — the hook for
-/// `--metrics` (hotspot registry) and an attached event journal.
-/// The trace is forced on when `cfg.trace` is unset: a profile without a
+/// `--metrics` (hotspot registry). The outcome is everything
+/// [`crate::report::render_journal`] needs. The trace is forced on when `cfg.trace` is unset: a profile without a
 /// run report is not a profile.
 ///
 /// # Errors

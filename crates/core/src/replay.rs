@@ -55,15 +55,6 @@ pub fn parse_sync(name: &str) -> Result<SyncMode, String> {
     }
 }
 
-fn parse_world_mode(name: &str) -> Result<WorldMode, String> {
-    match name {
-        "auto" => Ok(WorldMode::Auto),
-        "single-lock" => Ok(WorldMode::SingleLock),
-        "sharded" => Ok(WorldMode::Sharded),
-        other => Err(format!("unknown world mode `{other}`")),
-    }
-}
-
 /// A [`ProgramSource`] that recompiles the program per ladder rung against
 /// the synthetic deterministic world (the `commsetc profile` semantics).
 pub struct SyntheticSource {
@@ -186,18 +177,30 @@ pub struct ReplayOutcome {
 /// Returns a message when the bundle's program no longer compiles or its
 /// knob strings are unknown (a corrupt or hand-edited bundle).
 pub fn replay_bundle(bundle: &FailureBundle) -> Result<ReplayOutcome, String> {
-    let scheme = parse_scheme(&bundle.scheme)?;
-    let sync = parse_sync(&bundle.sync)?;
     let src = SyntheticSource::new(
         &bundle.program_path,
         &bundle.source,
         &bundle.effects,
-        scheme,
-        sync,
+        parse_scheme(&bundle.scheme)?,
+        parse_sync(&bundle.sync)?,
     )?;
+    replay_bundle_on(bundle, &src)
+}
+
+/// As [`replay_bundle`], against the program source the supervised run
+/// used (an embedder's registry and world rather than the synthetic
+/// ones).
+///
+/// # Errors
+///
+/// As [`replay_bundle`].
+pub fn replay_bundle_on(
+    bundle: &FailureBundle,
+    src: &dyn ProgramSource,
+) -> Result<ReplayOutcome, String> {
     let cfg = ExecConfig {
         fault: bundle.fault.clone(),
-        world: parse_world_mode(&bundle.world_mode)?,
+        world: WorldMode::parse(&bundle.world_mode)?,
         queue_batch: bundle.queue_batch.max(1),
         deadline_ms: bundle.deadline_ms,
         ..ExecConfig::default()
@@ -326,6 +329,11 @@ mod tests {
         let mut b = bundle_for(SUM_SRC, "warp", "e");
         b.backend = "warp".into();
         assert!(replay_bundle(&b).unwrap_err().contains("backend"));
+        let mut b = bundle_for(SUM_SRC, "sim", "e");
+        b.world_mode = "striped".into();
+        assert!(replay_bundle(&b)
+            .unwrap_err()
+            .contains("unknown world mode"));
     }
 
     #[test]

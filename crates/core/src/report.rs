@@ -1,20 +1,160 @@
-//! The `commsetc report` loader: turn a saved JSONL event journal back
-//! into a [`MetricsRegistry`] and a causal run summary.
+//! The JSONL event journal: [`render_journal`] writes it once, after a
+//! run, from what the run returned; [`parse_journal`] reads it back for
+//! `commsetc report --journal`. This module is the one owner of the
+//! format.
 //!
-//! A metrics-enabled run ends with a `kind="metrics"` journal event whose
-//! `metrics` field embeds the merged registry JSON (escaped, as a string
-//! field — see `commset-telemetry`'s journal docs). This module parses
-//! the JSONL line-by-line with the same dependency-free [`Json`] reader
-//! the failure bundles use, re-parses that embedded payload, and rebuilds
-//! the registry through its public mutators — so `commsetc report
-//! --journal run.jsonl` renders the identical hotspot tables a live run
-//! would have printed.
+//! Each line is one JSON object with a stable field order: `run` (the
+//! 16-hex-digit [`run_id`](commset_interp::run_id)), `t`, `kind`, the
+//! optional causal coordinates `attempt`, `rung` and `section`, then the
+//! string `fields`. The events, in order:
+//!
+//! * supervised runs only: `run_start` (the first rung), one
+//!   `attempt_error` per error the supervisor met and `bundle_captured`
+//!   (the `.repro.json` path). The supervisor has no deterministic clock,
+//!   so their `t` is 0;
+//! * `section_start` / `section_end` per parallel section of the run (the
+//!   accepted attempt, when supervised), at the section's span;
+//! * `metrics`, whose `metrics` field embeds the registry JSON (escaped,
+//!   as a string), so a saved journal alone renders the hotspot tables;
+//! * `sim_finished` with the simulated time (DES runs);
+//! * supervised runs only: `run_end` with the attempt count, final mode,
+//!   `recovered`, `degraded`, `retries` and `backoff_ms`.
+//!
+//! On the DES every timestamp is a tick and the run id is derived, so two
+//! runs of the same program and knobs render byte-identical journals.
 
 use commset_interp::bundle::Json;
 use commset_runtime::Hist64;
-use commset_telemetry::MetricsRegistry;
+use commset_telemetry::json::escape;
+use commset_telemetry::{MetricsRegistry, RecoveryReport, RunReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// One journal line before it is written.
+#[derive(Default)]
+struct Event<'a> {
+    t: u64,
+    kind: &'a str,
+    attempt: Option<u32>,
+    rung: Option<&'a str>,
+    section: Option<usize>,
+    fields: Vec<(&'a str, String)>,
+}
+
+impl Event<'_> {
+    fn write(&self, run_id: u64, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"run\":\"{run_id:016x}\",\"t\":{},\"kind\":\"{}\"",
+            self.t, self.kind
+        );
+        if let Some(a) = self.attempt {
+            let _ = write!(out, ",\"attempt\":{a}");
+        }
+        if let Some(r) = self.rung {
+            let _ = write!(out, ",\"rung\":\"{}\"", escape(r));
+        }
+        if let Some(s) = self.section {
+            let _ = write!(out, ",\"section\":{s}");
+        }
+        if !self.fields.is_empty() {
+            let fields: Vec<String> = self
+                .fields
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":\"{}\"", escape(v)))
+                .collect();
+            let _ = write!(out, ",\"fields\":{{{}}}", fields.join(","));
+        }
+        out.push_str("}\n");
+    }
+}
+
+/// Renders the JSONL journal of a finished run from what it returned:
+/// its run report (the section spans), its simulated time (DES runs),
+/// its metrics registry and, for a supervised run, the supervisor's
+/// recovery report. Absent inputs contribute no events.
+pub fn render_journal(
+    run_id: u64,
+    report: Option<&RunReport>,
+    sim_time: Option<u64>,
+    metrics: Option<&MetricsRegistry>,
+    recovery: Option<&RecoveryReport>,
+) -> String {
+    let mut out = String::new();
+    let mut emit = |ev: Event| ev.write(run_id, &mut out);
+    if let Some(r) = recovery {
+        emit(Event {
+            kind: "run_start",
+            rung: r.rungs.first().map(String::as_str),
+            ..Event::default()
+        });
+        for e in &r.errors {
+            emit(Event {
+                kind: "attempt_error",
+                fields: vec![("error", e.clone())],
+                ..Event::default()
+            });
+        }
+        if let Some(b) = &r.bundle {
+            emit(Event {
+                kind: "bundle_captured",
+                fields: vec![("path", b.clone())],
+                ..Event::default()
+            });
+        }
+    }
+    let sections = report.map_or(&[][..], |r| &r.sections);
+    for s in sections {
+        emit(Event {
+            t: s.span.0,
+            kind: "section_start",
+            section: Some(s.section),
+            fields: vec![
+                ("plan_section", s.plan_section.to_string()),
+                ("workers", s.workers.len().to_string()),
+            ],
+            ..Event::default()
+        });
+        emit(Event {
+            t: s.span.1,
+            kind: "section_end",
+            section: Some(s.section),
+            ..Event::default()
+        });
+    }
+    let end = sim_time.or(sections.last().map(|s| s.span.1)).unwrap_or(0);
+    if let Some(m) = metrics {
+        emit(Event {
+            t: end,
+            kind: "metrics",
+            fields: vec![("metrics", m.to_json())],
+            ..Event::default()
+        });
+    }
+    if let Some(t) = sim_time {
+        emit(Event {
+            t,
+            kind: "sim_finished",
+            fields: vec![("sim_time", t.to_string())],
+            ..Event::default()
+        });
+    }
+    if let Some(r) = recovery {
+        emit(Event {
+            kind: "run_end",
+            attempt: Some(r.attempts),
+            fields: vec![
+                ("final_mode", r.final_mode.clone()),
+                ("recovered", r.recovered.to_string()),
+                ("degraded", r.degraded.to_string()),
+                ("retries", r.retries.to_string()),
+                ("backoff_ms", r.backoff_ms.to_string()),
+            ],
+            ..Event::default()
+        });
+    }
+    out
+}
 
 /// What a saved journal says about its run: the causal summary plus the
 /// rebuilt metrics registry (absent when the run had metrics off).
@@ -24,7 +164,7 @@ pub struct JournalReport {
     pub run_id: String,
     /// Total journal events.
     pub events: usize,
-    /// Event count per kind, e.g. `worker_done -> 8`.
+    /// Event count per kind, e.g. `section_start -> 2`.
     pub kinds: BTreeMap<String, usize>,
     /// Highest supervisor attempt ordinal seen (0 when unsupervised).
     pub attempts: u64,
@@ -90,9 +230,8 @@ pub fn registry_from_json(v: &Json) -> Result<MetricsRegistry, String> {
 
 /// Parses a saved JSONL journal into a [`JournalReport`].
 ///
-/// Each non-empty line must be one JSON object; the terminal
-/// `kind="metrics"` event (the last one, if several) supplies the
-/// registry.
+/// Each non-empty line must be one JSON object; the `kind="metrics"`
+/// event (the last one, if several) supplies the registry.
 ///
 /// # Errors
 ///
@@ -192,7 +331,7 @@ impl JournalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_telemetry::{Journal, JournalEvent};
+    use commset_telemetry::{SectionProfile, WorkerReport};
 
     fn sample_registry() -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
@@ -206,24 +345,34 @@ mod tests {
         m
     }
 
+    fn one_section_report() -> RunReport {
+        RunReport {
+            sections: vec![SectionProfile {
+                section: 0,
+                plan_section: 2,
+                span: (3, 10),
+                workers: vec![WorkerReport::default(); 2],
+                ..SectionProfile::default()
+            }],
+            ..RunReport::default()
+        }
+    }
+
     #[test]
     fn registry_round_trips_through_journal_jsonl() {
         let reg = sample_registry();
-        let j = Journal::new(0x00c0_ffee);
-        j.record(JournalEvent::new("run_start", 0).field("backend", "sim"));
-        j.record(
-            JournalEvent {
-                section: Some(0),
-                worker: Some(2),
-                ..JournalEvent::new("worker_done", 10)
-            }
-            .field("ok", "true"),
+        let jsonl = render_journal(
+            0x00c0_ffee,
+            Some(&one_section_report()),
+            Some(99),
+            Some(&reg),
+            None,
         );
-        j.record_metrics(99, &reg);
-        let report = parse_journal(&j.to_jsonl()).unwrap();
+        let report = parse_journal(&jsonl).unwrap();
         assert_eq!(report.run_id, "0000000000c0ffee");
-        assert_eq!(report.events, 3);
-        assert_eq!(report.kinds["worker_done"], 1);
+        assert_eq!(report.events, 4);
+        assert_eq!(report.kinds["section_start"], 1);
+        assert_eq!(report.kinds["sim_finished"], 1);
         let loaded = report.metrics.expect("metrics event parsed");
         // Counters, opcodes and blocks round-trip exactly; histograms
         // round-trip bucket-exactly (count/sum/max preserved verbatim).
@@ -231,10 +380,17 @@ mod tests {
     }
 
     #[test]
+    fn metrics_event_embeds_registry_json() {
+        let jsonl = render_journal(9, None, Some(77), Some(&sample_registry()), None);
+        let metrics = jsonl.lines().next().unwrap();
+        assert!(metrics.contains("\"t\":77,\"kind\":\"metrics\""), "{jsonl}");
+        // The registry JSON rides inside the string field, escaped.
+        assert!(metrics.contains("\\\"delta.applies\\\":7"), "{jsonl}");
+    }
+
+    #[test]
     fn journal_without_metrics_reports_none() {
-        let j = Journal::new(5);
-        j.record(JournalEvent::new("run_start", 0));
-        let report = parse_journal(&j.to_jsonl()).unwrap();
+        let report = parse_journal(&render_journal(5, None, Some(7), None, None)).unwrap();
         assert!(report.metrics.is_none());
         assert!(report.render_text(5).contains("no metrics event"));
     }
@@ -248,23 +404,80 @@ mod tests {
         assert!(err.contains("missing kind"), "{err}");
     }
 
+    fn sample_recovery() -> RecoveryReport {
+        RecoveryReport {
+            attempts: 2,
+            rungs: vec!["threads(deltas, 8)".into(), "threads(sharded, 8)".into()],
+            final_mode: "threads(sharded, 8)".into(),
+            recovered: true,
+            degraded: true,
+            errors: vec!["worker `w` failed: injected delta poison".into()],
+            bundle: Some("target/repro/b.repro.json".into()),
+            ..RecoveryReport::default()
+        }
+    }
+
+    #[test]
+    fn jsonl_has_one_object_per_event_with_causal_ids() {
+        let recovery = sample_recovery();
+        let jsonl = render_journal(
+            0xabcd,
+            Some(&one_section_report()),
+            None,
+            None,
+            Some(&recovery),
+        );
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 6);
+        assert_eq!(
+            lines[0],
+            "{\"run\":\"000000000000abcd\",\"t\":0,\"kind\":\"run_start\",\
+             \"rung\":\"threads(deltas, 8)\"}"
+        );
+        assert_eq!(
+            lines[3..5],
+            [
+                "{\"run\":\"000000000000abcd\",\"t\":3,\"kind\":\"section_start\",\"section\":0,\
+                 \"fields\":{\"plan_section\":\"2\",\"workers\":\"2\"}}",
+                "{\"run\":\"000000000000abcd\",\"t\":10,\"kind\":\"section_end\",\"section\":0}",
+            ]
+        );
+        assert!(
+            lines[5].contains("\"kind\":\"run_end\",\"attempt\":2,"),
+            "{jsonl}"
+        );
+        for line in lines {
+            assert_eq!(line.matches('{').count(), line.matches('}').count());
+        }
+    }
+
     #[test]
     fn summary_tracks_attempts_bundles_and_final_mode() {
-        let j = Journal::new(1);
-        j.record(JournalEvent::new("run_start", 0));
-        j.record(JournalEvent {
-            attempt: Some(1),
-            ..JournalEvent::new("attempt_start", 1)
-        });
-        j.record(
-            JournalEvent {
-                attempt: Some(2),
-                ..JournalEvent::new("bundle_captured", 5)
-            }
-            .field("path", "target/repro/b.repro.json"),
+        let recovery = sample_recovery();
+        let jsonl = render_journal(1, Some(&one_section_report()), None, None, Some(&recovery));
+        let kinds: Vec<&str> = jsonl
+            .lines()
+            .map(|l| {
+                l.split("\"kind\":\"")
+                    .nth(1)
+                    .unwrap()
+                    .split('"')
+                    .next()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                "run_start",
+                "attempt_error",
+                "bundle_captured",
+                "section_start",
+                "section_end",
+                "run_end"
+            ]
         );
-        j.record(JournalEvent::new("run_end", 9).field("final_mode", "threads(sharded, 8)"));
-        let report = parse_journal(&j.to_jsonl()).unwrap();
+        let report = parse_journal(&jsonl).unwrap();
         assert_eq!(report.attempts, 2);
         assert_eq!(report.final_mode.as_deref(), Some("threads(sharded, 8)"));
         assert_eq!(report.bundles, vec!["target/repro/b.repro.json"]);

@@ -280,9 +280,32 @@ pub struct FailureBundle {
     pub attempt: u32,
     /// Schedule excerpt: per-attempt error history up to the capture.
     pub history: Vec<String>,
-    /// Causal run id linking this bundle to the event journal of the run
-    /// that captured it (`0` when no journal was active).
+    /// Causal run id linking this bundle to the journal of the run that
+    /// captured it (see [`run_id`]).
     pub run_id: u64,
+}
+
+/// The causal run id of one run: FNV-1a over the program path, the scheme
+/// and sync names (lowercased, so `DSWP` and `dswp` agree), the initial
+/// thread count and the backend name, NUL-separated. There is no wall
+/// clock in it, so the same program and knobs always get the same id.
+/// Rendered journals and the bundles of supervised runs carry it.
+pub fn run_id(path: &str, scheme: &str, sync: &str, threads: usize, backend: &str) -> u64 {
+    let parts = [
+        path,
+        &scheme.to_ascii_lowercase(),
+        &sync.to_ascii_lowercase(),
+        &threads.to_string(),
+        backend,
+    ];
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for p in parts {
+        for b in p.bytes().chain([0]) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
 }
 
 fn opt_u64(v: Option<u64>) -> String {
@@ -472,7 +495,7 @@ impl FailureBundle {
             rung: str_field("rung")?,
             attempt: u64_field("attempt")? as u32,
             history,
-            // Older bundles predate the event journal: default 0.
+            // Older bundles predate run ids: default 0.
             run_id: v.get("run_id").and_then(Json::as_u64).unwrap_or(0),
         })
     }
@@ -513,6 +536,22 @@ impl FailureBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_ids_are_deterministic_and_input_sensitive() {
+        let a = run_id("md5sum.cmm", "doall", "spin", 8, "sim");
+        assert_eq!(a, run_id("md5sum.cmm", "doall", "spin", 8, "sim"));
+        assert_ne!(a, run_id("md5sum.cmm", "doall", "spin", 4, "sim"));
+        assert_ne!(a, run_id("md5sum.cmm", "doall", "spin", 8, "threads"));
+        // `Display` names and CLI spellings give one id: the id the
+        // committed `samples/md5sum.report.txt` shows.
+        let golden = run_id("samples/md5sum.cmm", "DSWP", "Spin", 4, "sim");
+        assert_eq!(
+            golden,
+            run_id("samples/md5sum.cmm", "dswp", "spin", 4, "sim")
+        );
+        assert_eq!(format!("{golden:016x}"), "3eaf7a31ee6e5fe2");
+    }
 
     fn sample() -> FailureBundle {
         FailureBundle {

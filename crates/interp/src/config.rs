@@ -29,6 +29,35 @@ pub enum WorldMode {
     Deltas,
 }
 
+impl WorldMode {
+    /// The mode's name in ladder rungs and failure bundles.
+    pub fn name(self) -> &'static str {
+        match self {
+            WorldMode::Auto => "auto",
+            WorldMode::SingleLock => "single-lock",
+            WorldMode::Sharded => "sharded",
+            WorldMode::Deltas => "deltas",
+        }
+    }
+
+    /// Parses a [`WorldMode::name`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for unknown names.
+    pub fn parse(name: &str) -> Result<WorldMode, String> {
+        [
+            WorldMode::Auto,
+            WorldMode::SingleLock,
+            WorldMode::Sharded,
+            WorldMode::Deltas,
+        ]
+        .into_iter()
+        .find(|m| m.name() == name)
+        .ok_or_else(|| format!("unknown world mode `{name}`"))
+    }
+}
+
 /// Knobs shared by the simulated and real-thread executors.
 ///
 /// The default configuration injects no faults, uses the default
@@ -76,10 +105,6 @@ pub struct ExecConfig {
     /// DES every recording is passive (no modeled clock is touched), so
     /// simulated time is bit-identical with metrics on or off.
     pub metrics: bool,
-    /// When set, the executors and the supervisor append causally-ID'd
-    /// events (run → attempt → rung → section → worker) to this shared
-    /// journal; off (`None`) by default.
-    pub journal: Option<commset_telemetry::Journal>,
 }
 
 impl Default for ExecConfig {
@@ -92,7 +117,6 @@ impl Default for ExecConfig {
             queue_batch: 8,
             deadline_ms: None,
             metrics: false,
-            journal: None,
         }
     }
 }
@@ -134,7 +158,19 @@ mod tests {
         assert!(c.queue_batch >= 1);
         assert!(c.trace.is_none(), "the event stream must be opt-in");
         assert!(!c.metrics, "the metrics registry must be opt-in");
-        assert!(c.journal.is_none(), "the event journal must be opt-in");
         assert!(c.deadline_ms.is_none(), "deadlines must be opt-in");
+    }
+
+    #[test]
+    fn world_mode_names_round_trip() {
+        for m in [
+            WorldMode::Auto,
+            WorldMode::SingleLock,
+            WorldMode::Sharded,
+            WorldMode::Deltas,
+        ] {
+            assert_eq!(WorldMode::parse(m.name()), Ok(m));
+        }
+        assert!(WorldMode::parse("striped").is_err());
     }
 }

@@ -13,8 +13,8 @@
 //!   the DES, nanoseconds on threads — and reads its clock only when
 //!   [`Observer::on`].
 //! * [`RunObs`] — the run's event stream and metrics sink, the
-//!   `__par_invoke` section bracket (plan lookup, section ordinal,
-//!   journal) and the end-of-run folds: the stream into a [`RunReport`]
+//!   `__par_invoke` section bracket (plan lookup, section ordinal) and
+//!   the end-of-run folds: the stream into a [`RunReport`]
 //!   and the caller's trace sink, the metrics into one registry.
 //! * [`coalesce_deltas`] — the section-barrier delta fold.
 //!
@@ -35,8 +35,7 @@ use commset_runtime::{
     DeltaBuffer, DeltaSnapshot, FaultInjector, Registry, Value, DELTA_POISON_MSG,
 };
 use commset_telemetry::{
-    ClockUnit, Journal, JournalEvent, MetricsRegistry, MetricsSink, RunCounters, RunReport,
-    SectionMeta,
+    ClockUnit, MetricsRegistry, MetricsSink, RunCounters, RunReport, SectionMeta,
 };
 use commset_transform::{ParallelPlan, SyncMode};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -157,6 +156,7 @@ impl Section {
     ) -> SectionMeta {
         SectionMeta {
             section: ord,
+            plan_section: plan.section,
             stage_desc: plan.stage_desc.clone(),
             worker_stage: plan.workers.iter().map(|w| w.stage).collect(),
             locks: self.lock_sets.clone(),
@@ -215,7 +215,6 @@ pub(crate) struct RunObs<'a> {
     /// The module's compiled bytecode every VM of the run executes.
     pub bc: &'a BcModule,
     trace: Option<&'a TraceSink>,
-    journal: Option<&'a Journal>,
     /// Every worker's events, one batch per worker per section.
     stream: Mutex<Vec<Event>>,
     metrics: Option<MetricsSink>,
@@ -233,7 +232,6 @@ impl<'a> RunObs<'a> {
             module,
             bc,
             trace: cfg.trace.as_ref(),
-            journal: cfg.journal.as_ref(),
             stream: Mutex::new(Vec::new()),
             metrics: cfg.metrics.then(MetricsSink::new),
             main: MetricsLocal::new(),
@@ -262,13 +260,12 @@ impl<'a> RunObs<'a> {
         }
     }
 
-    /// Opens the section `__par_invoke` names: finds its plan, assigns
-    /// the next section ordinal and journals `section_start` at `t`.
+    /// Opens the section `__par_invoke` names: finds its plan and assigns
+    /// the next section ordinal.
     pub fn open_section<'p>(
         &mut self,
         plans: &'p [ParallelPlan],
         p: &PendingSpecial,
-        t: u64,
     ) -> Result<(&'p ParallelPlan, usize), ExecError> {
         let section = p.args[0].as_int();
         let plan = plans
@@ -277,40 +274,24 @@ impl<'a> RunObs<'a> {
             .ok_or(ExecError::UnknownSection { section })?;
         let ord = self.sections;
         self.sections += 1;
-        if let Some(j) = self.journal {
-            j.record(JournalEvent {
-                section: Some(ord as u64),
-                ..JournalEvent::new("section_start", t)
-                    .field("plan_section", section.to_string())
-                    .field("workers", plan.workers.len().to_string())
-            });
-        }
         Ok((plan, ord))
     }
 
-    /// Closes section `ord` at `t`: journals `section_end` and keeps the
-    /// section's report metadata.
-    pub fn close_section(&mut self, ord: usize, t: u64, meta: Option<SectionMeta>) {
-        if let Some(j) = self.journal {
-            j.record(JournalEvent {
-                section: Some(ord as u64),
-                ..JournalEvent::new("section_end", t)
-            });
-        }
+    /// Closes a section: keeps its report metadata (trace on).
+    pub fn close_section(&mut self, meta: Option<SectionMeta>) {
         self.metas.extend(meta);
     }
 
     /// The end-of-run fold: builds the [`RunReport`] from the event
     /// stream (trace on) and the merged metrics registry (metrics on),
     /// with `counters` and the executor-specific `extra` counters folded
-    /// in and the registry journaled at `t`. `tm_commits` is filled in
-    /// here from the observers' count of committed transaction windows.
+    /// in. `tm_commits` is filled in here from the observers' count of
+    /// committed transaction windows.
     pub fn finish(
         mut self,
         clock: ClockUnit,
         mut counters: RunCounters,
         extra: &[(&str, u64)],
-        t: u64,
     ) -> (Option<RunReport>, Option<MetricsRegistry>) {
         counters.tm_commits = *self.tx_commits.get_mut();
         let c = &counters;
@@ -334,9 +315,6 @@ impl<'a> RunObs<'a> {
             ];
             for (name, n) in folded.iter().chain(extra) {
                 reg.inc(name, *n);
-            }
-            if let Some(j) = self.journal {
-                j.record_metrics(t, &reg);
             }
             reg
         });

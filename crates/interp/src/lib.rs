@@ -35,13 +35,14 @@
 //!   surface as `Result::Err`, never as panics.
 //! * [`config`] — the shared [`config::ExecConfig`] knob set (fault
 //!   injection, STM retry discipline, world mode, deadlines, trace sink,
-//!   metrics, journal).
+//!   metrics).
 //! * [`supervise`] — the self-healing execution supervisor: per-section
 //!   deadlines, transient-failure retry with backoff, a degradation ladder
 //!   (sharded → single lock → thread halving → sequential) with
 //!   oracle-validated degraded results, and replayable failure bundles.
 //! * [`bundle`] — the `.repro.json` failure-bundle format (and the small
-//!   JSON reader it needs), consumed by `commsetc replay`.
+//!   JSON reader it needs), consumed by `commsetc replay`, and the
+//!   deterministic [`bundle::run_id`] bundles and journals share.
 //! * [`trace`] — the run's one event stream and its trace view
 //!   ([`trace::TraceSink`]): region entries/exits, lock ranks, queue
 //!   operations and world-intrinsic calls, consumed by the
@@ -68,7 +69,7 @@ pub mod thread_exec;
 pub mod trace;
 pub mod vm;
 
-pub use bundle::FailureBundle;
+pub use bundle::{run_id, FailureBundle};
 pub use bytecode::{print_bc_function, print_bc_module, BcModule, BcVm};
 pub use config::{ExecConfig, WorldMode};
 pub use error::ExecError;

@@ -35,9 +35,7 @@ use commset_sim::lock::AcquireOutcome;
 use commset_sim::{
     pick_with_horizon, CostModel, PopOutcome, PushOutcome, SimLock, SimLockKind, SimQueue, TmModel,
 };
-use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta,
-};
+use commset_telemetry::{ClockUnit, MetricsRegistry, RunCounters, RunReport, SectionMeta};
 use commset_transform::{ParallelPlan, RtOp};
 use std::collections::HashMap;
 
@@ -158,7 +156,7 @@ pub fn run_simulated_with(
             }
             StepOutcome::Special(p) => match p.op {
                 Some(RtOp::ParInvoke) => {
-                    let (plan, ord) = run.open_section(plans, &p, sim_time)?;
+                    let (plan, ord) = run.open_section(plans, &p)?;
                     let (end, section_stats, meta) = run_section(
                         registry,
                         plan,
@@ -171,7 +169,7 @@ pub fn run_simulated_with(
                         &run,
                         ord,
                     )?;
-                    run.close_section(ord, end, meta);
+                    run.close_section(meta);
                     sim_time = end;
                     merge_stats(&mut stats, section_stats);
                     vm.resolve_special(Value::Int(0));
@@ -203,13 +201,7 @@ pub fn run_simulated_with(
                     ("queue.pushes", stats.queue_pushes),
                     ("queue.empty_pops", stats.queue_stalls),
                 ];
-                let (telemetry, metrics) = run.finish(ClockUnit::Ticks, counters, &extra, sim_time);
-                if let Some(j) = &cfg.journal {
-                    j.record(
-                        JournalEvent::new("sim_finished", sim_time)
-                            .field("sim_time", sim_time.to_string()),
-                    );
-                }
+                let (telemetry, metrics) = run.finish(ClockUnit::Ticks, counters, &extra);
                 return Ok(SimOutcome {
                     result,
                     sim_time,
@@ -707,7 +699,7 @@ fn handle_special(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
+    use crate::trace::{TraceEvent, TraceSink};
     use commset_ir::IntrinsicTable;
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -1030,14 +1022,16 @@ mod tests {
 
     #[test]
     fn metrics_and_journal_do_not_perturb_the_sim_clock() {
+        // A journal is rendered after the run from the run report and the
+        // registry, so observing both is what must leave the clock alone.
         let cm = CostModel::default();
         let (module, plan) = compile_pipeline(4);
-        let run = |metrics: bool, journal: Option<commset_telemetry::Journal>| {
+        let run = |metrics: bool, trace: Option<TraceSink>| {
             let mut world = World::new();
             world.install("out", Vec::<i64>::new());
             let cfg = ExecConfig {
                 metrics,
-                journal,
+                trace,
                 ..ExecConfig::default()
             };
             run_simulated_with(
@@ -1052,11 +1046,10 @@ mod tests {
         };
         let off = run(false, None);
         assert!(off.metrics.is_none(), "metrics must be opt-in");
-        let j = commset_telemetry::Journal::new(7);
-        let on = run(true, Some(j.clone()));
+        let on = run(true, Some(TraceSink::new()));
         assert_eq!(
             on.sim_time, off.sim_time,
-            "metrics + journal must not change simulated time"
+            "metrics + trace must not change simulated time"
         );
         let reg = on.metrics.expect("metrics were enabled");
         assert!(!reg.opcodes().is_empty(), "opcode retires recorded");
@@ -1072,10 +1065,13 @@ mod tests {
             "pipeline queues recorded occupancy: {:?}",
             reg.hists().keys().collect::<Vec<_>>()
         );
-        let jsonl = j.to_jsonl();
-        assert!(jsonl.contains("\"kind\":\"section_start\""), "{jsonl}");
-        assert!(jsonl.contains("\"kind\":\"section_end\""));
-        assert!(jsonl.contains("\"kind\":\"metrics\""));
+        // What the journal's section events are rendered from.
+        let report = on.telemetry.expect("trace on attaches the report");
+        assert_eq!(report.sections.len(), 1);
+        let s = &report.sections[0];
+        assert_eq!(s.plan_section, plan.section);
+        assert_eq!(s.workers.len(), plan.workers.len());
+        assert!(s.span.1 > s.span.0, "{:?}", s.span);
         // The registry is fully deterministic across runs.
         let again = run(true, None);
         assert_eq!(reg, again.metrics.unwrap());

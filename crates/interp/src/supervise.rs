@@ -30,9 +30,10 @@
 //!    `commsetc replay` re-executes it deterministically.
 //!
 //! The whole journey is recorded in a
-//! [`commset_telemetry::RecoveryReport`] carried on the outcome.
+//! [`commset_telemetry::RecoveryReport`] carried on the outcome; a
+//! journal of the run is rendered from it afterwards.
 
-use crate::bundle::FailureBundle;
+use crate::bundle::{run_id, FailureBundle};
 use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
 use crate::seq::run_sequential;
@@ -42,7 +43,7 @@ use commset_ir::Module;
 use commset_runtime::rng::SplitMix64;
 use commset_runtime::{Registry, Value, World};
 use commset_sim::CostModel;
-use commset_telemetry::{JournalEvent, RecoveryReport, RunReport};
+use commset_telemetry::{MetricsRegistry, RecoveryReport, RunReport};
 use commset_transform::ParallelPlan;
 use std::path::PathBuf;
 
@@ -53,6 +54,16 @@ pub enum Backend {
     Threads,
     /// The deterministic discrete-event executor (`run_simulated_with`).
     Sim,
+}
+
+impl Backend {
+    /// The backend's name in run ids, rungs and failure bundles.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Threads => "threads",
+            Backend::Sim => "sim",
+        }
+    }
 }
 
 /// A compiled parallel program for one thread count.
@@ -164,6 +175,11 @@ pub struct SupervisedOutcome {
     /// The run report of the accepted attempt, folded from that attempt's
     /// events only, when `cfg.trace` was set and the rung was parallel.
     pub telemetry: Option<RunReport>,
+    /// The accepted attempt's metrics registry, when `cfg.metrics` was
+    /// set and the rung was parallel.
+    pub metrics: Option<MetricsRegistry>,
+    /// The accepted attempt's simulated time, when it ran on the DES.
+    pub sim_time: Option<u64>,
 }
 
 /// A terminally failed supervised run: the error that ended it plus the
@@ -197,15 +213,7 @@ impl Rung {
                     WorldMode::Deltas => format!("sim(deltas, {threads})"),
                     _ => format!("sim({threads})"),
                 },
-                Backend::Threads => format!(
-                    "threads({}, {threads})",
-                    match mode {
-                        WorldMode::Deltas => "deltas",
-                        WorldMode::Sharded => "sharded",
-                        WorldMode::SingleLock => "single-lock",
-                        WorldMode::Auto => "auto",
-                    }
-                ),
+                Backend::Threads => format!("threads({}, {threads})", mode.name()),
             },
         }
     }
@@ -311,6 +319,8 @@ struct Attempt {
     result: Option<Value>,
     world: World,
     telemetry: Option<RunReport>,
+    metrics: Option<MetricsRegistry>,
+    sim_time: Option<u64>,
 }
 
 fn run_rung(
@@ -335,6 +345,8 @@ fn run_rung(
                 result: out.result,
                 world,
                 telemetry: None,
+                metrics: None,
+                sim_time: None,
             })
         }
         Rung::Parallel { mode, threads } => {
@@ -355,6 +367,8 @@ fn run_rung(
                         result: out.result,
                         world: out.world,
                         telemetry: out.telemetry,
+                        metrics: out.metrics,
+                        sim_time: None,
                     })
                 }
                 Backend::Sim => {
@@ -372,6 +386,8 @@ fn run_rung(
                         result: out.result,
                         world,
                         telemetry: out.telemetry,
+                        metrics: out.metrics,
+                        sim_time: Some(out.sim_time),
                     })
                 }
             }
@@ -380,17 +396,18 @@ fn run_rung(
 }
 
 /// Captures a failure bundle for `err` if `policy.bundle_dir` is set and
-/// none has been written yet; records the path in `report`.
+/// none has been written yet; records the path in `report`. `threads` is
+/// the run's initial worker count, part of its run id.
 #[allow(clippy::too_many_arguments)]
 fn capture_bundle(
     src: &dyn ProgramSource,
     backend: Backend,
+    threads: usize,
     rung: Rung,
     cfg: &ExecConfig,
     policy: &RecoveryPolicy,
     report: &mut RecoveryReport,
     err: &AttemptError,
-    epoch: std::time::Instant,
 ) {
     let Some(dir) = &policy.bundle_dir else {
         return;
@@ -399,17 +416,16 @@ fn capture_bundle(
         return;
     }
     let desc = src.describe();
-    let (threads, world_mode) = match rung {
-        Rung::Parallel { mode, threads } => (
-            threads,
-            match mode {
-                WorldMode::Auto => "auto",
-                WorldMode::SingleLock => "single-lock",
-                WorldMode::Sharded => "sharded",
-                WorldMode::Deltas => "deltas",
-            },
-        ),
-        Rung::Sequential => (1, "single-lock"),
+    let run_id = run_id(
+        &desc.path,
+        &desc.scheme,
+        &desc.sync,
+        threads,
+        backend.name(),
+    );
+    let (rung_threads, world_mode) = match rung {
+        Rung::Parallel { mode, threads } => (threads, mode),
+        Rung::Sequential => (1, WorldMode::SingleLock),
     };
     let bundle = FailureBundle {
         version: 1,
@@ -418,14 +434,13 @@ fn capture_bundle(
         effects: desc.effects,
         scheme: desc.scheme,
         sync: desc.sync,
-        threads,
-        backend: match (backend, rung) {
-            (_, Rung::Sequential) => "sequential",
-            (Backend::Threads, _) => "threads",
-            (Backend::Sim, _) => "sim",
+        threads: rung_threads,
+        backend: match rung {
+            Rung::Sequential => "sequential",
+            Rung::Parallel { .. } => backend.name(),
         }
         .to_string(),
-        world_mode: world_mode.to_string(),
+        world_mode: world_mode.name().to_string(),
         queue_batch: cfg.queue_batch,
         deadline_ms: policy.deadline_ms.or(cfg.deadline_ms),
         fault: cfg.fault.clone(),
@@ -433,20 +448,10 @@ fn capture_bundle(
         rung: rung.describe(backend),
         attempt: report.attempts,
         history: report.errors.clone(),
-        run_id: cfg.journal.as_ref().map_or(0, |j| j.run_id()),
+        run_id,
     };
     match bundle.write(dir) {
-        Ok(path) => {
-            if let Some(j) = &cfg.journal {
-                j.record(JournalEvent {
-                    attempt: Some(u64::from(report.attempts)),
-                    rung: Some(rung.describe(backend)),
-                    ..JournalEvent::new("bundle_captured", epoch.elapsed().as_nanos() as u64)
-                        .field("path", path.display().to_string())
-                });
-            }
-            report.bundle = Some(path.display().to_string());
-        }
+        Ok(path) => report.bundle = Some(path.display().to_string()),
         Err(e) => report.errors.push(format!("bundle capture failed: {e}")),
     }
 }
@@ -481,35 +486,12 @@ pub fn run_supervised(
     let mut rng = SplitMix64::new(policy.seed);
     let mut oracle: Option<(Option<Value>, World)> = None;
     let mut last_error: Option<ExecError> = None;
-    let epoch = std::time::Instant::now();
-    let now = || epoch.elapsed().as_nanos() as u64;
-    if let Some(j) = &cfg.journal {
-        j.record(
-            JournalEvent::new("run_start", now())
-                .field(
-                    "backend",
-                    match backend {
-                        Backend::Threads => "threads",
-                        Backend::Sim => "sim",
-                    },
-                )
-                .field("threads", threads.to_string())
-                .field("rungs", rungs.len().to_string()),
-        );
-    }
 
     for (ri, &rung) in rungs.iter().enumerate() {
         report.rungs.push(rung.describe(backend));
         let mut tries_left = policy.max_retries;
         loop {
             report.attempts += 1;
-            if let Some(j) = &cfg.journal {
-                j.record(JournalEvent {
-                    attempt: Some(u64::from(report.attempts)),
-                    rung: Some(rung.describe(backend)),
-                    ..JournalEvent::new("attempt_start", now())
-                });
-            }
             let attempt = run_rung(src, backend, rung, &cfg).and_then(|a| {
                 // Degraded parallel successes must preserve semantics.
                 if ri > 0 && rung != Rung::Sequential {
@@ -535,34 +517,18 @@ pub fn run_supervised(
                     report.final_mode = rung.describe(backend);
                     report.recovered = !report.errors.is_empty();
                     report.degraded = ri > 0;
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            attempt: Some(u64::from(report.attempts)),
-                            rung: Some(report.final_mode.clone()),
-                            ..JournalEvent::new("run_end", now())
-                                .field("degraded", report.degraded.to_string())
-                                .field("recovered", report.recovered.to_string())
-                        });
-                    }
                     return Ok(SupervisedOutcome {
                         result: a.result,
                         world: a.world,
                         recovery: report,
                         telemetry: a.telemetry,
+                        metrics: a.metrics,
+                        sim_time: a.sim_time,
                     });
                 }
                 Err(e) => {
                     report.errors.push(e.render());
-                    if let Some(j) = &cfg.journal {
-                        j.record(JournalEvent {
-                            attempt: Some(u64::from(report.attempts)),
-                            rung: Some(rung.describe(backend)),
-                            ..JournalEvent::new("attempt_error", now())
-                                .field("error", e.render())
-                                .field("transient", e.transient().to_string())
-                        });
-                    }
-                    capture_bundle(src, backend, rung, &cfg, policy, &mut report, &e, epoch);
+                    capture_bundle(src, backend, threads, rung, &cfg, policy, &mut report, &e);
                     if let AttemptError::Exec(err) = &e {
                         last_error = Some(err.clone());
                     }
@@ -570,16 +536,7 @@ pub fn run_supervised(
                         tries_left -= 1;
                         report.retries += 1;
                         let retry_no = policy.max_retries - tries_left;
-                        let slept = backoff_sleep(policy, retry_no, &mut rng);
-                        report.backoff_ms += slept;
-                        if let Some(j) = &cfg.journal {
-                            j.record(JournalEvent {
-                                attempt: Some(u64::from(report.attempts)),
-                                rung: Some(rung.describe(backend)),
-                                ..JournalEvent::new("retry", now())
-                                    .field("backoff_ms", slept.to_string())
-                            });
-                        }
+                        report.backoff_ms += backoff_sleep(policy, retry_no, &mut rng);
                         continue;
                     }
                     break; // descend to the next rung
@@ -589,9 +546,6 @@ pub fn run_supervised(
     }
 
     report.final_mode = "exhausted".to_string();
-    if let Some(j) = &cfg.journal {
-        j.record(JournalEvent::new("run_end", now()).field("final_mode", "exhausted"));
-    }
     let error = last_error.unwrap_or(ExecError::Canceled {
         stage: "<supervisor>".to_string(),
     });

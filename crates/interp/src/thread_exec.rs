@@ -37,9 +37,7 @@ use commset_runtime::{
     DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, SpscQueue, Value, Watchdog,
     WatchdogReport, World,
 };
-use commset_telemetry::{
-    ClockUnit, JournalEvent, MetricsRegistry, RunCounters, RunReport, SectionMeta,
-};
+use commset_telemetry::{ClockUnit, MetricsRegistry, RunCounters, RunReport, SectionMeta};
 use commset_transform::{ParallelPlan, RtOp};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,7 +184,6 @@ pub fn run_threaded_with(
     cfg: &ExecConfig,
 ) -> Result<ThreadOutcome, ExecError> {
     let start = Instant::now();
-    let now = || start.elapsed().as_nanos() as u64;
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
     let mut run = RunObs::new(module, &bc, cfg);
@@ -203,7 +200,7 @@ pub fn run_threaded_with(
             StepOutcome::Ran { cost } => run.retire(site, cost),
             StepOutcome::Special(p) => match p.op {
                 Some(RtOp::ParInvoke) => {
-                    let (plan, ord) = run.open_section(plans, &p, now())?;
+                    let (plan, ord) = run.open_section(plans, &p)?;
                     let out = run_section(
                         registry,
                         plan,
@@ -215,7 +212,7 @@ pub fn run_threaded_with(
                         start,
                         ord,
                     )?;
-                    run.close_section(ord, now(), out.meta);
+                    run.close_section(out.meta);
                     stats.watchdog.absorb(out.watchdog);
                     stats.queue_drained += out.drained;
                     stats.queue_full_spins += out.full_spins;
@@ -259,7 +256,7 @@ pub fn run_threaded_with(
         ..RunCounters::default()
     };
     let extra = [("queue.empty_spins", stats.queue_empty_spins)];
-    let (telemetry, metrics) = run.finish(ClockUnit::Nanos, counters, &extra, now());
+    let (telemetry, metrics) = run.finish(ClockUnit::Nanos, counters, &extra);
     Ok(ThreadOutcome {
         result,
         wall: start.elapsed(),
@@ -390,7 +387,6 @@ fn run_section(
                 }
             });
         }
-        let journal = cfg.journal.as_ref();
         let handles: Vec<_> = plan
             .workers
             .iter()
@@ -419,15 +415,6 @@ fn run_section(
                     if outcome.is_err() {
                         // Unblock every sibling parked in a queue or lock.
                         ctx.cancel.store(true, Ordering::SeqCst);
-                    }
-                    if let Some(j) = journal {
-                        j.record(JournalEvent {
-                            section: Some(ctx.section_ord as u64),
-                            worker: Some(widx as u64),
-                            ..JournalEvent::new("worker_done", now())
-                                .field("stage", func.clone())
-                                .field("ok", outcome.is_ok().to_string())
-                        });
                     }
                     outcome
                 })
@@ -783,7 +770,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceEvent;
+    use crate::trace::{TraceEvent, TraceSink};
     use commset_ir::IntrinsicTable;
     use commset_lang::ast::Type;
     use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -927,10 +914,9 @@ mod tests {
         let (module, plan) = compile_doall(SUM_SRC, 3, SyncMode::Spin);
         let mut world = World::new();
         world.install("acc", 0i64);
-        let journal = commset_telemetry::Journal::new(42);
         let cfg = ExecConfig {
             metrics: true,
-            journal: Some(journal.clone()),
+            trace: Some(TraceSink::new()),
             ..ExecConfig::default()
         };
         let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
@@ -947,10 +933,10 @@ mod tests {
             "lock waits observed: {:?}",
             reg.hists().keys().collect::<Vec<_>>()
         );
-        let jsonl = journal.to_jsonl();
-        for kind in ["section_start", "worker_done", "section_end", "metrics"] {
-            assert!(jsonl.contains(&format!("\"kind\":\"{kind}\"")), "{jsonl}");
-        }
+        // What a rendered journal's section events come from.
+        let report = out.telemetry.expect("trace on attaches the report");
+        assert_eq!(report.sections.len(), 1);
+        assert_eq!(report.sections[0].workers.len(), 3);
         // Off by default: no registry attached.
         let (module2, plan2) = compile_doall(SUM_SRC, 3, SyncMode::Spin);
         let mut world2 = World::new();

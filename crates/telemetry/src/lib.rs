@@ -13,8 +13,8 @@
 //!   busy/blocked/idle utilization (the stage-balance quantity that
 //!   predicts PS-DSWP scalability), a lock-contention profile, per-queue
 //!   traffic, and every existing counter snapshot (fault, watchdog,
-//!   shard, STM, SPSC spins) unified into one serializable structure with
-//!   a human-readable text rendering and a dependency-free JSON encoding.
+//!   shard, STM, SPSC spins) unified into one structure with a
+//!   human-readable text rendering.
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter: any run
 //!   (or any checker interleaving) becomes a timeline you can open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>.
@@ -24,9 +24,13 @@
 //!   counters, log2-bucketed histograms, and bytecode hotspot
 //!   attribution (per-opcode retires, hot-block ranks), merged from
 //!   per-worker local state published once at worker exit.
-//! * [`journal`] — the structured JSONL event [`journal::Journal`] with
-//!   causal IDs (run → attempt → rung → section → worker),
-//!   replay-linkable to `.repro.json` failure bundles.
+//! * [`recovery`] — the [`recovery::RecoveryReport`]: what the execution
+//!   supervisor did to finish a run.
+//!
+//! The JSONL event journal is not recorded during a run: `commset`'s
+//! `report::render_journal` renders it afterwards from the run report,
+//! the simulated time, the registry and the recovery report the run
+//! returns.
 //!
 //! Telemetry is zero-cost when off: the executors consult one option per
 //! layer (`ExecConfig::trace` for the event stream and the run report it
@@ -34,7 +38,6 @@
 //! `commset-interp`) and touch nothing else.
 
 pub mod chrome;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod recovery;
@@ -42,7 +45,6 @@ pub mod report;
 pub mod span;
 
 pub use chrome::{chrome_trace_json, ChromeTraceBuilder};
-pub use journal::{Journal, JournalEvent};
 pub use metrics::{MetricsRegistry, MetricsSink};
 pub use recovery::RecoveryReport;
 pub use report::{

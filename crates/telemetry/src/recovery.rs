@@ -4,11 +4,10 @@
 //! transient failures with backoff and walks a degradation ladder —
 //! sharded world → single lock, thread count halving, sequential fallback
 //! — until the run produces a validated result or fails terminally. A
-//! [`RecoveryReport`] records that journey so `commsetc profile` and the
-//! bench harness can surface *how* a result was obtained, not just that
-//! it was.
+//! [`RecoveryReport`] records that journey so `commsetc profile` can
+//! surface *how* a result was obtained, not just that it was, and so a
+//! rendered journal can write its supervisor events from it.
 
-use crate::json::escape;
 use std::fmt::Write;
 
 /// The supervisor's account of one supervised run.
@@ -79,39 +78,6 @@ impl RecoveryReport {
         }
         out
     }
-
-    /// Serializes the report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"attempts\":{},", self.attempts);
-        let _ = write!(out, "\"retries\":{},", self.retries);
-        let _ = write!(out, "\"backoff_ms\":{},", self.backoff_ms);
-        let _ = write!(out, "\"recovered\":{},", self.recovered);
-        let _ = write!(out, "\"degraded\":{},", self.degraded);
-        let _ = write!(out, "\"final_mode\":\"{}\",", escape(&self.final_mode));
-        let rungs: Vec<String> = self
-            .rungs
-            .iter()
-            .map(|r| format!("\"{}\"", escape(r)))
-            .collect();
-        let _ = write!(out, "\"rungs\":[{}],", rungs.join(","));
-        let errors: Vec<String> = self
-            .errors
-            .iter()
-            .map(|e| format!("\"{}\"", escape(e)))
-            .collect();
-        let _ = write!(out, "\"errors\":[{}],", errors.join(","));
-        match &self.bundle {
-            Some(b) => {
-                let _ = write!(out, "\"bundle\":\"{}\"", escape(b));
-            }
-            None => {
-                let _ = write!(out, "\"bundle\":null");
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -154,16 +120,5 @@ mod tests {
         assert!(text.contains("threads(sharded, 8) -> threads(single-lock, 8)"));
         assert!(text.contains("recovered (degraded)"));
         assert!(text.contains("repro-abc"));
-    }
-
-    #[test]
-    fn json_round_trips_the_interesting_fields() {
-        let j = sample().to_json();
-        assert!(j.contains("\"attempts\":3"));
-        assert!(j.contains("\"degraded\":true"));
-        assert!(j.contains("\"rungs\":[\"threads(sharded, 8)\""));
-        assert!(j.contains("\"bundle\":\"target/repro-abc.repro.json\""));
-        let none = RecoveryReport::default().to_json();
-        assert!(none.contains("\"bundle\":null"));
     }
 }

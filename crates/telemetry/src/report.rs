@@ -16,11 +16,9 @@
 //!   full/empty spin counters.
 //!
 //! The report renders as a human-readable text table
-//! ([`RunReport::render_text`]) and serializes to dependency-free JSON
-//! ([`RunReport::to_json`]); the raw spans stay available for the
+//! ([`RunReport::render_text`]); the raw spans stay available for the
 //! Chrome/Perfetto exporter ([`crate::chrome`]).
 
-use crate::json;
 use crate::span::{SpanKind, SpanRecord};
 use commset_runtime::{FaultStats, ShardStatsSnapshot};
 use std::fmt::Write as _;
@@ -59,6 +57,9 @@ impl ClockUnit {
 pub struct SectionMeta {
     /// Ordinal of the section within the run (execution order).
     pub section: usize,
+    /// The plan's section id (the `__par_invoke` argument; a section in a
+    /// loop runs under several ordinals with one id).
+    pub plan_section: i64,
     /// Per-stage human-readable descriptions (from the plan).
     pub stage_desc: Vec<String>,
     /// Worker index → pipeline stage.
@@ -216,6 +217,8 @@ pub struct QueueReport {
 pub struct SectionProfile {
     /// Ordinal of the section within the run.
     pub section: usize,
+    /// The plan's section id.
+    pub plan_section: i64,
     /// Section start/end timestamps.
     pub span: (u64, u64),
     /// Stage-balance rows, by stage index.
@@ -235,7 +238,7 @@ impl SectionProfile {
     }
 }
 
-/// The unified, serializable report of one run.
+/// The unified report of one run.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Which clock the timestamps use.
@@ -244,8 +247,7 @@ pub struct RunReport {
     pub sections: Vec<SectionProfile>,
     /// The unified counter snapshots.
     pub counters: RunCounters,
-    /// The raw span stream (kept for the Chrome/Perfetto exporter; not
-    /// part of [`RunReport::to_json`]).
+    /// The raw span stream (kept for the Chrome/Perfetto exporter).
     pub spans: Vec<SpanRecord>,
 }
 
@@ -404,128 +406,6 @@ impl RunReport {
         );
         out
     }
-
-    /// Serializes the report (without the raw spans) as JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"clock\": \"");
-        out.push_str(self.clock.label());
-        out.push_str("\", \"sections\": [");
-        for (i, s) in self.sections.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"section\": {}, \"span\": [{}, {}], \"stages\": [",
-                s.section, s.span.0, s.span.1
-            );
-            for (k, st) in s.stages.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"stage\": {}, \"desc\": \"{}\", \"workers\": {}, \"busy\": {}, \
-                     \"blocked\": {}, \"idle\": {}, \"busy_pct\": {}, \"blocked_pct\": {}, \
-                     \"idle_pct\": {}}}",
-                    st.stage,
-                    json::escape(&st.desc),
-                    st.workers,
-                    st.busy,
-                    st.blocked,
-                    st.idle,
-                    json::num(st.busy_pct()),
-                    json::num(st.blocked_pct()),
-                    json::num(st.idle_pct())
-                );
-            }
-            out.push_str("], \"locks\": [");
-            for (k, l) in s.locks.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"rank\": {}, \"set\": \"{}\", \"acquires\": {}, \"wait\": {}, \
-                     \"hold\": {}, \"max_wait\": {}}}",
-                    l.rank,
-                    json::escape(&l.set),
-                    l.acquires,
-                    l.wait_total,
-                    l.hold_total,
-                    l.max_wait
-                );
-            }
-            out.push_str("], \"queues\": [");
-            for (k, q) in s.queues.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"id\": {}, \"what\": \"{}\", \"pushes\": {}, \"pops\": {}, \
-                     \"push_wait\": {}, \"pop_wait\": {}, \"full_spins\": {}, \
-                     \"empty_spins\": {}}}",
-                    q.id,
-                    json::escape(&q.what),
-                    q.pushes,
-                    q.pops,
-                    q.push_wait,
-                    q.pop_wait,
-                    q.full_spins,
-                    q.empty_spins
-                );
-            }
-            out.push_str("], \"workers\": [");
-            for (k, w) in s.workers.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"worker\": {}, \"stage\": {}, \"total\": {}, \"busy\": {}, \
-                     \"blocked\": {}, \"idle\": {}, \"regions\": {}}}",
-                    w.worker, w.stage, w.total, w.busy, w.blocked, w.idle, w.regions
-                );
-            }
-            out.push_str("]}");
-        }
-        let c = &self.counters;
-        let _ = write!(
-            out,
-            "], \"counters\": {{\"fault\": {{\"stm_aborts\": {}, \"lock_delays\": {}, \
-             \"stalls\": {}, \"shard_holds\": {}}}, \"stm\": {{\"commits\": {}, \
-             \"aborts\": {}, \"fallbacks\": {}}}, \"shard\": {{\"fast_acquires\": {}, \
-             \"fast_waits\": {}, \"multi_acquires\": {}, \"whole_acquires\": {}}}, \
-             \"delta\": {{\"applies\": {}, \"coalesces\": {}, \"merged_slots\": {}, \
-             \"lock_elisions\": {}}}, \
-             \"queue_full_spins\": {}, \"queue_empty_spins\": {}, \"queue_drained\": {}, \
-             \"watchdog\": {{\"clean\": {}, \"checks\": {}, \"max_blocked\": {}}}}}}}",
-            c.fault.stm_aborts,
-            c.fault.lock_delays,
-            c.fault.stalls,
-            c.fault.shard_holds,
-            c.tm_commits,
-            c.tm_aborts,
-            c.tm_fallbacks,
-            c.shard.fast_acquires,
-            c.shard.fast_waits,
-            c.shard.multi_acquires,
-            c.shard.whole_acquires,
-            c.delta.applies,
-            c.delta.coalesces,
-            c.delta.merged_slots,
-            c.delta.lock_elisions,
-            c.queue_full_spins,
-            c.queue_empty_spins,
-            c.queue_drained,
-            c.watchdog_clean,
-            c.watchdog_checks,
-            c.max_blocked
-        );
-        out
-    }
 }
 
 fn build_section(meta: &SectionMeta, spans: &[SpanRecord]) -> SectionProfile {
@@ -651,6 +531,7 @@ fn build_section(meta: &SectionMeta, spans: &[SpanRecord]) -> SectionProfile {
 
     SectionProfile {
         section: meta.section,
+        plan_section: meta.plan_section,
         span: meta.span,
         stages,
         workers,
@@ -676,6 +557,7 @@ mod tests {
     fn meta() -> SectionMeta {
         SectionMeta {
             section: 0,
+            plan_section: 0,
             stage_desc: vec!["S0: produce".into(), "S1: consume".into()],
             worker_stage: vec![0, 1],
             locks: vec!["FSET".into()],
@@ -740,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_render_the_headline_rows() {
+    fn text_renders_the_headline_rows() {
         let spans = vec![
             span(0, 0, 80, SpanKind::Worker),
             span(1, 0, 60, SpanKind::Worker),
@@ -760,17 +642,7 @@ mod tests {
         assert!(text.contains("S0: produce"), "{text}");
         assert!(text.contains("lock contention (by rank):"), "{text}");
         assert!(text.contains("watchdog: clean (checks=5"), "{text}");
-        let js = report.to_json();
-        assert!(js.contains("\"clock\": \"ticks\""), "{js}");
-        assert!(js.contains("\"stages\": ["), "{js}");
-        assert!(js.contains("\"full_spins\": 3"), "{js}");
-        assert!(js.contains("\"watchdog\": {\"clean\": true"), "{js}");
-        // Braces balance (cheap well-formedness check).
-        assert_eq!(
-            js.matches('{').count(),
-            js.matches('}').count(),
-            "unbalanced JSON"
-        );
+        assert!(text.contains("clock unit: ticks"), "{text}");
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! output identical to the sequential oracle — recovery is allowed,
 //! failure is not.
 
+use commset::replay::{replay_bundle, replay_bundle_on};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_interp::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
 use commset_interp::{
-    run_threaded_with, Backend, ExecConfig, ExecError, RecoveryPolicy, WorldMode,
+    run_threaded_with, Backend, ExecConfig, ExecError, FailureBundle, RecoveryPolicy, WorldMode,
 };
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -766,10 +767,13 @@ fn delta_poison_descends_to_the_sharded_rung_on_real_threads() {
     let expected: i64 = (0..96).sum();
     let mut cfg = ExecConfig::with_fault(FaultPlan::delta_poison(0xDE));
     cfg.world = WorldMode::Deltas;
+    let dir = std::env::temp_dir().join("commset-torture-delta-bundle");
+    let _ = std::fs::remove_dir_all(&dir);
     let policy = RecoveryPolicy {
         max_retries: 1,
         base_backoff_ms: 1,
         max_backoff_ms: 2,
+        bundle_dir: Some(dir.clone()),
         ..RecoveryPolicy::default()
     };
     let validate = |cand: &World, oracle: &World| -> Result<(), String> {
@@ -805,6 +809,21 @@ fn delta_poison_descends_to_the_sharded_rung_on_real_threads() {
         out.recovery.retries >= 1,
         "poison is transient: it must be retried before descending"
     );
+
+    // The first failure was captured on the deltas rung; its bundle names
+    // that world, loads, and replays to the same injected poison.
+    let path = out.recovery.bundle.as_ref().expect("a bundle was captured");
+    let bundle = FailureBundle::load(std::path::Path::new(path)).unwrap();
+    assert_eq!(bundle.world_mode, "deltas");
+    assert_eq!(bundle.rung, "threads(deltas, 4)");
+    replay_bundle(&bundle).expect("every recorded knob parses");
+    let replay = replay_bundle_on(&bundle, &src).unwrap();
+    assert!(
+        replay.reproduced,
+        "expected {:?}, observed {:?}",
+        replay.expected, replay.observed
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite coverage: shard holds combined with the slow-worker fault at
