@@ -9,7 +9,6 @@
 //! from a [`ManagedUnit`].
 
 use crate::metadata::ManagedUnit;
-use commset_lang::ast::SetKind;
 
 /// One commutative region (an outlined `__commset_region_*` function) or
 /// an annotated original function, with its CommSet membership metadata.
@@ -71,29 +70,6 @@ pub fn region_catalog(managed: &ManagedUnit) -> Vec<RegionInfo> {
     rows
 }
 
-/// Renders the catalog as an aligned text table (one row per membership).
-pub fn render_catalog(rows: &[RegionInfo]) -> String {
-    let mut out =
-        String::from("region                        set           kind   pred  nosync line\n");
-    for r in rows {
-        let pred = if r.predicated {
-            r.predicate_func.as_deref().unwrap_or("yes")
-        } else {
-            "-"
-        };
-        out.push_str(&format!(
-            "{:<29} {:<13} {:<6} {:<5} {:<6} {}\n",
-            r.func, r.set_name, r.kind, pred, r.nosync, r.origin_line
-        ));
-    }
-    out
-}
-
-/// The [`SetKind`] spelling helper re-exported for checker reports.
-pub fn kind_str(kind: SetKind) -> &'static str {
-    kind.as_str()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +113,5 @@ int main() {
         assert!(rows
             .iter()
             .any(|r| r.func == fset.func && r.set_name != "FSET"));
-        let text = render_catalog(&rows);
-        assert!(text.contains("__pred_FSET"), "{text}");
     }
 }

@@ -140,13 +140,6 @@ pub struct HotLoop {
     pub reductions: Vec<ReductionPragma>,
 }
 
-impl HotLoop {
-    /// Statement ids of the body, in order.
-    pub fn stmt_ids(&self) -> Vec<StmtId> {
-        self.body.iter().map(|s| s.id).collect()
-    }
-}
-
 fn err(msg: impl Into<String>, span: Span) -> Diagnostic {
     Diagnostic::new(Phase::Commset, msg, span)
 }
@@ -239,7 +232,7 @@ pub fn find_hot_loop(
     let mut body_arrays: BTreeSet<String> = BTreeSet::new();
     let mut body_decls: BTreeSet<String> = BTreeSet::new();
     for s in &body_stmts {
-        walk_sub(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if let StmtKind::VarDecl {
                 name, array_len, ..
             } = &x.kind
@@ -257,7 +250,7 @@ pub fn find_hot_loop(
         if s.id == loop_stmt.id {
             break;
         }
-        walk_sub(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if let StmtKind::VarDecl {
                 name,
                 array_len: Some(_),
@@ -563,7 +556,7 @@ fn classify_for(
     collect_var_reads(&bound, &mut bound_vars);
     bound_vars.insert(iv.clone());
     let mut violated = false;
-    walk_sub(body, &mut |x| {
+    walk_stmt(body, &mut |x| {
         if let StmtKind::Assign { target, .. } = &x.kind {
             if bound_vars.contains(target.name()) {
                 violated = true;
@@ -641,40 +634,6 @@ fn check_ctl(s: &Stmt, depth: &mut u32, bad: &mut Option<Span>) {
     }
 }
 
-fn walk_sub(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
-    f(s);
-    match &s.kind {
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_sub(then_branch, f);
-            if let Some(e) = else_branch {
-                walk_sub(e, f);
-            }
-        }
-        StmtKind::While { body, .. } => walk_sub(body, f),
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                walk_sub(i, f);
-            }
-            if let Some(st) = step {
-                walk_sub(st, f);
-            }
-            walk_sub(body, f);
-        }
-        StmtKind::Block(b) => {
-            for x in &b.stmts {
-                walk_sub(x, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 fn collect_var_reads(e: &Expr, out: &mut BTreeSet<String>) {
     walk_expr(e, &mut |x| {
         if let ExprKind::Var(n) = &x.kind {
@@ -698,7 +657,7 @@ fn analyze_stmt(
     // except a name declared by the statement itself at top level, which is
     // visible to sibling statements.
     let mut declared: BTreeSet<String> = BTreeSet::new();
-    walk_sub(s, &mut |x| {
+    walk_stmt(s, &mut |x| {
         if let StmtKind::VarDecl { name, .. } = &x.kind {
             declared.insert(name.clone());
         }
@@ -714,7 +673,7 @@ fn analyze_stmt(
     // through single-assignment copy chains back to the enclosing scope.
     let mut alias: HashMap<String, String> = HashMap::new();
     let mut private_write_counts: HashMap<String, u32> = HashMap::new();
-    walk_sub(s, &mut |x| match &x.kind {
+    walk_stmt(s, &mut |x| match &x.kind {
         StmtKind::VarDecl {
             name,
             init:
@@ -797,7 +756,7 @@ fn analyze_stmt(
         _ => {}
     }
 
-    walk_sub(s, &mut |x| {
+    walk_stmt(s, &mut |x| {
         weight += 1;
         if let StmtKind::Assign { target, op, .. } = &x.kind {
             let n = target.name();

@@ -794,7 +794,7 @@ fn inline_call_stmt(
     let n = callee.body.stmts.len();
     for (i, s) in callee.body.stmts.iter().enumerate() {
         let mut has_return = false;
-        walk_one(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if matches!(x.kind, StmtKind::Return(_)) {
                 has_return = true;
             }
@@ -813,7 +813,7 @@ fn inline_call_stmt(
         // Even the final statement must be a *top-level* return (or none).
         let last = &callee.body.stmts[n - 1];
         let mut nested_return = false;
-        walk_one(last, &mut |x| {
+        walk_stmt(last, &mut |x| {
             if matches!(x.kind, StmtKind::Return(_)) && x.id != last.id {
                 nested_return = true;
             }
@@ -1017,40 +1017,6 @@ fn renumber(s: &mut Stmt, next: &mut u32) {
 
 // -- small mutable AST walkers ------------------------------------------------
 
-fn walk_one(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
-    f(s);
-    match &s.kind {
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_one(then_branch, f);
-            if let Some(e) = else_branch {
-                walk_one(e, f);
-            }
-        }
-        StmtKind::While { body, .. } => walk_one(body, f),
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                walk_one(i, f);
-            }
-            if let Some(st) = step {
-                walk_one(st, f);
-            }
-            walk_one(body, f);
-        }
-        StmtKind::Block(b) => {
-            for x in &b.stmts {
-                walk_one(x, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 fn walk_one_mut(s: &mut Stmt, f: &mut dyn FnMut(&mut Stmt)) {
     f(s);
     match &mut s.kind {
@@ -1114,7 +1080,7 @@ fn stmt_exprs_mut(s: &mut Stmt, f: &mut dyn FnMut(&mut Expr)) {
 fn free_vars(block: &Block) -> (BTreeSet<String>, BTreeSet<String>, BTreeSet<String>) {
     let mut declared = BTreeSet::new();
     for s in &block.stmts {
-        walk_one(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if let StmtKind::VarDecl { name, .. } = &x.kind {
                 declared.insert(name.clone());
             }
@@ -1124,7 +1090,7 @@ fn free_vars(block: &Block) -> (BTreeSet<String>, BTreeSet<String>, BTreeSet<Str
     let mut writes = BTreeSet::new();
     let mut arrays = BTreeSet::new();
     for s in &block.stmts {
-        walk_one(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if let StmtKind::Assign { target, .. } = &x.kind {
                 match target {
                     LValue::Var(n, _) => {

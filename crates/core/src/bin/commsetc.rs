@@ -208,9 +208,13 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--effects" => args.effects = Some(value()?),
             "--pdg" => args.pdg = true,
             "--threads" => {
-                args.threads = value()?
+                let t: usize = value()?
                     .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?
+                    .map_err(|_| "--threads needs a number".to_string())?;
+                if t == 0 {
+                    return Err("--threads must be at least 1".into());
+                }
+                args.threads = t;
             }
             "--scheme" => {
                 args.scheme = Some(match value()?.as_str() {
@@ -1003,6 +1007,9 @@ mod tests {
         // Zero checker threads would explore nothing in parallel mode.
         let err = args(&["check", "f.cmm", "--jobs", "0"]).unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
+        // A zero-worker plan would drop every iteration.
+        let err = args(&["emit", "f.cmm", "--threads", "0"]).unwrap_err();
+        assert!(err.contains("--threads"), "{err}");
         // Zero hotspot rows would render empty tables.
         let err = args(&["report", "f.cmm", "--top", "0"]).unwrap_err();
         assert!(err.contains("--top"), "{err}");

@@ -4,7 +4,7 @@
 //! unified counters) without the user writing any intrinsic handlers.
 //!
 //! The synthetic world is the dynamic checker's abstract model
-//! ([`commset-checker`]'s `ModelWorld`): return values are pure hash
+//! ([`commset_checker::ModelWorld`]): return values are pure hash
 //! functions of `(intrinsic, args)`, handle allocators yield deterministic
 //! fresh handles, argument-less effect-free size queries return the
 //! sidecar's `model size` (default 6) as the loop bound, and int-returning

@@ -19,11 +19,10 @@ use crate::spec::{build_table, parse_effects, EffectsSpec};
 use crate::{Compiler, Scheme, SyncMode};
 use commset_interp::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
 use commset_interp::{
-    run_sequential, run_simulated_with, run_supervised, run_threaded_with, Backend, ExecConfig,
-    FailureBundle, RecoveryPolicy, SupervisedFailure, SupervisedOutcome, WorldMode,
+    replay_attempt, run_supervised, Backend, ExecConfig, FailureBundle, RecoveryPolicy,
+    SupervisedFailure, SupervisedOutcome,
 };
 use commset_runtime::{Registry, World};
-use commset_sim::CostModel;
 
 /// Parses a scheme name, case-insensitively: bundles record the
 /// `Display` rendering (`DOALL`), the CLI spells it lowercase (`doall`).
@@ -198,57 +197,7 @@ pub fn replay_bundle_on(
     bundle: &FailureBundle,
     src: &dyn ProgramSource,
 ) -> Result<ReplayOutcome, String> {
-    let cfg = ExecConfig {
-        fault: bundle.fault.clone(),
-        world: WorldMode::parse(&bundle.world_mode)?,
-        queue_batch: bundle.queue_batch.max(1),
-        deadline_ms: bundle.deadline_ms,
-        ..ExecConfig::default()
-    };
-    let observed: Option<String> = match bundle.backend.as_str() {
-        "sequential" => {
-            let module = src.sequential()?;
-            let mut world = src.fresh_world();
-            run_sequential(
-                &module,
-                src.registry(),
-                &mut world,
-                &CostModel::default(),
-                "main",
-            )
-            .err()
-            .map(|e| e.to_string())
-        }
-        "threads" => match src.parallel(bundle.threads) {
-            Err(d) => Some(format!("compile failed: {d}")),
-            Ok(prog) => run_threaded_with(
-                &prog.module,
-                src.registry(),
-                &prog.plans,
-                src.fresh_world(),
-                &cfg,
-            )
-            .err()
-            .map(|e| e.to_string()),
-        },
-        "sim" => match src.parallel(bundle.threads) {
-            Err(d) => Some(format!("compile failed: {d}")),
-            Ok(prog) => {
-                let mut world = src.fresh_world();
-                run_simulated_with(
-                    &prog.module,
-                    src.registry(),
-                    &prog.plans,
-                    &mut world,
-                    &CostModel::default(),
-                    &cfg,
-                )
-                .err()
-                .map(|e| e.to_string())
-            }
-        },
-        other => return Err(format!("unknown bundle backend `{other}`")),
-    };
+    let observed = replay_attempt(bundle, src)?;
     Ok(ReplayOutcome {
         reproduced: observed.as_deref() == Some(bundle.error.as_str()),
         expected: bundle.error.clone(),
@@ -288,7 +237,6 @@ mod tests {
             threads: 4,
             backend: backend.into(),
             world_mode: "auto".into(),
-            queue_batch: 8,
             deadline_ms: None,
             fault: commset_runtime::FaultPlan::default(),
             error: error.into(),
@@ -301,16 +249,29 @@ mod tests {
 
     #[test]
     fn deterministic_failure_reproduces_under_replay() {
-        // Discover the exact error rendering once, then assert replay
-        // reproduces it from the bundle alone.
-        let probe = bundle_for(DIV_SRC, "sim", "probe");
-        let out = replay_bundle(&probe).unwrap();
-        let err = out.observed.expect("division by zero must fail");
-        assert!(err.contains("division by zero"), "{err}");
+        // Per backend: discover the exact error rendering once, then
+        // assert replay reproduces it from the bundle alone.
+        for backend in ["sim", "threads", "sequential"] {
+            let probe = bundle_for(DIV_SRC, backend, "probe");
+            let out = replay_bundle(&probe).unwrap();
+            let err = out.observed.expect("division by zero must fail");
+            assert!(err.contains("division by zero"), "{backend}: {err}");
 
-        let bundle = bundle_for(DIV_SRC, "sim", &err);
-        let out = replay_bundle(&bundle).unwrap();
-        assert!(out.reproduced, "observed {:?}", out.observed);
+            let bundle = bundle_for(DIV_SRC, backend, &err);
+            let out = replay_bundle(&bundle).unwrap();
+            assert!(out.reproduced, "{backend}: observed {:?}", out.observed);
+        }
+    }
+
+    #[test]
+    fn parallel_compile_failure_is_observed_not_an_error() {
+        // A rung that does not compile is an observed attempt failure,
+        // rendered as the supervisor records it.
+        let mut b = bundle_for(SUM_SRC, "threads", "e");
+        b.threads = 0;
+        let out = replay_bundle(&b).unwrap();
+        let observed = out.observed.expect("zero threads must not compile");
+        assert!(observed.starts_with("compile failed: "), "{observed}");
     }
 
     #[test]

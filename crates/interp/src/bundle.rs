@@ -266,8 +266,6 @@ pub struct FailureBundle {
     /// World mode of the failing attempt (`auto`, `single-lock`,
     /// `sharded`, `deltas`).
     pub world_mode: String,
-    /// DSWP queue batch size in effect.
-    pub queue_batch: usize,
     /// The deadline in effect, if any.
     pub deadline_ms: Option<u64>,
     /// The full fault-injection plan.
@@ -360,7 +358,6 @@ impl FailureBundle {
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"backend\": \"{}\",", escape(&self.backend));
         let _ = writeln!(out, "  \"world_mode\": \"{}\",", escape(&self.world_mode));
-        let _ = writeln!(out, "  \"queue_batch\": {},", self.queue_batch);
         let _ = writeln!(out, "  \"deadline_ms\": {},", opt_u64(self.deadline_ms));
         let _ = writeln!(
             out,
@@ -488,7 +485,6 @@ impl FailureBundle {
             threads: u64_field("threads")? as usize,
             backend: str_field("backend")?,
             world_mode: str_field("world_mode")?,
-            queue_batch: u64_field("queue_batch")? as usize,
             deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
             fault,
             error: str_field("error")?,
@@ -564,7 +560,6 @@ mod tests {
             threads: 8,
             backend: "threads".into(),
             world_mode: "sharded".into(),
-            queue_batch: 8,
             deadline_ms: Some(40),
             fault: FaultPlan {
                 seed: u64::MAX - 3,
@@ -634,6 +629,14 @@ mod tests {
             "  \"watchdog\": true,\n  \"deadline_ms\"",
         );
         assert!(old.contains("\"watchdog\": true,"), "{old}");
+        assert_eq!(FailureBundle::from_json(&old).unwrap(), b);
+        // Bundles written while the DSWP queue batch was a knob carry a
+        // `"queue_batch"` key; the reader ignores it too.
+        let old = b.to_json().replace(
+            "  \"deadline_ms\"",
+            "  \"queue_batch\": 8,\n  \"deadline_ms\"",
+        );
+        assert!(old.contains("\"queue_batch\": 8,"), "{old}");
         assert_eq!(FailureBundle::from_json(&old).unwrap(), b);
     }
 

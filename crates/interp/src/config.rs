@@ -84,12 +84,6 @@ pub struct ExecConfig {
     /// Shared-world implementation for the real-thread executor
     /// ([`WorldMode::Auto`] by default).
     pub world: WorldMode,
-    /// Batch size for the DSWP queue staging buffers in the real-thread
-    /// executor: a producer stage publishes up to this many queued values
-    /// with one release store, and a consumer refills its local buffer
-    /// with up to this many per shared-queue access. `1` disables
-    /// batching; default 8.
-    pub queue_batch: usize,
     /// Per-section deadline in milliseconds; `None` (the default) runs
     /// unbounded. In the real-thread executor a monitor waits out the
     /// deadline, escalates to the watchdog for a diagnosis, then trips the
@@ -114,7 +108,6 @@ impl Default for ExecConfig {
             backoff: BackoffPolicy::default(),
             trace: None,
             world: WorldMode::Auto,
-            queue_batch: 8,
             deadline_ms: None,
             metrics: false,
         }
@@ -155,7 +148,6 @@ mod tests {
         assert!(c.fault.is_none());
         assert!(c.backoff.max_aborts > 0);
         assert_eq!(c.world, WorldMode::Auto);
-        assert!(c.queue_batch >= 1);
         assert!(c.trace.is_none(), "the event stream must be opt-in");
         assert!(!c.metrics, "the metrics registry must be opt-in");
         assert!(c.deadline_ms.is_none(), "deadlines must be opt-in");

@@ -77,8 +77,8 @@ pub use metrics::MetricsLocal;
 pub use seq::run_sequential;
 pub use sim_exec::{run_simulated, run_simulated_with, SimOutcome, SimStats};
 pub use supervise::{
-    run_supervised, Backend, CompiledProgram, ProgramDesc, ProgramSource, RecoveryPolicy,
-    SupervisedFailure, SupervisedOutcome, Validator,
+    replay_attempt, run_supervised, Backend, CompiledProgram, ProgramDesc, ProgramSource,
+    RecoveryPolicy, SupervisedFailure, SupervisedOutcome, Validator,
 };
 pub use thread_exec::{run_threaded, run_threaded_with, ThreadOutcome, ThreadStats};
 pub use trace::{TraceEvent, TraceRecord, TraceSink};

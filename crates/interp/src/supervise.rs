@@ -24,10 +24,10 @@
 //!    recompiles via [`ProgramSource`]. Every degraded success is
 //!    re-validated against the lazily-computed sequential oracle before it
 //!    is accepted — degradation may cost speed, never semantics.
-//! 4. **Failure bundles.** The first failure (and the terminal one, if
-//!    different) is captured as a replayable [`FailureBundle`]
-//!    (`.repro.json`) when the policy names a bundle directory;
-//!    `commsetc replay` re-executes it deterministically.
+//! 4. **Failure bundles.** The first failure only is captured as a
+//!    replayable [`FailureBundle`] (`.repro.json`) when the policy names a
+//!    bundle directory; [`replay_attempt`] (behind `commsetc replay`)
+//!    re-executes it deterministically.
 //!
 //! The whole journey is recorded in a
 //! [`commset_telemetry::RecoveryReport`] carried on the outcome; a
@@ -127,6 +127,9 @@ pub trait ProgramSource {
 /// Receives `(candidate, oracle)`; workloads compare their output slots.
 pub type Validator = dyn Fn(&World, &World) -> Result<(), String> + Sync;
 
+/// Seed of the deterministic backoff jitter.
+const JITTER_SEED: u64 = 0x5eed_c0de;
+
 /// The supervisor's knob set.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
@@ -139,11 +142,6 @@ pub struct RecoveryPolicy {
     pub base_backoff_ms: u64,
     /// Backoff cap in milliseconds (default 50).
     pub max_backoff_ms: u64,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-    /// Walk the degradation ladder; `false` retries the initial rung only
-    /// (plus the sequential fallback).
-    pub ladder: bool,
     /// Where to write `.repro.json` failure bundles; `None` disables
     /// capture.
     pub bundle_dir: Option<PathBuf>,
@@ -156,8 +154,6 @@ impl Default for RecoveryPolicy {
             deadline_ms: None,
             base_backoff_ms: 1,
             max_backoff_ms: 50,
-            seed: 0x5eed_c0de,
-            ladder: true,
             bundle_dir: None,
         }
     }
@@ -221,14 +217,12 @@ impl Rung {
 
 /// Builds the ladder: initial rung, then (threads backend, sharded start)
 /// the single-lock world at full width, then thread halving, then the
-/// sequential fallback. With `ladder` off only the initial rung and the
-/// sequential fallback remain.
+/// sequential fallback.
 fn build_ladder(
     backend: Backend,
     start_mode: WorldMode,
     threads: usize,
     registry: &Registry,
-    ladder: bool,
 ) -> Vec<Rung> {
     let resolved = match start_mode {
         WorldMode::Auto => {
@@ -244,44 +238,42 @@ fn build_ladder(
         mode: resolved,
         threads,
     }];
-    if ladder {
-        if resolved == WorldMode::Deltas {
-            // A poisoned delta coalesce degrades to the lock-mediated
-            // sharded world at full width before giving up any threads.
-            rungs.push(Rung::Parallel {
-                mode: WorldMode::Sharded,
-                threads,
-            });
-            if backend == Backend::Threads {
-                rungs.push(Rung::Parallel {
-                    mode: WorldMode::SingleLock,
-                    threads,
-                });
-            }
-        } else if backend == Backend::Threads && resolved == WorldMode::Sharded {
+    if resolved == WorldMode::Deltas {
+        // A poisoned delta coalesce degrades to the lock-mediated
+        // sharded world at full width before giving up any threads.
+        rungs.push(Rung::Parallel {
+            mode: WorldMode::Sharded,
+            threads,
+        });
+        if backend == Backend::Threads {
             rungs.push(Rung::Parallel {
                 mode: WorldMode::SingleLock,
                 threads,
             });
         }
-        let degraded_mode = match backend {
-            Backend::Threads => WorldMode::SingleLock,
-            Backend::Sim => {
-                if resolved == WorldMode::Deltas {
-                    WorldMode::Sharded
-                } else {
-                    resolved
-                }
+    } else if backend == Backend::Threads && resolved == WorldMode::Sharded {
+        rungs.push(Rung::Parallel {
+            mode: WorldMode::SingleLock,
+            threads,
+        });
+    }
+    let degraded_mode = match backend {
+        Backend::Threads => WorldMode::SingleLock,
+        Backend::Sim => {
+            if resolved == WorldMode::Deltas {
+                WorldMode::Sharded
+            } else {
+                resolved
             }
-        };
-        let mut t = threads;
-        while t > 1 {
-            t /= 2;
-            rungs.push(Rung::Parallel {
-                mode: degraded_mode,
-                threads: t,
-            });
         }
+    };
+    let mut t = threads;
+    while t > 1 {
+        t /= 2;
+        rungs.push(Rung::Parallel {
+            mode: degraded_mode,
+            threads: t,
+        });
     }
     rungs.push(Rung::Sequential);
     rungs
@@ -441,7 +433,6 @@ fn capture_bundle(
         }
         .to_string(),
         world_mode: world_mode.name().to_string(),
-        queue_batch: cfg.queue_batch,
         deadline_ms: policy.deadline_ms.or(cfg.deadline_ms),
         fault: cfg.fault.clone(),
         error: err.render(),
@@ -453,6 +444,43 @@ fn capture_bundle(
     match bundle.write(dir) {
         Ok(path) => report.bundle = Some(path.display().to_string()),
         Err(e) => report.errors.push(format!("bundle capture failed: {e}")),
+    }
+}
+
+/// Re-executes the one attempt `bundle` captured against `src` — the
+/// bundle's rung, world mode, deadline and fault plan on a fresh world —
+/// and returns the observed error rendering (`None`: the attempt
+/// succeeded). A parallel compile failure is observed as
+/// `compile failed: …`, as the supervisor recorded it.
+///
+/// # Errors
+///
+/// Returns a message for a backend or world-mode name that
+/// `capture_bundle` never writes, and for a sequential compile failure.
+pub fn replay_attempt(
+    bundle: &FailureBundle,
+    src: &dyn ProgramSource,
+) -> Result<Option<String>, String> {
+    let mode = WorldMode::parse(&bundle.world_mode)?;
+    let (backend, rung) = if bundle.backend == "sequential" {
+        (Backend::Sim, Rung::Sequential)
+    } else {
+        let backend = [Backend::Threads, Backend::Sim]
+            .into_iter()
+            .find(|b| b.name() == bundle.backend)
+            .ok_or_else(|| format!("unknown bundle backend `{}`", bundle.backend))?;
+        let threads = bundle.threads;
+        (backend, Rung::Parallel { mode, threads })
+    };
+    let cfg = ExecConfig {
+        fault: bundle.fault.clone(),
+        deadline_ms: bundle.deadline_ms,
+        ..ExecConfig::default()
+    };
+    match run_rung(src, backend, rung, &cfg) {
+        Ok(_) => Ok(None),
+        Err(AttemptError::Compile(d)) if rung == Rung::Sequential => Err(d),
+        Err(e) => Ok(Some(e.render())),
     }
 }
 
@@ -481,9 +509,9 @@ pub fn run_supervised(
     if policy.deadline_ms.is_some() {
         cfg.deadline_ms = policy.deadline_ms;
     }
-    let rungs = build_ladder(backend, cfg.world, threads, src.registry(), policy.ladder);
+    let rungs = build_ladder(backend, cfg.world, threads, src.registry());
     let mut report = RecoveryReport::default();
-    let mut rng = SplitMix64::new(policy.seed);
+    let mut rng = SplitMix64::new(JITTER_SEED);
     let mut oracle: Option<(Option<Value>, World)> = None;
     let mut last_error: Option<ExecError> = None;
 
@@ -591,7 +619,7 @@ mod tests {
     #[test]
     fn ladder_descends_sharded_singlelock_halving_sequential() {
         let registry = Registry::new();
-        let rungs = build_ladder(Backend::Threads, WorldMode::Sharded, 8, &registry, true);
+        let rungs = build_ladder(Backend::Threads, WorldMode::Sharded, 8, &registry);
         let names: Vec<String> = rungs.iter().map(|r| r.describe(Backend::Threads)).collect();
         assert_eq!(
             names,
@@ -609,7 +637,7 @@ mod tests {
     #[test]
     fn deltas_ladder_descends_through_sharded_first() {
         let registry = Registry::new();
-        let rungs = build_ladder(Backend::Threads, WorldMode::Deltas, 8, &registry, true);
+        let rungs = build_ladder(Backend::Threads, WorldMode::Deltas, 8, &registry);
         let names: Vec<String> = rungs.iter().map(|r| r.describe(Backend::Threads)).collect();
         assert_eq!(
             names,
@@ -623,7 +651,7 @@ mod tests {
                 "sequential",
             ]
         );
-        let sim = build_ladder(Backend::Sim, WorldMode::Deltas, 4, &registry, true);
+        let sim = build_ladder(Backend::Sim, WorldMode::Deltas, 4, &registry);
         let names: Vec<String> = sim.iter().map(|r| r.describe(Backend::Sim)).collect();
         assert_eq!(
             names,
@@ -634,7 +662,7 @@ mod tests {
     #[test]
     fn auto_without_bindings_starts_single_lock() {
         let registry = Registry::new();
-        let rungs = build_ladder(Backend::Threads, WorldMode::Auto, 4, &registry, true);
+        let rungs = build_ladder(Backend::Threads, WorldMode::Auto, 4, &registry);
         assert_eq!(
             rungs[0].describe(Backend::Threads),
             "threads(single-lock, 4)"
@@ -643,15 +671,6 @@ mod tests {
             rungs.last().unwrap().describe(Backend::Threads),
             "sequential"
         );
-    }
-
-    #[test]
-    fn ladder_off_keeps_only_first_rung_and_sequential() {
-        let registry = Registry::new();
-        let rungs = build_ladder(Backend::Sim, WorldMode::Auto, 8, &registry, false);
-        assert_eq!(rungs.len(), 2);
-        assert_eq!(rungs[0].describe(Backend::Sim), "sim(8)");
-        assert_eq!(rungs[1].describe(Backend::Sim), "sequential");
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The real-thread executor.
 //!
 //! Workers run on OS threads with the runtime's lock-free SPSC queues and
-//! raw locks; globals live in a shared atomic store and the world behind a
-//! mutex. On this reproduction's single-core host it cannot demonstrate
-//! speedups — it exists so the correctness tests can validate that the
-//! compiled parallel code computes the same results under genuinely
-//! concurrent execution. TM mode falls back to a single global mutex here
-//! (pessimistic but correct); the simulated executor models optimism.
+//! raw locks; globals live in a shared atomic store. The world is either
+//! one mutex-guarded [`World`] or a [`ShardedWorld`] whose stripes are
+//! locked per call (`WorldMode` picks; `Deltas` rides on the sharded
+//! world and buffers merge-covered calls per worker). Its wall-clock
+//! speedups are bounded by the host's hardware threads; the paper's
+//! speedup figures come from the simulated executor's deterministic
+//! clock. TM mode falls back to a single global mutex here (pessimistic
+//! but correct); the simulated executor models optimism.
 //!
 //! Robustness: a worker that hits a dynamic error — or *panics* inside a
 //! registry intrinsic — no longer takes the process down. The failure is
@@ -43,6 +45,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Batch size of the DSWP queue staging buffers: a producer stage
+/// publishes up to this many queued values with one release store, and a
+/// consumer refills its local buffer with up to this many per shared-queue
+/// access.
+const QUEUE_BATCH: usize = 8;
 
 /// Runtime statistics of a threaded run.
 #[derive(Debug, Clone, Default)]
@@ -282,7 +290,6 @@ struct SectionCtx<'a> {
     delta_out: &'a Mutex<Vec<(usize, DeltaBuffer)>>,
     watchdog: &'a Watchdog,
     run: &'a RunObs<'a>,
-    queue_batch: usize,
     /// The run's epoch: span and trace timestamps are nanoseconds since
     /// this instant.
     epoch: Instant,
@@ -351,7 +358,6 @@ fn run_section(
         delta_out: &delta_out,
         watchdog: &watchdog,
         run,
-        queue_batch: cfg.queue_batch.max(1),
         epoch,
         section_ord,
     };
@@ -566,7 +572,6 @@ fn worker_loop(
     // flushed before this worker enters any blocking wait — a lock
     // acquisition, a TM begin, a blocking pop, or its own exit — so no
     // sibling can wait forever on a value parked in our staging buffer.
-    let batch = ctx.queue_batch;
     // Delta privatization: merge-covered world calls land here instead of
     // taking any shard lock; the buffer is handed to the section barrier
     // at exit for the deterministic coalesce.
@@ -655,7 +660,7 @@ fn worker_loop(
                     std::thread::sleep(Duration::from_micros(qs));
                 }
                 staged[q].push(p.args[1].to_bits());
-                if staged[q].len() >= batch {
+                if staged[q].len() >= QUEUE_BATCH {
                     obs.begin_wait(stamp());
                     if !flush_staged(ctx, &mut staged) {
                         return Err(canceled());
@@ -687,11 +692,9 @@ fn worker_loop(
                             return Err(canceled());
                         };
                         let t1 = stamp();
-                        if batch > 1 {
-                            scratch.clear();
-                            ctx.queues[q].pop_n(&mut scratch, batch - 1);
-                            refill[q].extend(scratch.drain(..));
-                        }
+                        scratch.clear();
+                        ctx.queues[q].pop_n(&mut scratch, QUEUE_BATCH - 1);
+                        refill[q].extend(scratch.drain(..));
                         (first, t1)
                     }
                 };
@@ -1097,26 +1100,6 @@ mod tests {
         world2.install("acc", 0i64);
         let out2 = run_threaded(&module2, &registry(), &[plan2], world2).unwrap();
         assert_eq!(out2.stats.shard, ShardStatsSnapshot::default());
-    }
-
-    #[test]
-    fn pipeline_results_hold_across_queue_batch_sizes() {
-        let expected: Vec<i64> = (0..100).map(|i| i * 2).collect();
-        for qb in [1usize, 2, 8, 64] {
-            let (module, plan) = compile_pipeline();
-            let mut world = World::new();
-            world.install("out", Vec::<i64>::new());
-            let cfg = ExecConfig {
-                queue_batch: qb,
-                ..ExecConfig::default()
-            };
-            let out = run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap();
-            assert_eq!(
-                out.world.get::<Vec<i64>>("out"),
-                &expected,
-                "queue_batch = {qb}"
-            );
-        }
     }
 
     #[test]

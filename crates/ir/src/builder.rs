@@ -118,11 +118,6 @@ impl FunctionBuilder {
         self.current = b;
     }
 
-    /// The current block.
-    pub fn current_block(&self) -> BlockId {
-        self.current
-    }
-
     /// True if the current block is still open (not terminated).
     pub fn current_open(&self) -> bool {
         self.pending[self.current.0 as usize].is_some()

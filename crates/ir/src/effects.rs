@@ -91,17 +91,6 @@ impl EffectSig {
     pub fn is_pure(&self) -> bool {
         self.reads.is_empty() && self.writes.is_empty()
     }
-
-    /// True if two signatures may conflict on some channel (at least one of
-    /// the accesses being a write).
-    pub fn conflicts_with(&self, other: &EffectSig) -> bool {
-        let w_r = self
-            .writes
-            .iter()
-            .any(|c| other.reads.contains(c) || other.writes.contains(c));
-        let r_w = self.reads.iter().any(|c| other.writes.contains(c));
-        w_r || r_w
-    }
 }
 
 /// A named intrinsic with its signature, plus interned channels — the
@@ -246,11 +235,14 @@ mod tests {
         let (_, ra) = t.lookup("read_a").unwrap();
         let (_, wa) = t.lookup("write_a").unwrap();
         let (_, rb) = t.lookup("read_b").unwrap();
-        assert!(ra.conflicts_with(wa));
-        assert!(wa.conflicts_with(ra));
-        assert!(wa.conflicts_with(wa));
-        assert!(!ra.conflicts_with(ra), "read/read never conflicts");
-        assert!(!ra.conflicts_with(rb));
+        // The reader and the writer meet on channel A; the readers write
+        // nothing, and read_b's channel is disjoint from write_a's.
+        assert_eq!(ra.reads, wa.writes);
+        assert!(
+            ra.writes.is_empty() && rb.writes.is_empty(),
+            "readers never write"
+        );
+        assert!(!wa.writes.iter().any(|c| rb.reads.contains(c)));
     }
 
     #[test]

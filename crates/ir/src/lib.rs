@@ -8,20 +8,15 @@
 //! either program functions or *intrinsics* — runtime operations with
 //! declared side-effect channels ([`effects`]).
 //!
-//! On top of the IR the crate provides the classic analyses the COMMSET
-//! compiler needs (paper §4.3–4.4): control-flow utilities ([`mod@cfg`]),
-//! dominator trees ([`dom`]), natural-loop detection and induction-variable
-//! recognition ([`loops`]), and a printer ([`mod@print`]) for debugging and
-//! golden tests.
+//! The IR is built with [`builder`] and carries one analysis of its own,
+//! slot [`liveness`]. Loop shape — the induction variable, its bound and
+//! whether the loop is countable (paper §4.3–4.4) — is recognized once, on
+//! the AST, by `commset_analysis::hotloop`.
 
 pub mod builder;
-pub mod cfg;
-pub mod dom;
 pub mod effects;
 pub mod liveness;
-pub mod loops;
 pub mod lower;
-pub mod print;
 pub mod repr;
 
 pub use effects::{ChannelId, EffectSig, IntrinsicTable};

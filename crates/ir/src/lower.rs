@@ -636,7 +636,6 @@ enum Resolved {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::print::print_module;
 
     fn lower_src(src: &str) -> Module {
         let unit = commset_lang::compile_unit(src).unwrap();
@@ -649,8 +648,6 @@ mod tests {
         let f = m.func(m.func_id("add").unwrap());
         assert_eq!(f.param_count, 2);
         assert!(f.inst_count() >= 3);
-        let dump = print_module(&m);
-        assert!(dump.contains("func add"), "{dump}");
     }
 
     #[test]
@@ -661,18 +658,6 @@ mod tests {
         let f = m.func(m.func_id("main").unwrap());
         // entry, head, body, step, exit at least.
         assert!(f.blocks.len() >= 5, "blocks = {}", f.blocks.len());
-        use crate::{cfg::Cfg, dom::DomTree, loops::LoopForest};
-        let cfg = Cfg::new(f);
-        let dom = DomTree::new(f, &cfg);
-        let forest = LoopForest::new(f, &cfg, &dom);
-        assert_eq!(forest.loops.len(), 1);
-        let ivs = crate::loops::induction_vars(f, &forest.loops[0]);
-        assert!(
-            ivs.iter().any(|iv| iv.step == 1),
-            "induction var i with step 1, got {ivs:?}"
-        );
-        let bound = crate::loops::loop_bound(f, &forest.loops[0], &ivs);
-        assert!(bound.is_some(), "countable loop");
     }
 
     #[test]
@@ -731,7 +716,8 @@ mod tests {
         let m = lower_src("extern void mystery(int x); int main() { mystery(1); return 0; }");
         let (_, sig) = m.intrinsics.lookup("mystery").unwrap();
         assert!(!sig.is_pure());
-        assert!(sig.conflicts_with(sig), "WORLD channel self-conflicts");
+        assert_eq!(sig.reads, sig.writes, "reads and writes WORLD");
+        assert_eq!(m.intrinsics.channels.name(sig.writes[0]), "WORLD");
     }
 
     #[test]

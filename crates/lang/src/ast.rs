@@ -600,7 +600,9 @@ pub fn walk_stmts<'a>(block: &'a Block, visit: &mut dyn FnMut(&'a Stmt)) {
     }
 }
 
-fn walk_stmt<'a>(stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Stmt)) {
+/// Visits `stmt` and every statement nested in it, depth-first, in source
+/// order (a `for` visits its init, then its step, then its body).
+pub fn walk_stmt<'a>(stmt: &'a Stmt, visit: &mut dyn FnMut(&'a Stmt)) {
     visit(stmt);
     match &stmt.kind {
         StmtKind::If {

@@ -157,20 +157,6 @@ impl CheckedUnit {
     pub fn set_by_name(&self, name: &str) -> Option<&CommSetDef> {
         self.commsets.iter().find(|s| s.name == name)
     }
-
-    /// All memberships of `set`, in annotation order.
-    pub fn members_of(&self, set: SetId) -> impl Iterator<Item = &MemberDef> {
-        self.members.iter().filter(move |m| m.set == set)
-    }
-
-    /// All sets `member` belongs to.
-    pub fn sets_of(&self, member: &MemberRef) -> Vec<SetId> {
-        self.members
-            .iter()
-            .filter(|m| &m.member == member)
-            .map(|m| m.set)
-            .collect()
-    }
 }
 
 /// Runs semantic analysis on a parsed program.
@@ -1357,7 +1343,7 @@ mod tests {
         assert_eq!(fset.kind, SetKind::Group);
         let pred = fset.predicate.as_ref().unwrap();
         assert_eq!(pred.param_tys, vec![Type::Int]);
-        assert_eq!(unit.members_of(fset.id).count(), 3);
+        assert_eq!(unit.members.iter().filter(|m| m.set == fset.id).count(), 3);
         // Three anonymous SELF sets were created.
         let self_sets = unit
             .commsets

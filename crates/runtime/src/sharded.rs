@@ -160,11 +160,6 @@ impl ShardedWorld {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard holding `slot`.
     pub fn shard_of(&self, slot: &str) -> usize {
         shard_of_slot(slot, self.shards.len())

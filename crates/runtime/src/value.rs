@@ -26,18 +26,6 @@ impl Value {
         }
     }
 
-    /// The float payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is an integer.
-    pub fn as_float(self) -> f64 {
-        match self {
-            Value::Float(v) => v,
-            Value::Int(i) => panic!("expected float, found int {i}"),
-        }
-    }
-
     /// True if the value is "truthy" (nonzero int).
     pub fn is_true(self) -> bool {
         match self {

@@ -80,12 +80,6 @@ impl SimQueue {
             }
         }
     }
-
-    /// The earliest time the consumer could observe the head element
-    /// (used to wake blocked consumers).
-    pub fn head_visible_at(&self) -> Option<u64> {
-        self.items.front().map(|&(v, _)| v)
-    }
 }
 
 #[cfg(test)]

@@ -26,11 +26,6 @@ impl IdGen {
         self.next += 1;
         id
     }
-
-    /// The next id that would be allocated.
-    pub fn watermark(&self) -> u32 {
-        self.next
-    }
 }
 
 // -- expression builders -----------------------------------------------------
@@ -389,7 +384,7 @@ pub fn check_no_live_outs(managed: &ManagedUnit, hot: &HotLoop) -> Result<(), Di
         if !after {
             continue;
         }
-        walk_one(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             stmt_exprs(x, &mut |e| {
                 walk_expr(e, &mut |y| {
                     if let ExprKind::Var(n) = &y.kind {
@@ -408,40 +403,6 @@ pub fn check_no_live_outs(managed: &ManagedUnit, hot: &HotLoop) -> Result<(), Di
         ));
     }
     Ok(())
-}
-
-fn walk_one(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
-    f(s);
-    match &s.kind {
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_one(then_branch, f);
-            if let Some(e) = else_branch {
-                walk_one(e, f);
-            }
-        }
-        StmtKind::While { body, .. } => walk_one(body, f),
-        StmtKind::For {
-            init, step, body, ..
-        } => {
-            if let Some(i) = init {
-                walk_one(i, f);
-            }
-            if let Some(st) = step {
-                walk_one(st, f);
-            }
-            walk_one(body, f);
-        }
-        StmtKind::Block(b) => {
-            for x in &b.stmts {
-                walk_one(x, f);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Environment-global name for a live-in variable.
@@ -592,7 +553,7 @@ pub fn live_in_loads(
 pub fn vars_mentioned(stmts: &[Stmt]) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
     for s in stmts {
-        walk_one(s, &mut |x| {
+        walk_stmt(s, &mut |x| {
             if let StmtKind::Assign { target, .. } = &x.kind {
                 out.insert(target.name().to_string());
             }

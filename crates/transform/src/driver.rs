@@ -183,7 +183,8 @@ impl Compiler {
     /// # Errors
     ///
     /// Returns the transform's applicability diagnostic, as
-    /// [`Compiler::compile`] does.
+    /// [`Compiler::compile`] does, and rejects `nthreads == 0` (a plan
+    /// with no workers would run no iteration).
     pub fn compile_to_ast(
         &self,
         analysis: &Analysis,
@@ -191,6 +192,12 @@ impl Compiler {
         nthreads: usize,
         sync: SyncMode,
     ) -> Result<ParallelProgram, Diagnostic> {
+        if nthreads == 0 {
+            return Err(Diagnostic::global(
+                Phase::Commset,
+                "a parallel schedule needs at least 1 thread",
+            ));
+        }
         let pp = match scheme {
             Scheme::Sequential => {
                 return Err(Diagnostic::global(
@@ -380,6 +387,18 @@ mod tests {
         for pair in ranked.windows(2) {
             assert!(pair[0].3.estimated_cost <= pair[1].3.estimated_cost);
         }
+    }
+
+    #[test]
+    fn zero_threads_is_a_diagnostic() {
+        let c = compiler();
+        let a = c.analyze(ANNOTATED).unwrap();
+        for scheme in [Scheme::Doall, Scheme::Dswp, Scheme::PsDswp] {
+            let e = c.compile(&a, scheme, 0, SyncMode::Lib).unwrap_err();
+            assert!(e.message.contains("at least 1 thread"), "{e}");
+        }
+        assert!(c.applicable_schemes(&a, 0).is_empty());
+        assert!(c.compile_best(&a, 0).is_none());
     }
 
     #[test]

@@ -128,14 +128,6 @@ impl SyncEngine {
         }
     }
 
-    /// True if `func` is a member needing synchronization.
-    pub fn needs_sync(&self, func: &str) -> bool {
-        self.member_locks
-            .get(func)
-            .map(|l| !l.is_empty())
-            .unwrap_or(false)
-    }
-
     /// Checks TM applicability: members whose effect summaries touch an
     /// irrevocable channel cannot run in a transaction.
     ///

@@ -328,39 +328,3 @@ fn shard_holds_with_a_slow_worker_keep_rank_order_at_eight_threads() {
     }
     assert!(exercised > 0, "no bound workload exercised the combination");
 }
-
-/// The DSWP queue batching knob must not change results: the md5sum
-/// pipeline's world is identical across batch sizes (including 1, which
-/// disables batching), under both world modes.
-#[test]
-fn queue_batch_sizes_do_not_change_pipeline_results() {
-    let cm = CostModel::default();
-    let workloads = all();
-    let w = workloads
-        .iter()
-        .find(|w| w.name == "md5sum")
-        .expect("md5sum exists");
-    let spec = w
-        .schemes
-        .iter()
-        .find(|s| s.scheme == Scheme::PsDswp)
-        .expect("md5sum has a PS-DSWP scheme");
-    let (_, seq_world) = w.run_sequential(&cm);
-    for mode in [WorldMode::SingleLock, WorldMode::Sharded] {
-        for batch in [1usize, 2, 8, 64] {
-            let cfg = ExecConfig {
-                world: mode,
-                queue_batch: batch,
-                ..ExecConfig::default()
-            };
-            let out = w
-                .run_scheme_threaded(spec, 4, &cfg)
-                .unwrap_or_else(|e| match e {
-                    Ok(d) => panic!("md5sum PS-DSWP inapplicable: {d}"),
-                    Err(e) => panic!("md5sum PS-DSWP (batch {batch}, {mode:?}): {e}"),
-                });
-            (w.validate)(&seq_world, &out.world)
-                .unwrap_or_else(|e| panic!("batch {batch} ({mode:?}): {e}"));
-        }
-    }
-}
