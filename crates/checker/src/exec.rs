@@ -307,7 +307,7 @@ enum WState {
     /// Paused at a bare world-intrinsic call (shard-acquisition point);
     /// only reachable under [`ModelConfig::pause_at_world_calls`].
     AtWorldCall {
-        name: String,
+        intrinsic: usize,
         args: Vec<Value>,
     },
     /// Blocked popping queue `q` (by plan index).
@@ -408,18 +408,18 @@ impl<'m> Machine<'m> {
                             return Err(CheckError::Unsupported("nested parallel section".into()))
                         }
                         None => {
-                            let name = module.intrinsics.name(p.intrinsic.0 as usize);
+                            let intrinsic = p.intrinsic.0 as usize;
                             if self.pause_world && !in_region {
                                 // A bare world call is a shard-acquisition
                                 // point: surface it to the scheduler. The
                                 // special stays pending; the section loop
                                 // executes it when this worker is picked.
                                 return Ok(WState::AtWorldCall {
-                                    name: name.to_string(),
+                                    intrinsic,
                                     args: p.args.clone(),
                                 });
                             }
-                            let v = self.world.call(&module.intrinsics, name, &p.args);
+                            let v = self.world.call_id(&module.intrinsics, intrinsic, &p.args);
                             vm.resolve_special(v);
                         }
                     }
@@ -482,10 +482,11 @@ pub fn run_controlled(
             StepOutcome::Ran { .. } => {}
             StepOutcome::Finished(_) => break,
             StepOutcome::Special(p) => {
-                let name = module.intrinsics.name(p.intrinsic.0 as usize);
+                let id = p.intrinsic.0 as usize;
+                let name = module.intrinsics.name(id);
                 match (p.op, plan) {
                     (None, _) => {
-                        let v = machine.world.call(&module.intrinsics, name, &p.args);
+                        let v = machine.world.call_id(&module.intrinsics, id, &p.args);
                         main.resolve_special(v);
                     }
                     (Some(_), None) => {
@@ -614,10 +615,12 @@ where
                     _ => machine.run_vm(&mut w.vm, globals, false, &func)?,
                 };
             }
-            WState::AtWorldCall { name, args } => {
+            WState::AtWorldCall { intrinsic, args } => {
                 // Execute the pending world call (the shard acquisition
                 // the worker paused at), then run to the next pause.
-                let v = machine.world.call(&machine.module.intrinsics, &name, &args);
+                let v = machine
+                    .world
+                    .call_id(&machine.module.intrinsics, intrinsic, &args);
                 w.vm.resolve_special(v);
                 w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
             }

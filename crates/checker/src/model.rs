@@ -72,6 +72,15 @@ pub fn hash_call(name: &str, args: &[Value]) -> u64 {
     h
 }
 
+/// The log of channel `chan` in `logs`, created empty on first use (the
+/// name is copied only then).
+fn log<'m, V: Default>(logs: &'m mut BTreeMap<String, V>, chan: &str) -> &'m mut V {
+    if !logs.contains_key(chan) {
+        logs.insert(chan.to_string(), V::default());
+    }
+    logs.get_mut(chan).expect("inserted above")
+}
+
 /// Tuning knobs of the model world.
 #[derive(Debug, Clone)]
 pub struct ModelConfig {
@@ -241,15 +250,22 @@ impl ModelWorld {
         self.cfg.sb_window.is_some() && self.current != 0
     }
 
-    /// Executes one intrinsic call: records its writes into the channel
-    /// logs and returns its modeled value.
+    /// Executes one intrinsic call by name: records its writes into the
+    /// channel logs and returns its modeled value (the by-name twin of
+    /// [`ModelWorld::call_id`]).
     ///
     /// Unknown intrinsics behave as pure hash functions (no channels).
     pub fn call(&mut self, table: &IntrinsicTable, name: &str, args: &[Value]) -> Value {
-        let Some((_, sig)) = table.lookup(name) else {
-            return Value::Int((hash_call(name, args) % 1009) as i64);
-        };
-        let sig = sig.clone();
+        match table.lookup(name) {
+            Some((id, _)) => self.call_id(table, id, args),
+            None => Value::Int((hash_call(name, args) % 1009) as i64),
+        }
+    }
+
+    /// Executes one call of intrinsic `id` of `table`: records its writes
+    /// into the channel logs and returns its modeled value.
+    pub fn call_id(&mut self, table: &IntrinsicTable, id: usize, args: &[Value]) -> Value {
+        let (name, sig) = (table.name(id), table.sig(id));
         let key = args.first().map(|v| v.as_int()).unwrap_or(0);
         // Stream countdown: int-returning writer of a per-instance channel.
         let stream_chan = (sig.ret == Type::Int && !args.is_empty())
@@ -275,34 +291,32 @@ impl ModelWorld {
         // same-instance interleavings are visible in the history.
         let rec = mix64(hash_call(name, args) ^ (stream_state.unwrap_or(0) as u64));
         for c in &sig.writes {
-            let chan = table.channels.name(*c).to_string();
+            let chan = table.channels.name(*c);
             if table.is_per_instance(*c) {
-                self.per_instance
-                    .entry(chan)
-                    .or_default()
+                log(&mut self.per_instance, chan)
                     .entry(key)
                     .or_default()
                     .push(rec);
-            } else if self.cfg.commutative.contains(&chan) {
+            } else if self.cfg.commutative.contains(chan) {
                 // Delta channels privatize on every schedule; plain
                 // commutative channels park only under a store-buffer
                 // window. Worker 0 (main thread / oracle) writes through.
-                let privatize = self.current != 0 && self.cfg.delta.contains(&chan);
+                let privatize = self.current != 0 && self.cfg.delta.contains(chan);
                 if privatize || self.buffers_writes() {
                     self.pending.entry(self.current).or_default().push(Pending {
-                        chan,
+                        chan: chan.to_string(),
                         rec,
                         born: self.tick,
                         delta: privatize,
                     });
                 } else {
-                    self.commutative.entry(chan).or_default().push(rec);
+                    log(&mut self.commutative, chan).push(rec);
                 }
             } else {
-                self.ordered.entry(chan).or_default().push(rec);
+                log(&mut self.ordered, chan).push(rec);
             }
         }
-        self.model_return(table, name, args, &sig, stream_state)
+        self.model_return(table, name, args, sig, stream_state)
     }
 
     fn model_return(

@@ -47,14 +47,13 @@ pub fn synthetic_registry(table: &IntrinsicTable, spec: &EffectsSpec) -> Registr
     };
     let table = Arc::new(table.clone());
     let mut reg = Registry::new();
-    for (name, _) in table.iter() {
-        let owned = name.to_string();
+    for (id, (name, _)) in table.iter().enumerate() {
         let (table, cfg) = (Arc::clone(&table), cfg.clone());
         reg.register(name, move |world: &mut World, args: &[Value]| {
             let model = world
                 .get_mut::<Option<ModelWorld>>(MODEL_SLOT)
                 .get_or_insert_with(|| ModelWorld::new(cfg.clone()));
-            IntrinsicOutcome::value(model.call(&table, &owned, args))
+            IntrinsicOutcome::value(model.call_id(&table, id, args))
         });
     }
     reg

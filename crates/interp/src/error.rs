@@ -72,6 +72,13 @@ pub enum ExecError {
     },
     /// `__tx_commit` without a matching `__tx_begin`.
     TxCommitWithoutBegin,
+    /// The module calls a world intrinsic the registry has no handler
+    /// for; reported when the run resolves its registry, before the first
+    /// op retires.
+    MissingHandler {
+        /// The intrinsic name.
+        intrinsic: String,
+    },
     /// A worker thread failed (dynamic error or contained panic).
     WorkerFailed {
         /// The worker's stage function.
@@ -197,6 +204,9 @@ impl std::fmt::Display for ExecError {
             ExecError::TxCommitWithoutBegin => {
                 write!(f, "__tx_commit without a matching __tx_begin")
             }
+            ExecError::MissingHandler { intrinsic } => {
+                write!(f, "no handler for intrinsic `{intrinsic}`")
+            }
             ExecError::WorkerFailed { stage, cause } => {
                 write!(f, "worker `{stage}` failed: {cause}")
             }
@@ -282,6 +292,10 @@ mod tests {
         .is_transient());
         // Deterministic dynamic errors: not retryable at the same rung.
         assert!(!ExecError::DivisionByZero { func: "f".into() }.is_transient());
+        assert!(!ExecError::MissingHandler {
+            intrinsic: "nope".into()
+        }
+        .is_transient());
         assert!(!ExecError::WorkerFailed {
             stage: "w".into(),
             cause: "division by zero in `f`".into()

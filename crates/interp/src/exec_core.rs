@@ -17,6 +17,9 @@
 //!   the end-of-run folds: the stream into a [`RunReport`]
 //!   and the caller's trace sink, the metrics into one registry.
 //! * [`coalesce_deltas`] — the section-barrier delta fold.
+//! * [`dispatch`] — the run's registry resolved to intrinsic and slot ids
+//!   at executor entry, rejecting a called intrinsic without a handler
+//!   before the first op retires.
 //!
 //! What stays in each executor is how it schedules and blocks: the DES's
 //! clocks, wake loops and contention models; the thread executor's
@@ -28,11 +31,11 @@ use crate::error::ExecError;
 use crate::metrics::MetricsLocal;
 use crate::trace::{self, Event, EventKind, Interval, TraceEvent, TraceSink};
 use crate::vm::PendingSpecial;
+use commset_ir::ChannelId;
 use commset_ir::Module;
-use commset_runtime::intrinsics::IntrinsicOutcome;
 use commset_runtime::sync::Mutex;
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, Registry, Value, DELTA_POISON_MSG,
+    DeltaBuffer, DeltaSnapshot, Dispatch, FaultInjector, Registry, Value, World, DELTA_POISON_MSG,
 };
 use commset_telemetry::{
     ClockUnit, MetricsRegistry, MetricsSink, RunCounters, RunReport, SectionMeta,
@@ -45,6 +48,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) fn outside_section(module: &Module, p: &PendingSpecial) -> ExecError {
     ExecError::ParallelIntrinsicInSequential {
         name: module.intrinsics.name(p.intrinsic.0 as usize).to_string(),
+    }
+}
+
+/// Resolves `registry` against `module`'s intrinsics and `world` (once
+/// per run, at executor entry): every world intrinsic the compiled code
+/// calls — a call site that is not a runtime op — must have a handler.
+pub(crate) fn dispatch<'r>(
+    registry: &'r Registry,
+    module: &Module,
+    bc: &BcModule,
+    world: &mut World,
+) -> Result<Dispatch<'r>, ExecError> {
+    let table = &module.intrinsics;
+    let d = registry.resolve((0..table.len()).map(|i| table.name(i)), world);
+    let called = |id: usize| {
+        bc.funcs
+            .iter()
+            .flat_map(|f| &f.sites)
+            .any(|s| s.op.is_none() && s.intrinsic.0 as usize == id)
+    };
+    let missing = d.missing().find(|&id| called(id));
+    match missing {
+        Some(id) => Err(ExecError::MissingHandler {
+            intrinsic: table.name(id).to_string(),
+        }),
+        None => Ok(d),
     }
 }
 
@@ -131,21 +160,6 @@ impl Section {
         elided
     }
 
-    /// The delta-route fast path: runs a call whose whole slot footprint
-    /// is merge-declared against the worker's private buffer — no lock,
-    /// no channel serialization. `None` when the worker has no buffer or
-    /// the call is not delta-routed.
-    pub fn delta_call(
-        registry: &Registry,
-        buf: Option<&mut DeltaBuffer>,
-        name: &str,
-        args: &[Value],
-    ) -> Option<IntrinsicOutcome> {
-        let buf = buf?;
-        let slots = registry.delta_route(name, args)?;
-        Some(buf.apply(registry, name, args, &slots))
-    }
-
     /// The report metadata of this section (trace on).
     pub fn meta(
         &self,
@@ -168,7 +182,7 @@ impl Section {
 }
 
 /// The section-barrier delta fold: each worker's finished buffer goes
-/// through `merge` in worker-index order (then slot-name order inside the
+/// through `merge` in worker-index order (then slot-id order inside the
 /// buffer). An injected poison fails the fold as a structured error. The
 /// merged-slot count of each buffer is observed as `delta.merge_slots`.
 pub(crate) fn coalesce_deltas(
@@ -218,6 +232,10 @@ pub(crate) struct RunObs<'a> {
     /// Every worker's events, one batch per worker per section.
     stream: Mutex<Vec<Event>>,
     metrics: Option<MetricsSink>,
+    /// Metric keys built once per run (metrics on): `world_call.{name}`
+    /// by intrinsic id and `channel_wait.{name}` by channel id.
+    world_call_keys: Vec<String>,
+    channel_wait_keys: Vec<String>,
     /// Retires of the main (sequential) thread.
     main: MetricsLocal,
     metas: Vec<SectionMeta>,
@@ -228,12 +246,23 @@ pub(crate) struct RunObs<'a> {
 
 impl<'a> RunObs<'a> {
     pub fn new(module: &'a Module, bc: &'a BcModule, cfg: &'a ExecConfig) -> Self {
+        let t = &module.intrinsics;
+        let (world_call_keys, channel_wait_keys) = if cfg.metrics {
+            let calls = (0..t.len()).map(|i| format!("world_call.{}", t.name(i)));
+            let chans = (0..t.channels.len() as u32)
+                .map(|c| format!("channel_wait.{}", t.channels.name(ChannelId(c))));
+            (calls.collect(), chans.collect())
+        } else {
+            (Vec::new(), Vec::new())
+        };
         RunObs {
             module,
             bc,
             trace: cfg.trace.as_ref(),
             stream: Mutex::new(Vec::new()),
             metrics: cfg.metrics.then(MetricsSink::new),
+            world_call_keys,
+            channel_wait_keys,
             main: MetricsLocal::new(),
             metas: Vec::new(),
             sections: 0,
@@ -416,10 +445,20 @@ impl<'a> Observer<'a> {
         }
     }
 
-    /// Records one sample into the named histogram (metrics on).
-    pub fn observe(&mut self, name: &str, v: u64) {
+    /// Records the host duration of one call of world intrinsic `id`
+    /// (metrics on).
+    pub fn observe_world_call(&mut self, id: usize, v: u64) {
         if self.metrics {
-            self.reg.observe(name, v);
+            self.reg.observe(&self.run.world_call_keys[id], v);
+        }
+    }
+
+    /// Records how long channel `c` alone delayed a world call (metrics
+    /// on).
+    pub fn observe_channel_wait(&mut self, c: ChannelId, v: u64) {
+        if self.metrics {
+            self.reg
+                .observe(&self.run.channel_wait_keys[c.0 as usize], v);
         }
     }
 
@@ -630,6 +669,31 @@ mod tests {
         assert_eq!(sim, want, "DES");
         let thr = run_threaded_with(&m, &reg, &[], World::new(), &cfg).unwrap_err();
         assert_eq!(thr, want, "threads");
+    }
+
+    #[test]
+    fn a_called_intrinsic_without_a_handler_is_rejected_before_the_run() {
+        let m = module(
+            "extern int bump(int x); extern int spare(int x);
+             int main() { return bump(1); }",
+        );
+        let mut reg = Registry::new();
+        // Declared but never called: no handler needed.
+        reg.register("other", |_, _| IntrinsicOutcome::unit());
+        let (cm, cfg) = (CostModel::default(), ExecConfig::default());
+        let want = ExecError::MissingHandler {
+            intrinsic: "bump".into(),
+        };
+        let seq = run_sequential(&m, &reg, &mut World::new(), &cm, "main").unwrap_err();
+        assert_eq!(seq, want, "sequential");
+        let sim = run_simulated_with(&m, &reg, &[], &mut World::new(), &cm, &cfg).unwrap_err();
+        assert_eq!(sim, want, "DES");
+        let thr = run_threaded_with(&m, &reg, &[], World::new(), &cfg).unwrap_err();
+        assert_eq!(thr, want, "threads");
+        assert_eq!(want.to_string(), "no handler for intrinsic `bump`");
+        reg.register("bump", |_, args| IntrinsicOutcome::value(args[0].as_int()));
+        let out = run_sequential(&m, &reg, &mut World::new(), &cm, "main").unwrap();
+        assert_eq!(out.result, Some(Value::Int(1)), "`spare` is never called");
     }
 
     #[test]

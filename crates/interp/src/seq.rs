@@ -2,7 +2,7 @@
 
 use crate::bytecode::{BcModule, BcVm};
 use crate::error::ExecError;
-use crate::exec_core::outside_section;
+use crate::exec_core::{dispatch, outside_section};
 use crate::globals::PlainGlobals;
 use crate::vm::StepOutcome;
 use commset_ir::Module;
@@ -24,7 +24,9 @@ pub struct SeqOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::ParallelIntrinsicInSequential`] if the program
+/// Returns [`ExecError::MissingHandler`] before running if the module
+/// calls a world intrinsic `registry` has no handler for,
+/// [`ExecError::ParallelIntrinsicInSequential`] if the program
 /// executes parallel-runtime intrinsics (`__par_invoke` etc.) — sequential
 /// programs must be untransformed — and propagates any dynamic error from
 /// [`BcVm::step`] (division by zero, out-of-bounds indexing, ...).
@@ -36,6 +38,7 @@ pub fn run_sequential(
     entry: &str,
 ) -> Result<SeqOutcome, ExecError> {
     let bc = BcModule::compile(module);
+    let dispatch = dispatch(registry, module, &bc, world)?;
     let mut globals = PlainGlobals::new(module);
     let mut vm = BcVm::for_name(module, &bc, entry, &[])?;
     let mut sim_time: u64 = 0;
@@ -51,7 +54,7 @@ pub fn run_sequential(
                     return Err(outside_section(module, &p));
                 }
                 let id = p.intrinsic.0 as usize;
-                let out = registry.call(module.intrinsics.name(id), world, &p.args);
+                let out = dispatch.call(id, world, &p.args);
                 sim_time += module.intrinsics.sig(id).base_cost + out.extra_cost;
                 vm.resolve_special(out.value);
             }

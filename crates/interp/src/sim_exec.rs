@@ -22,13 +22,13 @@ use crate::bytecode::{BcModule, BcVm};
 use crate::config::ExecConfig;
 use crate::error::ExecError;
 use crate::exec_core::{
-    coalesce_deltas, outside_section, worker_failed, Observer, RunObs, Section,
+    coalesce_deltas, dispatch, outside_section, worker_failed, Observer, RunObs, Section,
 };
 use crate::globals::PlainGlobals;
 use crate::vm::{PendingSpecial, StepOutcome};
-use commset_ir::Module;
+use commset_ir::{ChannelId, Module};
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, Value, Watchdog,
+    DeltaBuffer, DeltaSnapshot, Dispatch, FaultInjector, FaultStats, Registry, Value, Watchdog,
     WatchdogReport, World,
 };
 use commset_sim::lock::AcquireOutcome;
@@ -37,7 +37,6 @@ use commset_sim::{
 };
 use commset_telemetry::{ClockUnit, MetricsRegistry, RunCounters, RunReport, SectionMeta};
 use commset_transform::{ParallelPlan, RtOp};
-use std::collections::HashMap;
 
 /// Statistics of one simulated run.
 #[derive(Debug, Clone, Default)]
@@ -140,6 +139,7 @@ pub fn run_simulated_with(
 ) -> Result<SimOutcome, ExecError> {
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
+    let dispatch = dispatch(registry, module, &bc, world)?;
     let mut run = RunObs::new(module, &bc, cfg);
     let mut globals = PlainGlobals::new(module);
     let mut vm = BcVm::for_name(module, &bc, "main", &[])?;
@@ -158,7 +158,7 @@ pub fn run_simulated_with(
                 Some(RtOp::ParInvoke) => {
                     let (plan, ord) = run.open_section(plans, &p)?;
                     let (end, section_stats, meta) = run_section(
-                        registry,
+                        &dispatch,
                         plan,
                         world,
                         &mut globals,
@@ -177,7 +177,7 @@ pub fn run_simulated_with(
                 Some(_) => return Err(outside_section(module, &p)),
                 None => {
                     let id = p.intrinsic.0 as usize;
-                    let out = registry.call(module.intrinsics.name(id), world, &p.args);
+                    let out = dispatch.call(id, world, &p.args);
                     sim_time += module.intrinsics.sig(id).base_cost + out.extra_cost;
                     vm.resolve_special(out.value);
                 }
@@ -241,11 +241,43 @@ struct Worker<'a> {
     obs: Observer<'a>,
 }
 
+/// The world's channel clocks, indexed by [`ChannelId`]: the virtual
+/// world is internally thread-safe (the paper's "Lib" discipline), so each
+/// intrinsic execution serializes on the channels it writes, and readers
+/// wait for in-flight writers. This is what makes I/O-channel saturation
+/// emerge at high thread counts. Instance-partitioned channels hold
+/// per-instance state and never serialize.
+struct Channels {
+    /// When each channel's last serialized write completes.
+    free: Vec<u64>,
+    per_instance: Vec<bool>,
+}
+
+impl Channels {
+    fn new(module: &Module) -> Self {
+        let t = &module.intrinsics;
+        Channels {
+            free: vec![0; t.channels.len()],
+            per_instance: (0..t.channels.len())
+                .map(|c| t.is_per_instance(ChannelId(c as u32)))
+                .collect(),
+        }
+    }
+
+    /// The serializing channels among `cs` (per-instance ones skipped).
+    fn shared<'c>(
+        &'c self,
+        cs: impl Iterator<Item = &'c ChannelId> + 'c,
+    ) -> impl Iterator<Item = ChannelId> + 'c {
+        cs.copied().filter(|c| !self.per_instance[c.0 as usize])
+    }
+}
+
 /// Executes one parallel section; returns (end time, stats, report
 /// metadata).
 #[allow(clippy::too_many_arguments)]
 fn run_section(
-    registry: &Registry,
+    dispatch: &Dispatch<'_>,
     plan: &ParallelPlan,
     world: &mut World,
     globals: &mut PlainGlobals,
@@ -256,7 +288,7 @@ fn run_section(
     run: &RunObs<'_>,
     ord: usize,
 ) -> Result<(u64, SimStats, Option<SectionMeta>), ExecError> {
-    let sec = Section::new(plan, cfg, registry);
+    let sec = Section::new(plan, cfg, dispatch.registry());
     let lock_kind = if sec.spin {
         SimLockKind::Spin
     } else {
@@ -278,13 +310,10 @@ fn run_section(
         .collect();
     let mut tm = TmModel::new();
     let watchdog = Watchdog::new();
-    // The virtual world is internally thread-safe (the paper's "Lib"
-    // discipline): each intrinsic execution serializes on the channels it
-    // writes, and readers wait for in-flight writers. This is what makes
-    // I/O-channel saturation emerge at high thread counts. Delta-routed
-    // calls skip the channels entirely (the modeled analogue of taking no
-    // shard lock); their buffers fold back at the section end.
-    let mut channel_free: HashMap<u32, u64> = HashMap::new();
+    // Delta-routed calls skip the channels entirely (the modeled analogue
+    // of taking no shard lock); their buffers fold back at the section
+    // end.
+    let mut chans = Channels::new(run.module);
 
     let spawn_t = start + cm.par_spawn;
     let tracing = run.tracing();
@@ -302,7 +331,7 @@ fn run_section(
             tx: None,
             tx_aborts: 0,
             lock_retry: false,
-            delta: sec.delta.then(DeltaBuffer::new),
+            delta: sec.delta.then(|| dispatch.delta_buffer()),
             obs: Observer::new(run, &sec, ord, k),
         });
     }
@@ -368,7 +397,7 @@ fn run_section(
                 StepOutcome::Special(p) => {
                     handle_special(
                         run.module,
-                        registry,
+                        dispatch,
                         world,
                         plan,
                         &sec,
@@ -378,7 +407,7 @@ fn run_section(
                         &mut locks,
                         &mut queues,
                         &mut tm,
-                        &mut channel_free,
+                        &mut chans,
                         cm,
                         cfg,
                         injector,
@@ -407,9 +436,7 @@ fn run_section(
         .enumerate()
         .filter_map(|(k, w)| w.delta.take().map(|b| (k, b)))
         .collect();
-    let delta = coalesce_deltas(run, injector, bufs, |buf| {
-        world.coalesce_delta(registry, buf)
-    })?;
+    let delta = coalesce_deltas(run, injector, bufs, |buf| dispatch.coalesce(world, buf))?;
 
     let end = workers
         .iter()
@@ -450,7 +477,7 @@ fn run_section(
 #[allow(clippy::too_many_arguments)]
 fn handle_special(
     module: &Module,
-    registry: &Registry,
+    dispatch: &Dispatch<'_>,
     world: &mut World,
     plan: &ParallelPlan,
     sec: &Section,
@@ -460,7 +487,7 @@ fn handle_special(
     locks: &mut [SimLock],
     queues: &mut [SimQueue],
     tm: &mut TmModel,
-    channel_free: &mut HashMap<u32, u64>,
+    chans: &mut Channels,
     cm: &CostModel,
     cfg: &ExecConfig,
     injector: &FaultInjector,
@@ -619,62 +646,49 @@ fn handle_special(
         }
         Some(RtOp::ParInvoke) => return Err(ExecError::NestedParallelSection),
         None => {
-            let name = module.intrinsics.name(p.intrinsic.0 as usize);
-            let sig = module.intrinsics.sig(p.intrinsic.0 as usize);
+            let id = p.intrinsic.0 as usize;
+            let name = module.intrinsics.name(id);
+            let sig = module.intrinsics.sig(id);
             let base = sig.base_cost;
             let w = &mut workers[i];
             // A delta-routed call overlaps across cores in full.
-            if let Some(out) = Section::delta_call(registry, w.delta.as_mut(), name, &p.args) {
+            if let Some(out) = dispatch.delta_call(id, w.delta.as_mut(), &p.args) {
                 let done = w.clock + base + out.extra_cost;
                 w.obs.world_call(name, &p.args, w.clock, done);
                 w.clock = done;
                 w.vm.resolve_special(out.value);
                 return Ok(());
             }
-            let out = registry.call(name, world, &p.args);
+            let out = dispatch.call(id, world, &p.args);
             let cost = base + out.extra_cost;
             // Private compute overlaps across cores; only the serialized
             // portion holds the intrinsic's write channels (readers wait
             // for in-flight writers).
             let ser = out.serialized_cost.unwrap_or(cost).min(cost);
             let par = cost - ser;
-            let mut start = w.clock + par;
-            let base_start = start;
-            // Instance-partitioned channels hold per-instance state: their
-            // accesses do not serialize across workers (each instance is
-            // its own cache lines).
-            for c in sig.reads.iter().chain(&sig.writes) {
-                if module.intrinsics.is_per_instance(*c) {
-                    continue;
-                }
-                start = start.max(channel_free.get(&c.0).copied().unwrap_or(0));
-            }
+            let base_start = w.clock + par;
+            let touched = || chans.shared(sig.reads.iter().chain(&sig.writes));
+            let start = touched()
+                .map(|c| chans.free[c.0 as usize])
+                .fold(base_start, u64::max);
             // Per-channel contention attribution: how long each serialized
             // channel alone would have delayed this call past its ready
             // point (passive — `start` is already settled above).
             if w.obs.metrics() && start > base_start {
-                let mut seen: Vec<u32> = Vec::new();
-                for c in sig.reads.iter().chain(&sig.writes) {
-                    if module.intrinsics.is_per_instance(*c) || seen.contains(&c.0) {
-                        continue;
-                    }
-                    seen.push(c.0);
-                    let free = channel_free.get(&c.0).copied().unwrap_or(0);
-                    if free > base_start {
-                        w.obs.observe(
-                            &format!("channel_wait.{}", module.intrinsics.channels.name(*c)),
-                            free - base_start,
-                        );
+                for (k, c) in touched().enumerate() {
+                    let free = chans.free[c.0 as usize];
+                    if free > base_start && !touched().take(k).any(|d| d == c) {
+                        w.obs.observe_channel_wait(c, free - base_start);
                     }
                 }
             }
             let done = start + ser;
             if ser > 0 {
                 for c in &sig.writes {
-                    if module.intrinsics.is_per_instance(*c) {
-                        continue;
+                    let c = c.0 as usize;
+                    if !chans.per_instance[c] {
+                        chans.free[c] = done;
                     }
-                    channel_free.insert(c.0, done);
                 }
             }
             w.obs.world_call(name, &p.args, w.clock, done);
@@ -682,12 +696,10 @@ fn handle_special(
             if let Some(tx) = &mut w.tx {
                 tx.work += cost;
                 for c in &sig.reads {
-                    tx.reads
-                        .insert(module.intrinsics.channels.name(*c).to_string());
+                    tx.read(c.0);
                 }
                 for c in &sig.writes {
-                    tx.writes
-                        .insert(module.intrinsics.channels.name(*c).to_string());
+                    tx.write(c.0);
                 }
             }
             w.vm.resolve_special(out.value);

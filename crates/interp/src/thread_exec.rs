@@ -25,7 +25,7 @@ use crate::bytecode::{BcModule, BcVm};
 use crate::config::{ExecConfig, WorldMode};
 use crate::error::ExecError;
 use crate::exec_core::{
-    coalesce_deltas, outside_section, worker_failed, Observer, RunObs, Section,
+    coalesce_deltas, dispatch, outside_section, worker_failed, Observer, RunObs, Section,
 };
 use crate::globals::{AtomicGlobals, SharedGlobals};
 use crate::vm::StepOutcome;
@@ -36,8 +36,8 @@ use commset_runtime::sharded::{ShardObserver, ShardStatsSnapshot, ShardedWorld, 
 use commset_runtime::sync::Mutex;
 use commset_runtime::world::SlotError;
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, FaultInjector, FaultStats, Registry, SpscQueue, Value, Watchdog,
-    WatchdogReport, World,
+    DeltaBuffer, DeltaSnapshot, Dispatch, FaultInjector, FaultStats, Registry, SpscQueue, Value,
+    Watchdog, WatchdogReport, World,
 };
 use commset_telemetry::{ClockUnit, MetricsRegistry, RunCounters, RunReport, SectionMeta};
 use commset_transform::{ParallelPlan, RtOp};
@@ -76,7 +76,7 @@ pub struct ThreadStats {
 
 /// The shared world behind one of the two locking disciplines the
 /// executor supports: the historical whole-world mutex, or the
-/// rank-ordered sharded world routed by the registry's slot bindings.
+/// rank-ordered sharded world routed by the resolved slot bindings.
 enum WorldStore {
     Single(Mutex<World>),
     Sharded(ShardedWorld),
@@ -98,26 +98,27 @@ impl WorldStore {
         }
     }
 
-    /// Executes one world intrinsic under the store's locking discipline.
+    /// Executes world intrinsic `id` under the store's locking
+    /// discipline.
     fn call(
         &self,
-        registry: &Registry,
-        name: &str,
+        dispatch: &Dispatch<'_>,
+        id: usize,
         args: &[Value],
         obs: &ShardObserver<'_>,
     ) -> IntrinsicOutcome {
         match self {
-            WorldStore::Single(m) => registry.call(name, &mut m.lock(), args),
-            WorldStore::Sharded(s) => s.call(registry, name, args, obs),
+            WorldStore::Single(m) => dispatch.call(id, &mut m.lock(), args),
+            WorldStore::Sharded(s) => s.call_id(dispatch, id, args, obs),
         }
     }
 
     /// Folds one worker's delta buffer into the shared world; returns the
     /// number of slots merged.
-    fn coalesce_delta(&self, registry: &Registry, buf: DeltaBuffer) -> u64 {
+    fn coalesce_delta(&self, dispatch: &Dispatch<'_>, buf: DeltaBuffer) -> u64 {
         match self {
-            WorldStore::Single(m) => m.lock().coalesce_delta(registry, buf),
-            WorldStore::Sharded(s) => s.coalesce_delta(registry, buf),
+            WorldStore::Single(m) => dispatch.coalesce(&mut m.lock(), buf),
+            WorldStore::Sharded(s) => s.coalesce_resolved(dispatch, buf),
         }
     }
 
@@ -188,12 +189,13 @@ pub fn run_threaded_with(
     module: &Module,
     registry: &Registry,
     plans: &[ParallelPlan],
-    world: World,
+    mut world: World,
     cfg: &ExecConfig,
 ) -> Result<ThreadOutcome, ExecError> {
     let start = Instant::now();
     let injector = FaultInjector::new(cfg.fault.clone());
     let bc = BcModule::compile(module);
+    let dispatch = dispatch(registry, module, &bc, &mut world)?;
     let mut run = RunObs::new(module, &bc, cfg);
     let shared_globals = AtomicGlobals::new(module);
     let world = WorldStore::new(world, cfg.world, registry);
@@ -210,7 +212,7 @@ pub fn run_threaded_with(
                 Some(RtOp::ParInvoke) => {
                     let (plan, ord) = run.open_section(plans, &p)?;
                     let out = run_section(
-                        registry,
+                        &dispatch,
                         plan,
                         &shared_globals,
                         &world,
@@ -233,9 +235,9 @@ pub fn run_threaded_with(
                     // A bad intrinsic on the main thread (wrong slot type,
                     // missing slot, handler bug) is contained exactly like
                     // a worker failure instead of aborting the process.
-                    let name = module.intrinsics.name(p.intrinsic.0 as usize);
+                    let id = p.intrinsic.0 as usize;
                     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        world.call(registry, name, &p.args, &ShardObserver::silent())
+                        world.call(&dispatch, id, &p.args, &ShardObserver::silent())
                     }))
                     .map_err(|payload| ExecError::WorkerFailed {
                         stage: "main".into(),
@@ -277,7 +279,7 @@ pub fn run_threaded_with(
 
 /// Shared, immutable context for one section's worker threads.
 struct SectionCtx<'a> {
-    registry: &'a Registry,
+    dispatch: &'a Dispatch<'a>,
     world: &'a WorldStore,
     sec: &'a Section,
     locks: &'a [RawLock],
@@ -318,7 +320,7 @@ struct SectionOutcome {
 /// drain count and queue contention counters.
 #[allow(clippy::too_many_arguments)]
 fn run_section(
-    registry: &Registry,
+    dispatch: &Dispatch<'_>,
     plan: &ParallelPlan,
     shared_globals: &Arc<AtomicGlobals>,
     world: &WorldStore,
@@ -329,7 +331,7 @@ fn run_section(
     section_ord: usize,
 ) -> Result<SectionOutcome, ExecError> {
     let sec_start = epoch.elapsed().as_nanos() as u64;
-    let sec = Section::new(plan, cfg, registry);
+    let sec = Section::new(plan, cfg, dispatch.registry());
     let lock_kind = if sec.spin {
         LockKind::Spin
     } else {
@@ -347,7 +349,7 @@ fn run_section(
     let watchdog = Watchdog::new();
     let delta_out: Mutex<Vec<(usize, DeltaBuffer)>> = Mutex::new(Vec::new());
     let ctx = SectionCtx {
-        registry,
+        dispatch,
         world,
         sec: &sec,
         locks: &locks,
@@ -486,7 +488,7 @@ fn run_section(
     let bufs = delta_out.into_inner();
     let delta = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         coalesce_deltas(run, injector, bufs, |buf| {
-            world.coalesce_delta(registry, buf)
+            world.coalesce_delta(dispatch, buf)
         })
     }))
     .map_err(|payload| ExecError::WorkerFailed {
@@ -575,7 +577,7 @@ fn worker_loop(
     // Delta privatization: merge-covered world calls land here instead of
     // taking any shard lock; the buffer is handed to the section barrier
     // at exit for the deterministic coalesce.
-    let mut delta_buf = ctx.sec.delta.then(DeltaBuffer::new);
+    let mut delta_buf = ctx.sec.delta.then(|| ctx.dispatch.delta_buffer());
     let mut staged: Vec<Vec<u64>> = (0..ctx.queues.len()).map(|_| Vec::new()).collect();
     let mut refill: Vec<VecDeque<u64>> = (0..ctx.queues.len()).map(|_| VecDeque::new()).collect();
     let mut scratch: Vec<u64> = Vec::new();
@@ -725,10 +727,9 @@ fn worker_loop(
             }
             Some(RtOp::ParInvoke) => return Err(ExecError::NestedParallelSection),
             None => {
-                let name = ctx.run.module.intrinsics.name(p.intrinsic.0 as usize);
+                let id = p.intrinsic.0 as usize;
                 let t0 = stamp();
-                let out = match Section::delta_call(ctx.registry, delta_buf.as_mut(), name, &p.args)
-                {
+                let out = match ctx.dispatch.delta_call(id, delta_buf.as_mut(), &p.args) {
                     Some(out) => out,
                     None => {
                         // World calls never wait on queues (handlers only
@@ -742,14 +743,12 @@ fn worker_loop(
                             rank_base: ctx.locks.len(),
                             injector: Some(ctx.injector),
                         };
-                        ctx.world.call(ctx.registry, name, &p.args, &shard_obs)
+                        ctx.world.call(ctx.dispatch, id, &p.args, &shard_obs)
                     }
                 };
                 let t1 = stamp();
-                obs.world_call(name, &p.args, t0, t1);
-                if obs.metrics() {
-                    obs.observe(&format!("world_call.{name}"), t1.saturating_sub(t0));
-                }
+                obs.world_call(ctx.run.module.intrinsics.name(id), &p.args, t0, t1);
+                obs.observe_world_call(id, t1.saturating_sub(t0));
                 vm.resolve_special(out.value);
             }
         }

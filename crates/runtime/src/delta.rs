@@ -6,7 +6,7 @@
 //! the section barrier. Calls whose entire slot footprint is
 //! merge-declared can run against a worker-private [`World`] with no
 //! shard lock and no STM at all; the executors coalesce the buffers in
-//! worker-index order (then slot-name order inside each buffer), so the
+//! worker-index order (then slot-id order inside each buffer), so the
 //! result is deterministic whenever every merge operator is commutative
 //! and associative with the declared identity — the contract the effects
 //! sidecar's `merge` rows state and the checker's privatized-delta model
@@ -17,7 +17,7 @@
 //! paths (histogram counters, k-means centroid sums, ECLAT tid-lists)
 //! stop paying per-update lock traffic entirely.
 
-use crate::world::World;
+use crate::world::{BoxedSlots, SlotNames, World};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -151,9 +151,11 @@ impl DeltaSnapshot {
 
 /// One worker's private delta buffer: a [`World`] holding only
 /// merge-declared slots, initialized lazily to each operator's identity.
+/// Executors take theirs from [`Dispatch::delta_buffer`](crate::Dispatch::delta_buffer),
+/// so it shares the run's slot-name table and folds back by slot id.
 #[derive(Default)]
 pub struct DeltaBuffer {
-    world: World,
+    pub(crate) world: World,
     /// Calls applied to this buffer.
     pub applies: u64,
     /// Region-lock acquisitions this worker skipped (see
@@ -162,9 +164,17 @@ pub struct DeltaBuffer {
 }
 
 impl DeltaBuffer {
-    /// An empty buffer.
+    /// An empty buffer with its own name table.
     pub fn new() -> Self {
         DeltaBuffer::default()
+    }
+
+    /// An empty buffer over the name table `names`.
+    pub(crate) fn over(names: &Arc<SlotNames>) -> Self {
+        DeltaBuffer {
+            world: World::over(names),
+            ..DeltaBuffer::default()
+        }
     }
 
     /// True when no slot was ever touched (coalesce can skip it).
@@ -172,8 +182,9 @@ impl DeltaBuffer {
         self.world.is_empty()
     }
 
-    /// Runs one delta-routed call against the private buffer, creating
-    /// identity slots for `slots` on first touch.
+    /// Runs one delta-routed call by name against the private buffer,
+    /// creating identity slots for `slots` on first touch (the by-name
+    /// twin of [`Dispatch::delta_call`](crate::Dispatch::delta_call)).
     pub fn apply(
         &mut self,
         registry: &crate::intrinsics::Registry,
@@ -194,9 +205,18 @@ impl DeltaBuffer {
     }
 
     /// Tears the buffer down into `(slot, delta)` pairs in slot-name
-    /// order (the deterministic coalesce order within one worker).
+    /// order.
     pub fn drain(mut self) -> Vec<(String, Box<dyn Any + Send>)> {
         self.world.drain_boxed()
+    }
+
+    /// Tears the buffer down into its name table and `(slot id, delta)`
+    /// pairs in id order (the deterministic coalesce order within one
+    /// worker); `None` when nothing was ever touched.
+    pub(crate) fn into_slots(mut self) -> Option<(Arc<SlotNames>, BoxedSlots)> {
+        let slots = self.world.drain_ids();
+        let names = self.world.name_table()?.clone();
+        Some((names, slots))
     }
 }
 

@@ -2,11 +2,14 @@
 //!
 //! The compile-time half of an intrinsic (types, effect channels, base
 //! cost) lives in `commset_ir::IntrinsicTable`; this registry holds the
-//! runtime half — the handler closure operating on the [`World`].
+//! runtime half — the handler closure operating on the [`World`], the
+//! intrinsic's slot footprint and the slots' delta merges, all by name.
+//! [`Registry::resolve`] turns the names into dense ids once per run: the
+//! resulting [`Dispatch`] is what executors call through.
 
-use crate::delta::MergeSpec;
+use crate::delta::{DeltaBuffer, MergeSpec};
 use crate::value::Value;
-use crate::world::World;
+use crate::world::{SlotId, SlotNames, World};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,13 +100,23 @@ pub enum Route {
     Slots(Vec<String>),
 }
 
-/// Name-keyed handler registry.
+/// A dense handler id: an index into the registry's handler table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HandlerId(u32);
+
+/// The handler registry: handlers in a dense table, slot bindings and
+/// merge declarations by name. The names are consulted when a run starts
+/// ([`Registry::resolve`]) and by the by-name wrappers; executors call
+/// through the resolved [`Dispatch`].
 #[derive(Default, Clone)]
 pub struct Registry {
-    handlers: HashMap<String, Handler>,
+    handlers: Vec<Handler>,
+    by_name: HashMap<String, HandlerId>,
     bindings: HashMap<String, Vec<SlotBinding>>,
-    /// Slot (or striped-family base) → declared delta merge operator.
-    merges: HashMap<String, MergeSpec>,
+    /// Declared delta merge operators.
+    merges: Vec<MergeSpec>,
+    /// Slot (or striped-family base) → its merge in `merges`.
+    merge_by_slot: HashMap<String, usize>,
 }
 
 impl Registry {
@@ -121,13 +134,17 @@ impl Registry {
     where
         F: Fn(&mut World, &[Value]) -> IntrinsicOutcome + Send + Sync + 'static,
     {
-        let prev = self.handlers.insert(name.to_string(), Arc::new(f));
+        let id = HandlerId(self.handlers.len() as u32);
+        let prev = self.by_name.insert(name.to_string(), id);
         assert!(prev.is_none(), "duplicate intrinsic handler `{name}`");
+        self.handlers.push(Arc::new(f));
     }
 
     /// Looks up a handler.
     pub fn get(&self, name: &str) -> Option<&Handler> {
-        self.handlers.get(name)
+        self.by_name
+            .get(name)
+            .map(|id| &self.handlers[id.0 as usize])
     }
 
     /// Declares the world-slot footprint of intrinsic `name`.
@@ -137,6 +154,11 @@ impl Registry {
     /// without any declared binding route to the whole world.
     pub fn bind(&mut self, name: &str, bindings: Vec<SlotBinding>) {
         self.bindings.insert(name.to_string(), bindings);
+    }
+
+    /// The declared footprint of intrinsic `name`, if any.
+    pub fn binding(&self, name: &str) -> Option<&[SlotBinding]> {
+        self.bindings.get(name).map(Vec::as_slice)
     }
 
     /// True when at least one intrinsic has a declared slot footprint —
@@ -150,19 +172,32 @@ impl Registry {
     /// covering every `objs#k`). Slots with a declared merge become
     /// eligible for per-worker delta privatization under
     /// `WorldMode::Deltas`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicate declaration (wiring bug).
     pub fn declare_merge(&mut self, slot: &str, spec: MergeSpec) {
-        let prev = self.merges.insert(slot.to_string(), spec);
+        let prev = self
+            .merge_by_slot
+            .insert(slot.to_string(), self.merges.len());
         assert!(prev.is_none(), "duplicate merge declaration for `{slot}`");
+        self.merges.push(spec);
+    }
+
+    /// The index of the merge covering `slot`: an exact match wins, else
+    /// the striped-family base (the part before `#`).
+    fn merge_index(&self, slot: &str) -> Option<usize> {
+        if let Some(&m) = self.merge_by_slot.get(slot) {
+            return Some(m);
+        }
+        let base = slot.split('#').next().unwrap_or(slot);
+        self.merge_by_slot.get(base).copied()
     }
 
     /// The merge spec covering `slot`: an exact match wins, else the
     /// striped-family base (the part before `#`).
     pub fn merge_of(&self, slot: &str) -> Option<&MergeSpec> {
-        if let Some(m) = self.merges.get(slot) {
-            return Some(m);
-        }
-        let base = slot.split('#').next().unwrap_or(slot);
-        self.merges.get(base)
+        self.merge_index(slot).map(|m| &self.merges[m])
     }
 
     /// True when at least one slot has a declared merge operator — the
@@ -171,12 +206,13 @@ impl Registry {
         !self.merges.is_empty()
     }
 
-    /// Resolves the delta route for a call: `Some(slots)` when the call's
-    /// footprint is known (bound) and *every* touched slot is
+    /// Resolves the delta route for a call by name: `Some(slots)` when the
+    /// call's footprint is known (bound) and *every* touched slot is
     /// merge-declared, so the whole call can run against a worker-private
     /// buffer. Pure calls (empty footprint) return `None` — they already
     /// run lock-free on the shared path. Mixed or unbound footprints
-    /// return `None` and stay on the lock-mediated path.
+    /// return `None` and stay on the lock-mediated path. The by-id twin
+    /// is [`Dispatch::delta_route`].
     pub fn delta_route(&self, name: &str, args: &[Value]) -> Option<Vec<String>> {
         match self.route(name, args) {
             Route::Whole => None,
@@ -207,7 +243,8 @@ impl Registry {
         }
     }
 
-    /// Resolves the shard route for a call of `name` with `args`.
+    /// Resolves the shard route for a call of `name` with `args` by name
+    /// (the by-id twin is [`Dispatch::route`]).
     pub fn route(&self, name: &str, args: &[Value]) -> Route {
         match self.bindings.get(name) {
             None => Route::Whole,
@@ -232,14 +269,14 @@ impl Registry {
         }
     }
 
-    /// Invokes the handler for `name`.
+    /// Invokes the handler for `name` (a by-name wrapper; executors call
+    /// [`Dispatch::call`]).
     ///
     /// # Panics
     ///
-    /// Panics if no handler is registered — generated programs only call
-    /// intrinsics their workload registered.
+    /// Panics if no handler is registered.
     pub fn call(&self, name: &str, world: &mut World, args: &[Value]) -> IntrinsicOutcome {
-        match self.handlers.get(name) {
+        match self.get(name) {
             Some(h) => h(world, args),
             None => panic!("no handler for intrinsic `{name}`"),
         }
@@ -247,9 +284,64 @@ impl Registry {
 
     /// Registered names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.handlers.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.by_name.keys().map(String::as_str).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Resolves this registry against one run: `intrinsics` lists the
+    /// module's intrinsic names in id order, and every slot the bindings
+    /// name is interned into `world`'s table (before the world is
+    /// partitioned or shared). The [`Dispatch`] that comes back calls,
+    /// routes and delta-routes by intrinsic id with no name lookup.
+    /// Intrinsics without a handler are listed by [`Dispatch::missing`].
+    pub fn resolve<'a>(
+        &self,
+        intrinsics: impl IntoIterator<Item = &'a str>,
+        world: &mut World,
+    ) -> Dispatch<'_> {
+        let mut entries = Vec::new();
+        for name in intrinsics {
+            let bindings = self.bindings.get(name).map(Vec::as_slice);
+            let footprint = bindings.map(|bs| {
+                bs.iter()
+                    .map(|b| match b {
+                        SlotBinding::Fixed(s) => Bound::Fixed(world.intern(s)),
+                        SlotBinding::Striped { base, stripes, arg } => Bound::Striped {
+                            stripes: (0..*stripes)
+                                .map(|k| world.intern(&crate::sharded::stripe_slot(base, k)))
+                                .collect(),
+                            arg: *arg,
+                        },
+                    })
+                    .collect()
+            });
+            let min_args = bindings
+                .into_iter()
+                .flatten()
+                .filter_map(|b| match b {
+                    SlotBinding::Striped { arg, .. } => Some(arg + 1),
+                    SlotBinding::Fixed(_) => None,
+                })
+                .max()
+                .unwrap_or(0);
+            entries.push(Entry {
+                handler: self.by_name.get(name).copied(),
+                footprint,
+                min_args,
+                covered: self.delta_covered(name),
+            });
+        }
+        let names = Arc::clone(world.table());
+        let slot_merge = (0..names.len())
+            .map(|i| self.merge_index(names.name(SlotId(i as u32))))
+            .collect();
+        Dispatch {
+            registry: self,
+            names,
+            entries,
+            slot_merge,
+        }
     }
 }
 
@@ -258,6 +350,233 @@ impl std::fmt::Debug for Registry {
         f.debug_struct("Registry")
             .field("handlers", &self.names())
             .finish()
+    }
+}
+
+/// One binding, resolved to slot ids.
+#[derive(Debug)]
+enum Bound {
+    Fixed(SlotId),
+    /// The slot id of `base#k` at index `k`; a call touches stripe
+    /// `stripe_of(args[arg], stripes.len())`.
+    Striped {
+        stripes: Box<[SlotId]>,
+        arg: usize,
+    },
+}
+
+/// One intrinsic, resolved.
+#[derive(Debug)]
+struct Entry {
+    handler: Option<HandlerId>,
+    /// `None` when unbound (the whole-world route).
+    footprint: Option<Box<[Bound]>>,
+    /// Arguments a call needs for every stripe binding to find its key;
+    /// a shorter call routes to the whole world.
+    min_args: usize,
+    /// [`Registry::delta_covered`].
+    covered: bool,
+}
+
+/// A [`Registry`] resolved against one run's intrinsic table and world
+/// ([`Registry::resolve`]): handlers, footprints and merges indexed by
+/// intrinsic id and slot id. Built once at executor entry, shared by
+/// every worker of the run.
+pub struct Dispatch<'r> {
+    registry: &'r Registry,
+    /// The table every resolved [`SlotId`] indexes.
+    names: Arc<SlotNames>,
+    /// By intrinsic id.
+    entries: Vec<Entry>,
+    /// By slot id: the index of the slot's merge spec.
+    slot_merge: Vec<Option<usize>>,
+}
+
+impl std::fmt::Debug for Dispatch<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Dispatch")
+            .field("intrinsics", &self.entries.len())
+            .field("slots", &self.names.len())
+            .finish()
+    }
+}
+
+/// The slots one call touches, in binding order (duplicates possible),
+/// resolved by id with no allocation.
+#[derive(Clone)]
+pub(crate) struct Footprint<'d> {
+    bound: std::slice::Iter<'d, Bound>,
+    args: &'d [Value],
+}
+
+impl Iterator for Footprint<'_> {
+    type Item = SlotId;
+
+    fn next(&mut self) -> Option<SlotId> {
+        Some(match self.bound.next()? {
+            Bound::Fixed(s) => *s,
+            Bound::Striped { stripes, arg } => {
+                stripes[crate::sharded::stripe_of(self.args[*arg].as_int(), stripes.len())]
+            }
+        })
+    }
+}
+
+impl<'r> Dispatch<'r> {
+    /// The registry this dispatch resolves.
+    pub fn registry(&self) -> &'r Registry {
+        self.registry
+    }
+
+    /// The name table every resolved slot id indexes.
+    pub(crate) fn names(&self) -> &Arc<SlotNames> {
+        &self.names
+    }
+
+    /// Intrinsic ids with no registered handler, ascending.
+    pub fn missing(&self) -> impl Iterator<Item = usize> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.handler.is_none())
+            .map(|(id, _)| id)
+    }
+
+    /// Invokes the handler of intrinsic `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` has no handler; executors reject such intrinsics
+    /// before the run starts (see [`Dispatch::missing`]).
+    pub fn call(&self, id: usize, world: &mut World, args: &[Value]) -> IntrinsicOutcome {
+        match self.entries[id].handler {
+            Some(h) => (self.registry.handlers[h.0 as usize])(world, args),
+            None => panic!("no handler for intrinsic #{id}"),
+        }
+    }
+
+    /// The slots a call of intrinsic `id` with `args` touches; `None` when
+    /// it must hold the whole world (no declared footprint, or a stripe
+    /// key argument missing).
+    pub(crate) fn footprint<'d>(&'d self, id: usize, args: &'d [Value]) -> Option<Footprint<'d>> {
+        let e = &self.entries[id];
+        let bound = e.footprint.as_deref()?;
+        (args.len() >= e.min_args).then(|| Footprint {
+            bound: bound.iter(),
+            args,
+        })
+    }
+
+    /// The footprint of a call that runs against a worker-private delta
+    /// buffer: bound, non-empty, and every touched slot merge-declared
+    /// (the by-id [`Registry::delta_route`]).
+    pub(crate) fn delta_footprint<'d>(
+        &'d self,
+        id: usize,
+        args: &'d [Value],
+    ) -> Option<Footprint<'d>> {
+        let fp = self.footprint(id, args)?;
+        if fp.bound.len() == 0 {
+            return None;
+        }
+        let merged = self.entries[id].covered || fp.clone().all(|s| self.merge(s).is_some());
+        merged.then_some(fp)
+    }
+
+    /// The slots a call of intrinsic `id` with `args` touches, as the
+    /// sorted slot names of a [`Route`] (what executors route by, with no
+    /// names built).
+    pub fn route(&self, id: usize, args: &[Value]) -> Route {
+        match self.footprint(id, args) {
+            None => Route::Whole,
+            Some(fp) => Route::Slots(self.slot_names(fp)),
+        }
+    }
+
+    /// The slots a call of intrinsic `id` with `args` privatizes, as
+    /// sorted slot names: `Some` when the footprint is bound, non-empty
+    /// and wholly merge-declared (what [`Dispatch::delta_call`] runs
+    /// against, with no names built).
+    pub fn delta_route(&self, id: usize, args: &[Value]) -> Option<Vec<String>> {
+        self.delta_footprint(id, args).map(|fp| self.slot_names(fp))
+    }
+
+    fn slot_names(&self, fp: Footprint<'_>) -> Vec<String> {
+        let mut v: Vec<String> = fp.map(|s| self.names.name(s).to_string()).collect();
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
+
+    /// The merge spec of slot `id`.
+    fn merge(&self, id: SlotId) -> Option<&'r MergeSpec> {
+        let m = (*self.slot_merge.get(id.0 as usize)?)?;
+        Some(&self.registry.merges[m])
+    }
+
+    /// A fresh private delta buffer over the resolved name table.
+    pub fn delta_buffer(&self) -> DeltaBuffer {
+        DeltaBuffer::over(&self.names)
+    }
+
+    /// The delta-route fast path: runs a call whose whole slot footprint
+    /// is merge-declared against the worker's private buffer, creating
+    /// each slot at its merge identity on first touch — no lock, no
+    /// channel serialization. `None` when the worker has no buffer or the
+    /// call is not delta-routed.
+    pub fn delta_call(
+        &self,
+        id: usize,
+        buf: Option<&mut DeltaBuffer>,
+        args: &[Value],
+    ) -> Option<IntrinsicOutcome> {
+        let buf = buf?;
+        let fp = self.delta_footprint(id, args)?;
+        for s in fp {
+            let to = buf.world.translate(&self.names, s);
+            if !buf.world.contains_id(to) {
+                let spec = self.merge(s).expect("delta footprints are merge-declared");
+                buf.world.install_id(to, spec.fresh(self.names.name(s)));
+            }
+        }
+        buf.applies += 1;
+        Some(self.call(id, &mut buf.world, args))
+    }
+
+    /// The merge spec for slot `id` of a world over `names`: by id when
+    /// `names` is the resolved table, by name otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no merge covers the slot (wiring bug).
+    pub(crate) fn merge_for(&self, names: &Arc<SlotNames>, id: SlotId) -> &'r MergeSpec {
+        let by_id = Arc::ptr_eq(names, &self.names)
+            .then(|| self.merge(id))
+            .flatten();
+        by_id
+            .or_else(|| self.registry.merge_of(names.name(id)))
+            .unwrap_or_else(|| panic!("delta slot `{}` has no merge spec", names.name(id)))
+    }
+
+    /// Folds one worker's finished delta buffer into `world`, slot by slot
+    /// in id order. Returns the number of slots merged.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slot has no merge spec or the types mismatch (wiring
+    /// bug — executors contain it like any handler panic).
+    pub fn coalesce(&self, world: &mut World, buffer: DeltaBuffer) -> u64 {
+        let Some((names, slots)) = buffer.into_slots() else {
+            return 0;
+        };
+        let mut merged = 0u64;
+        for (id, delta) in slots {
+            let spec = self.merge_for(&names, id);
+            let to = world.translate(&names, id);
+            world.merge_id(to, spec, delta);
+            merged += 1;
+        }
+        merged
     }
 }
 
@@ -281,9 +600,102 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no handler")]
-    fn missing_handler_panics() {
-        Registry::new().call("nope", &mut World::new(), &[]);
+    fn missing_handlers_are_listed_at_resolution() {
+        let mut reg = Registry::new();
+        reg.register("bump", |_, _| IntrinsicOutcome::unit());
+        let d = reg.resolve(["nope", "bump", "gone"], &mut World::new());
+        assert_eq!(d.missing().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(d.call(1, &mut World::new(), &[]), IntrinsicOutcome::unit());
+        // The by-name wrapper still panics on an unregistered intrinsic.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.call("nope", &mut World::new(), &[])
+        }))
+        .expect_err("by-name call of a missing handler panics");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("no handler"), "{msg}");
+    }
+
+    /// A registry over a striped `fs` family, a console and a merged
+    /// accumulator.
+    fn bound_registry() -> Registry {
+        let mut reg = Registry::new();
+        reg.register("pure", |_, _| IntrinsicOutcome::unit());
+        reg.register("read", |w, args| {
+            let k = crate::sharded::stripe_of(args[0].as_int(), 8);
+            IntrinsicOutcome::value(*w.stripe::<i64>("fs", k))
+        });
+        reg.register("add", |w, args| {
+            *w.get_mut::<i64>("acc") += args[0].as_int();
+            IntrinsicOutcome::unit()
+        });
+        reg.register("both", |_, _| IntrinsicOutcome::unit());
+        reg.register("free", |_, _| IntrinsicOutcome::unit());
+        let fs = |arg| SlotBinding::Striped {
+            base: "fs".into(),
+            stripes: 8,
+            arg,
+        };
+        reg.bind("pure", vec![]);
+        reg.bind("read", vec![fs(0)]);
+        reg.bind("add", vec![SlotBinding::Fixed("acc".into())]);
+        reg.bind(
+            "both",
+            vec![SlotBinding::Fixed("console".into()), fs(1), fs(1)],
+        );
+        reg.declare_merge("acc", crate::delta::MergeSpec::add_i64());
+        reg.declare_merge("fs#3", crate::delta::MergeSpec::add_i64());
+        reg
+    }
+
+    #[test]
+    fn resolved_routes_name_the_same_slots_as_string_routes() {
+        let reg = bound_registry();
+        let names = ["pure", "read", "add", "both", "free"];
+        let d = reg.resolve(names, &mut World::new());
+        for (id, name) in names.iter().enumerate() {
+            for args in [&[][..], &[Value::Int(11)], &[Value::Int(-1), Value::Int(3)]] {
+                assert_eq!(d.route(id, args), reg.route(name, args), "{name}{args:?}");
+                assert_eq!(
+                    d.delta_route(id, args),
+                    reg.delta_route(name, args),
+                    "{name}{args:?}"
+                );
+            }
+        }
+        // An exact `fs#3` merge delta-routes stripe 3 only.
+        assert_eq!(
+            d.delta_route(1, &[Value::Int(11)]),
+            Some(vec!["fs#3".into()])
+        );
+        assert_eq!(d.delta_route(1, &[Value::Int(12)]), None);
+    }
+
+    #[test]
+    fn resolved_calls_and_delta_calls_run_by_id() {
+        let reg = bound_registry();
+        let mut world = World::new();
+        for k in 0..8 {
+            world.install(&crate::sharded::stripe_slot("fs", k), k as i64 * 10);
+        }
+        world.install("acc", 1i64);
+        let d = reg.resolve(["read", "add"], &mut world);
+        assert_eq!(
+            d.call(0, &mut world, &[Value::Int(13)]).value,
+            Value::Int(50)
+        );
+        let mut buf = d.delta_buffer();
+        assert!(d.delta_call(0, Some(&mut buf), &[Value::Int(13)]).is_none());
+        assert!(d.delta_call(1, None, &[Value::Int(1)]).is_none());
+        for v in [2, 3] {
+            d.delta_call(1, Some(&mut buf), &[Value::Int(v)])
+                .expect("merged");
+        }
+        assert_eq!(buf.applies, 2);
+        assert_eq!(d.coalesce(&mut world, buf), 1);
+        assert_eq!(*world.get::<i64>("acc"), 6);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!   operations).
 //! * [`stm`] — a TL2-style software transactional memory (global version
 //!   clock, versioned cells, redo log) backing the optimistic sync mode.
-//! * [`world`] — the virtual world: type-erased, channel-keyed mutable
-//!   state standing in for the paper's files, console, RNG seeds, packet
+//! * [`world`] — the virtual world: type-erased mutable state in slots
+//!   indexed by interned slot ids, standing in for the paper's files, console, RNG seeds, packet
 //!   pools and allocators.
 //! * [`intrinsics`] — the registry binding `extern` intrinsic names to
-//!   effect signatures and executable handlers.
+//!   executable handlers, slot footprints and merges, and the per-run
+//!   [`Dispatch`] that resolves them to dense ids.
 //! * [`rng`] — the deterministic RNG algorithms used by workloads.
 //! * [`sync`] — std-backed, poison-recovering mutex/condvar/rwlock shims
 //!   (the workspace builds with zero external dependencies).
@@ -47,7 +48,7 @@ pub mod world;
 pub use delta::{DeltaBuffer, DeltaSnapshot, MergeSpec, DELTA_POISON_MSG};
 pub use fault::{FaultInjector, FaultPlan, FaultStats, SlowWorker, WorkerStall};
 pub use hist::{Hist64, HIST_BUCKETS};
-pub use intrinsics::{IntrinsicOutcome, Registry, Route, SlotBinding};
+pub use intrinsics::{Dispatch, IntrinsicOutcome, Registry, Route, SlotBinding};
 pub use queue::SpscQueue;
 pub use sharded::{
     shard_of_slot, stripe_of, stripe_slot, ShardObserver, ShardStatsSnapshot, ShardedWorld,

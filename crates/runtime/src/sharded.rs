@@ -15,7 +15,9 @@
 //!   structures (console, stats) stop contending with the hot data.
 //!
 //! Intrinsics reach the shards through the [`Registry`]'s slot bindings
-//! (see `Registry::bind`):
+//! (see `Registry::bind`), resolved once per run to slot ids
+//! ([`Dispatch`]); the shards share the world's slot-name table, and each
+//! slot id's home shard is computed once, at partition:
 //!
 //! * a **single-shard** footprint takes that shard's lock alone — the
 //!   fast path, with a `try_lock` first so contention is *counted*, not
@@ -35,12 +37,13 @@
 //! bench harness's contention report.
 
 use crate::fault::FaultInjector;
-use crate::intrinsics::{IntrinsicOutcome, Registry, Route};
+use crate::intrinsics::{Dispatch, IntrinsicOutcome, Registry, Route};
 use crate::sync::{Mutex, MutexGuard};
 use crate::value::Value;
 use crate::watchdog::Watchdog;
-use crate::world::World;
+use crate::world::{SlotId, SlotNames, World};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Number of shards a world is partitioned into (and the stripe count
 /// workloads use for `base#k` slot families).
@@ -130,6 +133,10 @@ impl<'a> ShardObserver<'a> {
 /// A world partitioned into independently locked shards.
 pub struct ShardedWorld {
     shards: Vec<Mutex<World>>,
+    /// The name table the shards share, as of the partition.
+    names: Option<Arc<SlotNames>>,
+    /// Home shard by slot id of `names`.
+    homes: Vec<usize>,
     stats: ShardStats,
 }
 
@@ -142,20 +149,28 @@ impl std::fmt::Debug for ShardedWorld {
 }
 
 impl ShardedWorld {
-    /// Partitions `world` into `shards` shards by [`shard_of_slot`].
+    /// Partitions `world` into `shards` shards by [`shard_of_slot`]; the
+    /// shards share `world`'s name table.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn partition(mut world: World, shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
-        let mut worlds: Vec<World> = (0..shards).map(|_| World::new()).collect();
-        for (name, boxed) in world.drain_boxed() {
-            let s = shard_of_slot(&name, shards);
-            worlds[s].install_boxed(name, boxed);
+        let names = world.name_table().cloned();
+        let homes: Vec<usize> = names.as_deref().map_or_else(Vec::new, |n| {
+            (0..n.len())
+                .map(|i| shard_of_slot(n.name(SlotId(i as u32)), shards))
+                .collect()
+        });
+        let mut worlds: Vec<World> = (0..shards).map(|_| world.sharing()).collect();
+        for (id, boxed) in world.drain_ids() {
+            worlds[homes[id.0 as usize]].install_id(id, boxed);
         }
         ShardedWorld {
             shards: worlds.into_iter().map(Mutex::new).collect(),
+            names,
+            homes,
             stats: ShardStats::default(),
         }
     }
@@ -163,6 +178,16 @@ impl ShardedWorld {
     /// The shard holding `slot`.
     pub fn shard_of(&self, slot: &str) -> usize {
         shard_of_slot(slot, self.shards.len())
+    }
+
+    /// The home shard of slot `id` of a world over `names`: precomputed
+    /// when `names` is the partition's table, hashed by name otherwise.
+    fn home(&self, names: &Arc<SlotNames>, id: SlotId) -> usize {
+        let same = self.names.as_ref().is_some_and(|n| Arc::ptr_eq(n, names));
+        match self.homes.get(id.0 as usize) {
+            Some(&h) if same => h,
+            _ => self.shard_of(names.name(id)),
+        }
     }
 
     /// Snapshot of the contention counters.
@@ -219,9 +244,10 @@ impl ShardedWorld {
         self.with_shard_set(&idxs, obs, f)
     }
 
-    /// Routes one intrinsic call through the registry's slot bindings:
-    /// bound footprints take their shard locks, unbound intrinsics take
-    /// the whole world.
+    /// Routes one intrinsic call by name through the registry's slot
+    /// bindings: bound footprints take their shard locks, unbound
+    /// intrinsics take the whole world (the by-name twin of
+    /// [`ShardedWorld::call_id`]).
     pub fn call(
         &self,
         registry: &Registry,
@@ -233,6 +259,37 @@ impl ShardedWorld {
             Route::Whole => self.with_all(obs, |w| registry.call(name, w, args)),
             Route::Slots(slots) => self.with_slots(&slots, obs, |w| registry.call(name, w, args)),
         }
+    }
+
+    /// Routes one call of intrinsic `id` through its resolved footprint:
+    /// a single home shard takes the fast path with no allocation, a
+    /// multi-shard footprint the ascending gather, an unbound intrinsic
+    /// the whole world. `dispatch` must be resolved against the world
+    /// this one was partitioned from.
+    pub fn call_id(
+        &self,
+        dispatch: &Dispatch<'_>,
+        id: usize,
+        args: &[Value],
+        obs: &ShardObserver<'_>,
+    ) -> IntrinsicOutcome {
+        let run = |w: &mut World| dispatch.call(id, w, args);
+        let Some(fp) = dispatch.footprint(id, args) else {
+            return self.with_all(obs, run);
+        };
+        let names = dispatch.names();
+        let mut homes = fp.clone().map(|s| self.home(names, s));
+        let Some(first) = homes.next() else {
+            return run(&mut World::new());
+        };
+        if homes.all(|h| h == first) {
+            return self.with_one_shard(first, obs, run);
+        }
+        let mut idxs: Vec<usize> = fp.map(|s| self.home(names, s)).collect();
+        idxs.sort_unstable();
+        idxs.dedup();
+        self.stats.multi_acquires.fetch_add(1, Ordering::Relaxed);
+        self.with_shard_set(&idxs, obs, run)
     }
 
     /// Single-shard fast path: `try_lock` first so contention is counted.
@@ -282,12 +339,11 @@ impl ShardedWorld {
         // The injected delay lands *inside* the multi-shard hold — the
         // torture suite's probe that held shard sets cannot deadlock.
         self.hold_delay(obs);
-        // Gather every slot of the held shards into a scratch world.
-        let mut scratch = World::new();
+        // Gather every slot of the held shards into a scratch world over
+        // the shards' name table (slots move by id).
+        let mut scratch = guards[0].1.sharing();
         for (_, g) in &mut guards {
-            for (name, boxed) in g.drain_boxed() {
-                scratch.install_boxed(name, boxed);
-            }
+            g.move_into(&mut scratch);
         }
         // An injected poison lands inside the existing unwind containment:
         // the scatter below still runs, every held shard is released (and
@@ -299,10 +355,14 @@ impl ShardedWorld {
         // Scatter back by home shard; a slot freshly installed by `f`
         // whose home shard is *not* held (only possible on a partial
         // footprint) falls back to the lowest held shard.
-        for (name, boxed) in scratch.drain_boxed() {
-            let home = self.shard_of(&name);
-            let pos = guards.iter().position(|(i, _)| *i == home).unwrap_or(0);
-            guards[pos].1.install_boxed(name, boxed);
+        if let Some(names) = scratch.name_table().cloned() {
+            for (id, boxed) in scratch.drain_ids() {
+                let home = self.home(&names, id);
+                let pos = guards.iter().position(|(i, _)| *i == home).unwrap_or(0);
+                let shard = &mut guards[pos].1;
+                let to = shard.translate(&names, id);
+                shard.install_id(to, boxed);
+            }
         }
         // Release in descending order, mirroring acquisition.
         while let Some((i, g)) = guards.pop() {
@@ -318,9 +378,10 @@ impl ShardedWorld {
     }
 
     /// Folds one worker's finished delta buffer into the shared shards at
-    /// the section barrier (the `WorldMode::Deltas` coalesce). Slots are
-    /// merged in the buffer's name order; callers coalesce buffers in
-    /// worker-index order, so the overall fold order is deterministic.
+    /// the section barrier (the `WorldMode::Deltas` coalesce), resolving
+    /// each merge by name; executors fold through
+    /// [`ShardedWorld::coalesce_resolved`] with the run's dispatch, which
+    /// this wraps with an empty one.
     ///
     /// Acquisitions here are plain per-slot locks and are *not* counted
     /// in [`ShardStats`]: the contention counters measure per-update lock
@@ -338,10 +399,32 @@ impl ShardedWorld {
     /// types mismatch (wiring bug — executors contain it like any handler
     /// panic).
     pub fn coalesce_delta(&self, registry: &Registry, buffer: crate::delta::DeltaBuffer) -> u64 {
+        let dispatch = registry.resolve(std::iter::empty(), &mut World::new());
+        self.coalesce_resolved(&dispatch, buffer)
+    }
+
+    /// Folds a delta buffer by slot id: each slot goes to its precomputed
+    /// home shard through the merge `dispatch` resolved for it, in
+    /// slot-id order (first-intern order); callers coalesce buffers in
+    /// worker-index order, so the overall fold order is deterministic.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedWorld::coalesce_delta`].
+    pub fn coalesce_resolved(
+        &self,
+        dispatch: &Dispatch<'_>,
+        buffer: crate::delta::DeltaBuffer,
+    ) -> u64 {
+        let Some((names, slots)) = buffer.into_slots() else {
+            return 0;
+        };
         let mut merged = 0u64;
-        for (name, delta) in buffer.drain() {
-            let idx = self.shard_of(&name);
-            self.shards[idx].lock().merge_delta(registry, name, delta);
+        for (id, delta) in slots {
+            let spec = dispatch.merge_for(&names, id);
+            let mut shard = self.shards[self.home(&names, id)].lock();
+            let to = shard.translate(&names, id);
+            shard.merge_id(to, spec, delta);
             merged += 1;
         }
         merged
@@ -396,6 +479,32 @@ mod tests {
         assert_eq!(shard_of_slot("console", 8), shard_of_slot("console", 8));
         // Negative keys stay in range.
         assert_eq!(stripe_of(-1, 8), 7);
+    }
+
+    #[test]
+    fn by_name_coalesce_folds_a_foreign_buffer() {
+        let mut reg = Registry::new();
+        reg.register("add", |w, args| {
+            *w.stripe_mut::<i64>("acc", args[0].as_int() as usize) += args[1].as_int();
+            *w.get_mut::<i64>("fresh") += 1;
+            IntrinsicOutcome::unit()
+        });
+        for k in 0..4 {
+            reg.declare_merge(&stripe_slot("acc", k), crate::delta::MergeSpec::add_i64());
+        }
+        reg.declare_merge("fresh", crate::delta::MergeSpec::add_i64());
+        let sw = striped_world(4);
+        // A buffer over its own name table: every slot is matched by name.
+        let mut buf = crate::delta::DeltaBuffer::new();
+        let slots = vec![stripe_slot("acc", 2), "fresh".to_string()];
+        for v in [5, 7] {
+            buf.apply(&reg, "add", &[Value::Int(2), Value::Int(v)], &slots);
+        }
+        assert_eq!(sw.coalesce_delta(&reg, buf), 2);
+        let world = sw.into_world();
+        assert_eq!(*world.get::<i64>(&stripe_slot("acc", 2)), 12);
+        assert_eq!(*world.get::<i64>(&stripe_slot("acc", 1)), 0);
+        assert_eq!(*world.get::<i64>("fresh"), 2);
     }
 
     #[test]
@@ -590,5 +699,56 @@ mod tests {
             2,
             "poisoned hold's closure never ran; clean holds did"
         );
+    }
+
+    #[test]
+    fn resolved_calls_take_their_home_shards() {
+        let mut reg = crate::Registry::new();
+        reg.register("bump", |w, args| {
+            *w.stripe_mut::<i64>("acc", stripe_of(args[0].as_int(), 8)) += 1;
+            IntrinsicOutcome::unit()
+        });
+        reg.register("pair", |w, _| {
+            *w.stripe_mut::<i64>("acc", 1) += 10;
+            *w.stripe_mut::<i64>("acc", 6) += 10;
+            IntrinsicOutcome::unit()
+        });
+        reg.register("log", |w, _| {
+            w.get_mut::<Vec<i64>>("console").push(1);
+            IntrinsicOutcome::unit()
+        });
+        let striped = |arg| crate::SlotBinding::Striped {
+            base: "acc".into(),
+            stripes: 8,
+            arg,
+        };
+        reg.bind("bump", vec![striped(0)]);
+        reg.bind("pair", vec![striped(0), striped(1)]);
+        let mut w = World::new();
+        for k in 0..8 {
+            w.install(&stripe_slot("acc", k), 0i64);
+        }
+        w.install("console", Vec::<i64>::new());
+        let d = reg.resolve(["bump", "pair", "log"], &mut w);
+        let sw = ShardedWorld::partition(w, 8);
+        let obs = ShardObserver::silent();
+        sw.call_id(&d, 0, &[Value::Int(11)], &obs);
+        sw.call_id(&d, 1, &[Value::Int(1), Value::Int(6)], &obs);
+        sw.call_id(&d, 2, &[], &obs);
+        let stats = sw.stats();
+        assert_eq!(
+            (
+                stats.fast_acquires,
+                stats.multi_acquires,
+                stats.whole_acquires
+            ),
+            (1, 1, 1)
+        );
+        let world = sw.into_world();
+        assert_eq!(*world.get::<i64>("acc#3"), 1);
+        assert_eq!(*world.get::<i64>("acc#1"), 10);
+        assert_eq!(*world.get::<i64>("acc#6"), 10);
+        assert_eq!(world.get::<Vec<i64>>("console"), &vec![1]);
+        assert_eq!(world.len(), 9);
     }
 }

@@ -7,13 +7,13 @@
 //! redo work accordingly.
 
 use crate::cost::CostModel;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Global transactional-conflict bookkeeping.
+/// Global transactional-conflict bookkeeping. Channels are the intrinsic
+/// table's dense channel ids.
 #[derive(Debug, Clone, Default)]
 pub struct TmModel {
-    /// Channel → time of the last committed write.
-    last_write: BTreeMap<String, u64>,
+    /// Time of the last committed write, by channel id (0 = never).
+    last_write: Vec<u64>,
     /// Total commits (statistics).
     pub commits: u64,
     /// Total aborts (statistics).
@@ -28,12 +28,28 @@ pub struct TmModel {
 pub struct TxRecord {
     /// Begin time.
     pub start: u64,
-    /// Channels read.
-    pub reads: BTreeSet<String>,
-    /// Channels written.
-    pub writes: BTreeSet<String>,
+    /// Channel ids read (each once).
+    pub reads: Vec<u32>,
+    /// Channel ids written (each once).
+    pub writes: Vec<u32>,
     /// Accumulated work (re-charged on abort).
     pub work: u64,
+}
+
+impl TxRecord {
+    /// Adds channel `c` to the read set.
+    pub fn read(&mut self, c: u32) {
+        if !self.reads.contains(&c) {
+            self.reads.push(c);
+        }
+    }
+
+    /// Adds channel `c` to the write set.
+    pub fn write(&mut self, c: u32) {
+        if !self.writes.contains(&c) {
+            self.writes.push(c);
+        }
+    }
 }
 
 impl TmModel {
@@ -46,8 +62,8 @@ impl TmModel {
     pub fn begin(&self, t: u64, cm: &CostModel) -> TxRecord {
         TxRecord {
             start: t + cm.tx_begin,
-            reads: BTreeSet::new(),
-            writes: BTreeSet::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
             work: 0,
         }
     }
@@ -64,7 +80,7 @@ impl TmModel {
             .reads
             .iter()
             .chain(&tx.writes)
-            .any(|c| self.last_write.get(c).copied().unwrap_or(0) > tx.start);
+            .any(|&c| self.last_write.get(c as usize).copied().unwrap_or(0) > tx.start);
         if conflict {
             self.aborts += 1;
             // Wasted: everything since begin, plus the validation cost.
@@ -73,9 +89,7 @@ impl TmModel {
         }
         self.commits += 1;
         let done = t + cm.tx_commit;
-        for c in &tx.writes {
-            self.last_write.insert(c.clone(), done);
-        }
+        self.record_writes(tx, done);
         Ok(done)
     }
 
@@ -88,10 +102,18 @@ impl TmModel {
         self.fallbacks += 1;
         self.commits += 1;
         let done = t + cm.lock_acquire + cm.tx_commit + cm.lock_release;
-        for c in &tx.writes {
-            self.last_write.insert(c.clone(), done);
-        }
+        self.record_writes(tx, done);
         done
+    }
+
+    fn record_writes(&mut self, tx: &TxRecord, done: u64) {
+        for &c in &tx.writes {
+            let c = c as usize;
+            if self.last_write.len() <= c {
+                self.last_write.resize(c + 1, 0);
+            }
+            self.last_write[c] = done;
+        }
     }
 
     /// Records an injected (forced) abort at time `t`: charges the same
@@ -111,10 +133,10 @@ mod tests {
         let cm = CostModel::default();
         let mut tm = TmModel::new();
         let mut tx1 = tm.begin(0, &cm);
-        tx1.writes.insert("A".into());
+        tx1.write(0);
         let c1 = tm.commit(&tx1, 100, &cm).unwrap();
         let mut tx2 = tm.begin(c1, &cm);
-        tx2.writes.insert("B".into());
+        tx2.write(1);
         assert!(tm.commit(&tx2, c1 + 100, &cm).is_ok());
         assert_eq!(tm.aborts, 0);
     }
@@ -125,10 +147,10 @@ mod tests {
         let mut tm = TmModel::new();
         // Reader starts first...
         let mut reader = tm.begin(0, &cm);
-        reader.reads.insert("A".into());
+        reader.read(0);
         // ...writer begins and commits a write to A in between...
         let mut writer = tm.begin(10, &cm);
-        writer.writes.insert("A".into());
+        writer.write(0);
         let _ = tm.commit(&writer, 500, &cm).unwrap();
         // ...reader's commit must abort.
         let r = tm.commit(&reader, 1000, &cm);
@@ -145,9 +167,9 @@ mod tests {
         // A writer commits to A after the victim began — an optimistic
         // commit would abort forever under a steady conflict stream.
         let mut victim = tm.begin(0, &cm);
-        victim.reads.insert("A".into());
+        victim.read(0);
         let mut writer = tm.begin(10, &cm);
-        writer.writes.insert("A".into());
+        writer.write(0);
         tm.commit(&writer, 500, &cm).unwrap();
         assert!(tm.commit(&victim, 1000, &cm).is_err());
         let done = tm.commit_pessimistic(&victim, 2000, &cm);
@@ -172,10 +194,10 @@ mod tests {
         let mut tm = TmModel::new();
         // Retry after an abort with a fresh (later) begin succeeds.
         let mut tx = tm.begin(0, &cm);
-        tx.writes.insert("A".into());
+        tx.write(0);
         tm.commit(&tx, 50, &cm).unwrap();
         let mut retry = tm.begin(2000, &cm);
-        retry.reads.insert("A".into());
+        retry.read(0);
         assert!(tm.commit(&retry, 2100, &cm).is_ok());
     }
 }

@@ -57,9 +57,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records one sample into the named histogram.
+    /// Records one sample into the named histogram (the name is copied
+    /// only on its first sample).
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.hists.entry(name.to_string()).or_default().record(v);
+        match self.hists.get_mut(name) {
+            Some(h) => h.record(v),
+            None => self.hists.entry(name.to_string()).or_default().record(v),
+        }
     }
 
     /// Merges a prebuilt histogram into the named slot (used by workers

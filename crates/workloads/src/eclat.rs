@@ -226,12 +226,12 @@ pub fn table() -> IntrinsicTable {
     t
 }
 
-/// The stripe slot an itemset object (candidate index or handle) lives
+/// The `objs` stripe an itemset object (candidate index or handle) lives
 /// in. `obj_new(c)` allocates from stripe `c mod 8`, whose stride-aligned
 /// table hands out handles with `handle mod 8 == c mod 8`, so per-handle
 /// calls route back to the allocating stripe.
-fn objs_slot(key: i64) -> String {
-    stripe_slot("objs", stripe_of(key, WORLD_STRIPES))
+fn objs_stripe(key: i64) -> usize {
+    stripe_of(key, WORLD_STRIPES)
 }
 
 /// Intrinsic handlers, with slot bindings declaring each intrinsic's
@@ -253,7 +253,10 @@ pub fn registry() -> Registry {
     });
     r.register("obj_new", |world, args| {
         let c = args[0].as_int();
-        let h = world.get_mut::<ObjShard>(&objs_slot(c)).table.alloc(c);
+        let h = world
+            .stripe_mut::<ObjShard>("objs", objs_stripe(c))
+            .table
+            .alloc(c);
         IntrinsicOutcome::value(h).with_serialized(10)
     });
     r.register("intersect_lists", |world, args| {
@@ -261,7 +264,7 @@ pub fn registry() -> Registry {
         // kernel reads only the stripe's shared-database reference, so it
         // runs without touching the group-level `eclat` slot.
         let h = args[0].as_int();
-        let shard = world.get::<ObjShard>(&objs_slot(h));
+        let shard = world.stripe::<ObjShard>("objs", objs_stripe(h));
         let _payload = shard.table.payload(h);
         let c = args[1].as_int() as usize;
         let sup = shard.db.intersect(c);
@@ -287,7 +290,10 @@ pub fn registry() -> Registry {
     });
     r.register("obj_del", |world, args| {
         let h = args[0].as_int();
-        world.get_mut::<ObjShard>(&objs_slot(h)).table.free(h);
+        world
+            .stripe_mut::<ObjShard>("objs", objs_stripe(h))
+            .table
+            .free(h);
         IntrinsicOutcome::unit().with_serialized(8)
     });
     let objs_by_arg0 = || {
@@ -388,11 +394,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
         return Err("database cursor differs".into());
     }
     let live: usize = (0..WORLD_STRIPES)
-        .map(|k| {
-            par.get::<ObjShard>(&stripe_slot("objs", k))
-                .table
-                .live_count()
-        })
+        .map(|k| par.stripe::<ObjShard>("objs", k).table.live_count())
         .sum();
     if live != 0 {
         return Err("leaked itemset objects".into());

@@ -159,13 +159,13 @@ pub fn table() -> IntrinsicTable {
     t
 }
 
-/// The stripe slot a file index or stream handle belongs to. The two key
+/// The `fs` stripe a file index or stream handle belongs to. The two key
 /// kinds agree by construction: `fs_open(i)` runs in stripe `i mod 8` and
 /// that stripe's [`FsShard`] hands out handles with
 /// `handle mod 8 == i mod 8`, so every later per-handle call routes back
 /// to the stripe that opened the stream.
-fn fs_slot(key: i64) -> String {
-    stripe_slot("fs", stripe_of(key, WORLD_STRIPES))
+fn fs_stripe(key: i64) -> usize {
+    stripe_of(key, WORLD_STRIPES)
 }
 
 /// Intrinsic handlers over the striped virtual filesystem and console,
@@ -178,18 +178,20 @@ pub fn registry() -> Registry {
     let files = Arc::new(VirtualFs::generate(FILE_COUNT, 4, 4, SEED).files);
     let mut r = Registry::new();
     r.register("file_count", |world, _| {
-        IntrinsicOutcome::value(world.get::<FsShard>(&fs_slot(0)).files.len() as i64)
+        IntrinsicOutcome::value(world.stripe::<FsShard>("fs", fs_stripe(0)).files.len() as i64)
     });
     r.register("fs_open", |world, args| {
         let idx = args[0].as_int();
-        let h = world.get_mut::<FsShard>(&fs_slot(idx)).open(idx as usize);
+        let h = world
+            .stripe_mut::<FsShard>("fs", fs_stripe(idx))
+            .open(idx as usize);
         IntrinsicOutcome::value(h).with_serialized(8)
     });
     r.register("fs_read_block", |world, args| {
         // I/O only: stages the next block for hashing. The disk/page-cache
         // transfer mostly overlaps; stream bookkeeping serializes.
         let h = args[0].as_int();
-        let fs = world.get_mut::<FsShard>(&fs_slot(h));
+        let fs = world.stripe_mut::<FsShard>("fs", fs_stripe(h));
         let taken = fs.stage_block(h, BLOCK);
         IntrinsicOutcome::value(i64::from(taken > 0)).with_serialized(6)
     });
@@ -197,19 +199,21 @@ pub fn registry() -> Registry {
         // Hashing is private compute on the staged block: never inside a
         // critical section, exactly like md5_update in the real program.
         let h = args[0].as_int();
-        let taken = world.get_mut::<FsShard>(&fs_slot(h)).hash_staged(h);
+        let taken = world
+            .stripe_mut::<FsShard>("fs", fs_stripe(h))
+            .hash_staged(h);
         IntrinsicOutcome::unit()
             .with_cost(taken as u64)
             .with_serialized(0)
     });
     r.register("fs_digest", |world, args| {
         let h = args[0].as_int();
-        let d = md5::digest_i64(&world.get::<FsShard>(&fs_slot(h)).digest(h));
+        let d = md5::digest_i64(&world.stripe::<FsShard>("fs", fs_stripe(h)).digest(h));
         IntrinsicOutcome::value(d).with_serialized(0)
     });
     r.register("fs_close", |world, args| {
         let h = args[0].as_int();
-        world.get_mut::<FsShard>(&fs_slot(h)).close(h);
+        world.stripe_mut::<FsShard>("fs", fs_stripe(h)).close(h);
         IntrinsicOutcome::unit().with_serialized(8)
     });
     r.register("print_digest", |world, args| {
@@ -298,7 +302,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
     }
     // No stream leaks in any stripe.
     for k in 0..WORLD_STRIPES {
-        if !par.get::<FsShard>(&fs_slot(k as i64)).streams.is_empty() {
+        if !par.stripe::<FsShard>("fs", k).streams.is_empty() {
             return Err(format!("leaked open streams in stripe {k}"));
         }
     }
