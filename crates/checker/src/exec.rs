@@ -17,7 +17,9 @@
 //! the sequential oracle every schedule is compared to.
 //!
 //! The run is a pure function of `(module, plan, scheduler, model config)`
-//! — same inputs, same interleaving, same final world.
+//! — same inputs, same interleaving, same final world. The caller compiles
+//! the module's bytecode once and passes it in: a checker campaign runs
+//! dozens of schedules (and every shrink replay) on one compilation.
 
 use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
@@ -439,12 +441,13 @@ impl<'m> Machine<'m> {
 /// VM steps one controlled run may spend (guards against runaway loops).
 const STEP_BUDGET: u64 = 2_000_000;
 
-/// Runs `module` against a fresh model world. With a `plan`, this is a
-/// transformed program: its parallel section runs with same-section
-/// region instances scheduled by `sched`. Without one, it is the
-/// sequential oracle every schedule is compared to: sequentially
-/// consistent (no store-buffer window), every runtime intrinsic is
-/// rejected, and `sched` is never consulted.
+/// Runs `module`, whose compiled bytecode is `bc`, against a fresh model
+/// world built from `model_cfg`. With a `plan`, this is a transformed
+/// program: its parallel section runs with same-section region instances
+/// scheduled by `sched`. Without one, it is the sequential oracle every
+/// schedule is compared to: sequentially consistent (no store-buffer
+/// window), every runtime intrinsic is rejected, and `sched` is never
+/// consulted.
 ///
 /// # Errors
 ///
@@ -452,18 +455,16 @@ const STEP_BUDGET: u64 = 2_000_000;
 /// exhaustion or unsupported program shapes.
 pub fn run_controlled(
     module: &Module,
+    bc: &BcModule,
     plan: Option<&ParallelPlan>,
-    model_cfg: &ModelConfig,
+    mut model_cfg: ModelConfig,
     sched: &mut dyn Scheduler,
 ) -> Result<ControlledOutcome, CheckError> {
-    let mut model_cfg = model_cfg.clone();
     if plan.is_none() {
         // The oracle is sequentially consistent by definition.
         model_cfg.sb_window = None;
     }
     let queues = plan.map_or(&[][..], |p| &p.queues);
-    // Declared before `machine` and the VMs so it outlives every borrow.
-    let bc = BcModule::compile(module);
     let mut machine = Machine {
         module,
         budget: STEP_BUDGET,
@@ -473,7 +474,7 @@ pub fn run_controlled(
         world: ModelWorld::new(model_cfg),
     };
     let mut globals = PlainGlobals::new(module);
-    let mut main = BcVm::for_name(module, &bc, "main", &[])?;
+    let mut main = BcVm::for_name(module, bc, "main", &[])?;
     let mut log: Vec<RegionExec> = Vec::new();
 
     loop {
@@ -501,7 +502,7 @@ pub fn run_controlled(
                                 "section {section} has no plan"
                             )));
                         }
-                        run_section(&mut machine, &bc, plan, &mut globals, sched, &mut log)?;
+                        run_section(&mut machine, bc, plan, &mut globals, sched, &mut log)?;
                         main.resolve_special(Value::Int(0));
                     }
                     (Some(_), Some(_)) => {
@@ -684,8 +685,9 @@ mod tests {
             commset_ir::lower_program(&unit.program, commset_ir::IntrinsicTable::new()).unwrap()
         };
         let sync = module("extern void __tx_begin(); int main() { __tx_begin(); return 0; }");
-        let cfg = ModelConfig::default();
-        let err = run_controlled(&sync, None, &cfg, &mut Canonical).unwrap_err();
+        let sync_bc = BcModule::compile(&sync);
+        let cfg = ModelConfig::default;
+        let err = run_controlled(&sync, &sync_bc, None, cfg(), &mut Canonical).unwrap_err();
         assert_eq!(
             err,
             CheckError::Unsupported(
@@ -703,7 +705,7 @@ mod tests {
             section: 0,
             estimated_cost: 0.0,
         };
-        let err = run_controlled(&sync, Some(&plan), &cfg, &mut Canonical).unwrap_err();
+        let err = run_controlled(&sync, &sync_bc, Some(&plan), cfg(), &mut Canonical).unwrap_err();
         assert_eq!(
             err,
             CheckError::Unsupported(
@@ -712,8 +714,9 @@ mod tests {
         );
         // A user intrinsic is a world call, whatever its name looks like.
         let user = module("extern int __user_hook(int x); int main() { return __user_hook(3); }");
-        assert!(run_controlled(&user, None, &cfg, &mut Canonical).is_ok());
-        assert!(run_controlled(&user, Some(&plan), &cfg, &mut Canonical).is_ok());
+        let user_bc = BcModule::compile(&user);
+        assert!(run_controlled(&user, &user_bc, None, cfg(), &mut Canonical).is_ok());
+        assert!(run_controlled(&user, &user_bc, Some(&plan), cfg(), &mut Canonical).is_ok());
     }
 
     #[test]

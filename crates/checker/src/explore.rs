@@ -39,6 +39,7 @@ use crate::pool;
 use crate::report::{CheckFailure, CheckReport, ReplayInfo, Verdict, Violation};
 use crate::shrink::shrink_schedule;
 use commset_analysis::{region_catalog, RegionInfo};
+use commset_interp::BcModule;
 use commset_ir::{lower_program, IntrinsicTable, Module};
 use commset_lang::diag::Diagnostic;
 use commset_transform::{Analysis, Compiler, ParallelPlan, Scheme, SyncMode};
@@ -325,6 +326,9 @@ impl ScheduleOutcome {
 pub struct Campaign {
     cfg: CheckConfig,
     module: Module,
+    /// `module`'s bytecode, compiled once: every schedule, shrink replay
+    /// and pool thread runs on it.
+    bc: BcModule,
     plan: ParallelPlan,
     scheme: String,
     oracle: ControlledOutcome,
@@ -347,7 +351,9 @@ pub enum PreparedCampaign {
 }
 
 /// Compiles `source`, runs the sequential oracle, picks the transform
-/// under test and enumerates the schedule family.
+/// under test, compiles its bytecode and enumerates the schedule family.
+/// Each module is compiled to bytecode exactly once here; no schedule
+/// compiles anything.
 ///
 /// # Errors
 ///
@@ -365,7 +371,14 @@ pub fn prepare_campaign(
 
     // The sequential oracle: the untransformed program, run without a plan.
     let seq_module = compiler.compile_sequential(&analysis)?;
-    let oracle = match run_controlled(&seq_module, None, &cfg.model, &mut Canonical) {
+    let seq_bc = BcModule::compile(&seq_module);
+    let oracle = match run_controlled(
+        &seq_module,
+        &seq_bc,
+        None,
+        cfg.model.clone(),
+        &mut Canonical,
+    ) {
         Ok(o) => o,
         Err(e) => {
             return Ok(PreparedCampaign::Skipped {
@@ -389,6 +402,7 @@ pub fn prepare_campaign(
     Ok(PreparedCampaign::Ready(Box::new(Campaign {
         specs: schedule_specs(cfg),
         cfg: cfg.clone(),
+        bc: BcModule::compile(&module),
         module,
         plan,
         scheme,
@@ -413,6 +427,11 @@ impl Campaign {
         &self.scheme
     }
 
+    /// The transformed module under test.
+    pub fn module(&self) -> &Module {
+        &self.module
+    }
+
     /// Runs one schedule with an *externally supplied* scheduler (the
     /// shrinker's entry point) under the given store-buffer window and
     /// reports its diffs vs. the oracle, or the abort error.
@@ -421,19 +440,22 @@ impl Campaign {
         window: Option<usize>,
         sched: &mut dyn Scheduler,
     ) -> Result<(Vec<String>, Vec<RegionExec>), String> {
-        self.run_with_scheduler_counted(window, sched)
+        self.run_with_bytecode(&self.bc, window, sched)
             .map(|(diffs, log, _)| (diffs, log))
     }
 
-    /// [`Campaign::run_with_scheduler`] plus the VM steps the run spent.
-    pub fn run_with_scheduler_counted(
+    /// [`Campaign::run_with_scheduler`] on `bc`, which must be the bytecode
+    /// of [`Campaign::module`], plus the VM steps the run spent. The
+    /// campaign's own runs pass the bytecode it compiled once.
+    pub fn run_with_bytecode(
         &self,
+        bc: &BcModule,
         window: Option<usize>,
         sched: &mut dyn Scheduler,
     ) -> Result<(Vec<String>, Vec<RegionExec>, u64), String> {
         let mut model = self.cfg.model.clone();
         model.sb_window = window;
-        match run_controlled(&self.module, Some(&self.plan), &model, sched) {
+        match run_controlled(&self.module, bc, Some(&self.plan), model, sched) {
             Ok(outcome) => Ok((
                 outcome_diffs(&self.oracle, &outcome),
                 outcome.log,
@@ -447,7 +469,7 @@ impl Campaign {
     pub fn run_spec(&self, index: usize) -> ScheduleOutcome {
         let spec = &self.specs[index];
         let mut sched = spec.instantiate();
-        match self.run_with_scheduler_counted(spec.window, sched.as_mut()) {
+        match self.run_with_bytecode(&self.bc, spec.window, sched.as_mut()) {
             Ok((diffs, log, steps)) => ScheduleOutcome {
                 index,
                 name: spec.name(),

@@ -33,9 +33,10 @@
 
 use crate::error::ExecError;
 use crate::vm::{eval_bin, eval_un, zero_of, CallEvent, GlobalMem, PendingSpecial, StepOutcome};
-use commset_ir::liveness::Liveness;
+use commset_ir::liveness::{LiveAfter, Liveness};
 use commset_ir::repr::{
-    Arg, ArrRef, Callee, Const, FuncId, Function, GlobalId, Inst, IntrinsicId, Module, Terminator,
+    Arg, ArrRef, Callee, Const, FuncId, Function, GlobalId, Inst, InstNode, IntrinsicId, Module,
+    Terminator,
 };
 use commset_lang::ast::{BinOp, Type, UnOp};
 use commset_runtime::Value;
@@ -308,10 +309,10 @@ impl<'f> FnCompiler<'f> {
 
     /// Translates one block, fusing superinstructions. Returns whether
     /// the terminator was consumed by a `CmpBr` fusion.
-    fn compile_block(&mut self, b: usize, lv: &Liveness) -> bool {
+    fn compile_block(&mut self, b: usize, lv: &Liveness, after: &mut LiveAfter) -> bool {
         let block = &self.f.blocks[b];
-        let after = lv.live_after(self.f, b);
-        let insts: Vec<&Inst> = block.insts.iter().map(|n| &n.inst).collect();
+        lv.live_after(self.f, b, after);
+        let insts = &block.insts[..];
         let n = insts.len();
         let mut i = 0usize;
         // Index (into `insts`) of the IR instruction behind the last
@@ -320,20 +321,20 @@ impl<'f> FnCompiler<'f> {
         while i < n {
             // Load-index-store RMW: LoadElem t / [Const c] / Bin u=t⊕x /
             // StoreElem same cell = u, with every temp dead afterwards.
-            if let Some((consumed, op)) = self.try_elem_rmw(&insts, i, &after) {
+            if let Some((consumed, op)) = self.try_elem_rmw(insts, i, after) {
                 self.push(op, consumed as u32);
                 i += consumed;
                 last_emitted = Some(i - 1);
                 continue;
             }
             // Const + Bin with the constant as rhs and dead afterwards.
-            if let Some(op) = self.try_bin_imm(&insts, i, &after) {
+            if let Some(op) = self.try_bin_imm(insts, i, after) {
                 self.push(op, 2);
                 i += 2;
                 last_emitted = Some(i - 1);
                 continue;
             }
-            self.emit_plain(insts[i]);
+            self.emit_plain(&insts[i].inst);
             i += 1;
             last_emitted = Some(i - 1);
         }
@@ -419,12 +420,7 @@ impl<'f> FnCompiler<'f> {
         false
     }
 
-    fn try_elem_rmw(
-        &mut self,
-        insts: &[&Inst],
-        i: usize,
-        after: &[commset_ir::SlotSet],
-    ) -> Option<(usize, Op)> {
+    fn try_elem_rmw(&self, insts: &[InstNode], i: usize, after: &LiveAfter) -> Option<(usize, Op)> {
         // The lowerer emits an array read-modify-write in one of three
         // shapes, depending on surface syntax:
         //   A: Const c; LoadElem t=a[x]; Bin u=t⊕c; StoreElem a[x]=u
@@ -432,33 +428,33 @@ impl<'f> FnCompiler<'f> {
         //   B: LoadElem t; Const c; Bin u=t⊕c; StoreElem
         //      (`a[x] = a[x] + 1` — the load is part of the rhs expr)
         //   C: LoadElem t; Bin u=t⊕r; StoreElem   (register rhs)
-        let (lead, load_at) = match *insts[i] {
+        let (lead, load_at) = match insts[i].inst {
             Inst::Const { dst, value } => (Some((dst, value)), i + 1),
             Inst::LoadElem { .. } => (None, i),
             _ => return None,
         };
-        let &&Inst::LoadElem { dst: t, arr, idx } = insts.get(load_at)? else {
+        let Inst::LoadElem { dst: t, arr, idx } = insts.get(load_at)?.inst else {
             return None;
         };
-        let (imm, bin_at) = match (lead, insts.get(load_at + 1)) {
+        let (imm, bin_at) = match (lead, insts.get(load_at + 1).map(|n| &n.inst)) {
             (Some(c), _) => (Some(c), load_at + 1),
-            (None, Some(&&Inst::Const { dst, value })) => (Some((dst, value)), load_at + 2),
+            (None, Some(&Inst::Const { dst, value })) => (Some((dst, value)), load_at + 2),
             (None, _) => (None, load_at + 1),
         };
-        let &&Inst::Bin {
+        let Inst::Bin {
             dst: u,
             op,
             lhs,
             rhs,
-        } = insts.get(bin_at)?
+        } = insts.get(bin_at)?.inst
         else {
             return None;
         };
-        let &&Inst::StoreElem {
+        let Inst::StoreElem {
             arr: sarr,
             idx: sidx,
             src,
-        } = insts.get(bin_at + 1)?
+        } = insts.get(bin_at + 1)?.inst
         else {
             return None;
         };
@@ -474,7 +470,7 @@ impl<'f> FnCompiler<'f> {
                     return None;
                 }
                 // The folded constant must die at the Bin.
-                if after[bin_at].contains(c) {
+                if after.get(bin_at).contains(c) {
                     return None;
                 }
                 RmwRhs::Imm(match value {
@@ -491,7 +487,7 @@ impl<'f> FnCompiler<'f> {
         };
         // Both the loaded value and the op result must be dead after the
         // store — nothing downstream may observe the skipped writes.
-        let live = &after[bin_at + 1];
+        let live = after.get(bin_at + 1);
         if live.contains(t) || live.contains(u) {
             return None;
         }
@@ -507,16 +503,11 @@ impl<'f> FnCompiler<'f> {
         ))
     }
 
-    fn try_bin_imm(
-        &mut self,
-        insts: &[&Inst],
-        i: usize,
-        after: &[commset_ir::SlotSet],
-    ) -> Option<Op> {
-        let &Inst::Const { dst: c, value } = insts[i] else {
+    fn try_bin_imm(&self, insts: &[InstNode], i: usize, after: &LiveAfter) -> Option<Op> {
+        let Inst::Const { dst: c, value } = insts[i].inst else {
             return None;
         };
-        let &&Inst::Bin { dst, op, lhs, rhs } = insts.get(i + 1)? else {
+        let Inst::Bin { dst, op, lhs, rhs } = insts.get(i + 1)?.inst else {
             return None;
         };
         // Only rhs-immediate forms fuse: swapping operands would reorder
@@ -524,7 +515,7 @@ impl<'f> FnCompiler<'f> {
         if rhs != c || lhs == c {
             return None;
         }
-        if after[i + 1].contains(c) {
+        if after.get(i + 1).contains(c) {
             return None;
         }
         Some(Op::BinImm {
@@ -632,9 +623,10 @@ fn compile_function(f: &Function, rt_ops: &[Option<RtOp>]) -> BcFunction {
         block_offsets: Vec::with_capacity(f.blocks.len()),
         fixups: Vec::new(),
     };
+    let mut after = LiveAfter::default();
     for b in 0..f.blocks.len() {
         c.block_offsets.push(c.ops.len() as u32);
-        c.compile_block(b, &lv);
+        c.compile_block(b, &lv, &mut after);
     }
     for (at, t) in std::mem::take(&mut c.fixups) {
         match (&mut c.ops[at], t) {

@@ -20,7 +20,7 @@ pub mod lower;
 pub mod repr;
 
 pub use effects::{ChannelId, EffectSig, IntrinsicTable};
-pub use liveness::{Liveness, SlotSet};
+pub use liveness::{LiveAfter, Liveness, SlotSet};
 pub use lower::lower_program;
 pub use repr::{
     Arg, ArrRef, ArrayId, BlockId, Callee, Const, FuncId, Function, GlobalId, Inst, IntrinsicId,

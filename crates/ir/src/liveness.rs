@@ -5,25 +5,20 @@
 //! feeding a branch, the constant feeding an immediate-form arithmetic
 //! op) only when nothing downstream reads it. This module computes the
 //! classic per-block live-in/live-out sets from [`Inst::def`]/
-//! [`Inst::uses`], plus the per-instruction "live after" sets a peephole
-//! needs to make that call, as compact slot bitsets.
+//! [`Inst::for_each_use`], plus the per-instruction "live after" sets a
+//! peephole needs to make that call. Every set is a run of `u64` words in
+//! a flat buffer, so the pass allocates a few buffers per function, not a
+//! set per block or per instruction.
 
 use crate::repr::{Function, Inst, Slot, Terminator};
 
-/// A fixed-width bitset over a function's slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotSet {
-    words: Vec<u64>,
+/// A read-only slot bitset: one function's slots, 64 to a word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotSet<'a> {
+    words: &'a [u64],
 }
 
-impl SlotSet {
-    /// The empty set for a function with `nslots` slots.
-    pub fn new(nslots: usize) -> Self {
-        SlotSet {
-            words: vec![0; nslots.div_ceil(64)],
-        }
-    }
-
+impl SlotSet<'_> {
     /// Membership test.
     pub fn contains(&self, s: Slot) -> bool {
         let i = s.0 as usize;
@@ -31,53 +26,49 @@ impl SlotSet {
             .get(i / 64)
             .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
+}
 
-    /// Inserts `s`; returns true if it was new.
-    pub fn insert(&mut self, s: Slot) -> bool {
-        let i = s.0 as usize;
-        let w = &mut self.words[i / 64];
-        let bit = 1u64 << (i % 64);
-        let new = *w & bit == 0;
-        *w |= bit;
-        new
-    }
+fn insert(words: &mut [u64], s: Slot) {
+    let i = s.0 as usize;
+    words[i / 64] |= 1u64 << (i % 64);
+}
 
-    /// Removes `s`.
-    pub fn remove(&mut self, s: Slot) {
-        let i = s.0 as usize;
-        if let Some(w) = self.words.get_mut(i / 64) {
-            *w &= !(1u64 << (i % 64));
-        }
-    }
-
-    /// Unions `other` in; returns true if anything changed.
-    pub fn union_with(&mut self, other: &SlotSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let next = *a | *b;
-            changed |= next != *a;
-            *a = next;
-        }
-        changed
+/// The slot a terminator itself reads: a branch's condition or the
+/// returned value.
+fn term_use(term: &Terminator) -> Option<Slot> {
+    match term {
+        Terminator::Br { cond, .. } => Some(*cond),
+        Terminator::Ret(v) => *v,
+        Terminator::Jump(_) => None,
     }
 }
 
 /// Applies one instruction's transfer function backwards:
 /// `live = (live - def) ∪ uses`.
-fn transfer(live: &mut SlotSet, inst: &Inst) {
+fn transfer(live: &mut [u64], inst: &Inst) {
     if let Some(d) = inst.def() {
-        live.remove(d);
+        let i = d.0 as usize;
+        if let Some(w) = live.get_mut(i / 64) {
+            *w &= !(1u64 << (i % 64));
+        }
     }
-    for u in inst.uses() {
-        live.insert(u);
-    }
+    inst.for_each_use(|u| insert(live, u));
 }
 
-/// Per-function liveness: block-level live-in/live-out sets.
+/// Copies `src` over `dst`; returns true if anything changed.
+fn store(dst: &mut [u64], src: &[u64]) -> bool {
+    let changed = dst != src;
+    dst.copy_from_slice(src);
+    changed
+}
+
+/// Per-function liveness: block-level live-in/live-out sets, `stride`
+/// words per block in two flat buffers.
 #[derive(Debug)]
 pub struct Liveness {
-    live_in: Vec<SlotSet>,
-    live_out: Vec<SlotSet>,
+    stride: usize,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
 }
 
 impl Liveness {
@@ -85,73 +76,103 @@ impl Liveness {
     /// fixed point (blocks are few; no worklist finesse needed).
     pub fn compute(f: &Function) -> Self {
         let n = f.blocks.len();
-        let nslots = f.slots.len();
-        let mut live_in = vec![SlotSet::new(nslots); n];
-        let mut live_out = vec![SlotSet::new(nslots); n];
+        let stride = f.slots.len().div_ceil(64);
+        let mut live_in = vec![0u64; n * stride];
+        let mut live_out = vec![0u64; n * stride];
+        let mut out = vec![0u64; stride];
+        let mut live = vec![0u64; stride];
         let mut changed = true;
         while changed {
             changed = false;
             for b in (0..n).rev() {
                 let block = &f.blocks[b];
-                let mut out = SlotSet::new(nslots);
-                for succ in block.term.successors() {
-                    out.union_with(&live_in[succ.0 as usize]);
-                }
-                let mut live = out.clone();
-                match &block.term {
-                    Terminator::Br { cond, .. } => {
-                        live.insert(*cond);
+                out.fill(0);
+                block.term.for_each_successor(|succ| {
+                    let at = succ.0 as usize * stride;
+                    for (o, w) in out.iter_mut().zip(&live_in[at..at + stride]) {
+                        *o |= *w;
                     }
-                    Terminator::Ret(Some(s)) => {
-                        live.insert(*s);
-                    }
-                    _ => {}
+                });
+                live.copy_from_slice(&out);
+                if let Some(s) = term_use(&block.term) {
+                    insert(&mut live, s);
                 }
                 for node in block.insts.iter().rev() {
                     transfer(&mut live, &node.inst);
                 }
-                changed |= live_out[b] != out;
-                live_out[b] = out;
-                changed |= live_in[b] != live;
-                live_in[b] = live;
+                let at = b * stride;
+                changed |= store(&mut live_out[at..at + stride], &out);
+                changed |= store(&mut live_in[at..at + stride], &live);
             }
         }
-        Liveness { live_in, live_out }
+        Liveness {
+            stride,
+            live_in,
+            live_out,
+        }
     }
 
     /// Slots live on entry to block `b`.
-    pub fn live_in(&self, b: usize) -> &SlotSet {
-        &self.live_in[b]
+    pub fn live_in(&self, b: usize) -> SlotSet<'_> {
+        SlotSet {
+            words: &self.live_in[b * self.stride..(b + 1) * self.stride],
+        }
     }
 
     /// Slots live on exit from block `b` (before the terminator's own
     /// uses — i.e. the union of successor live-ins).
-    pub fn live_out(&self, b: usize) -> &SlotSet {
-        &self.live_out[b]
+    pub fn live_out(&self, b: usize) -> SlotSet<'_> {
+        SlotSet {
+            words: &self.live_out[b * self.stride..(b + 1) * self.stride],
+        }
     }
 
-    /// The "live after instruction `i`" sets for block `b`, computed by
-    /// one backward walk: entry `i` is the set of slots read at or after
-    /// instruction `i + 1` (including the terminator) on some path. The
-    /// returned vector has one entry per instruction.
-    pub fn live_after(&self, f: &Function, b: usize) -> Vec<SlotSet> {
+    /// Fills `after` with the "live after instruction `i`" sets of block
+    /// `b`, computed by one backward walk: entry `i` is the set of slots
+    /// read at or after instruction `i + 1` (including the terminator) on
+    /// some path. `after` is overwritten, so one buffer serves every
+    /// block of a function.
+    pub fn live_after(&self, f: &Function, b: usize, after: &mut LiveAfter) {
         let block = &f.blocks[b];
-        let mut live = self.live_out[b].clone();
-        match &block.term {
-            Terminator::Br { cond, .. } => {
-                live.insert(*cond);
-            }
-            Terminator::Ret(Some(s)) => {
-                live.insert(*s);
-            }
-            _ => {}
+        let stride = self.stride;
+        let n = block.insts.len();
+        after.stride = stride;
+        after.words.clear();
+        after.words.resize(n * stride, 0);
+        if n == 0 {
+            return;
         }
-        let mut after = vec![SlotSet::new(f.slots.len()); block.insts.len()];
-        for (i, node) in block.insts.iter().enumerate().rev() {
-            after[i] = live.clone();
-            transfer(&mut live, &node.inst);
+        // The last entry is live-out plus the terminator's own read; each
+        // earlier entry is its successor entry through the later
+        // instruction's transfer function.
+        let last = &mut after.words[(n - 1) * stride..];
+        last.copy_from_slice(self.live_out(b).words);
+        if let Some(s) = term_use(&block.term) {
+            insert(last, s);
         }
-        after
+        for i in (1..n).rev() {
+            let (head, tail) = after.words.split_at_mut(i * stride);
+            let prev = &mut head[(i - 1) * stride..];
+            prev.copy_from_slice(&tail[..stride]);
+            transfer(prev, &block.insts[i].inst);
+        }
+    }
+}
+
+/// One block's "live after" sets ([`Liveness::live_after`]), `stride`
+/// words per instruction in one flat buffer.
+#[derive(Debug, Default)]
+pub struct LiveAfter {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl LiveAfter {
+    /// The slots live after instruction `i` of the block last filled in.
+    pub fn get(&self, i: usize) -> SlotSet<'_> {
+        SlotSet {
+            words: &self.words[i * self.stride..(i + 1) * self.stride],
+        }
     }
 }
 
@@ -209,7 +230,8 @@ mod tests {
         let m = module("int main() { int a = 1; int b = a + 2; int c = b * 3; return c; }");
         let f = m.funcs.iter().find(|f| f.name == "main").unwrap();
         let lv = Liveness::compute(f);
-        let after = lv.live_after(f, 0);
+        let mut after = LiveAfter::default();
+        lv.live_after(f, 0, &mut after);
         let block = &f.blocks[0];
         // Every def that is read later in the block is live right after
         // its defining instruction.
@@ -219,7 +241,7 @@ mod tests {
                     .iter()
                     .any(|n| n.inst.uses().contains(&d))
                     || matches!(block.term, Terminator::Ret(Some(s)) if s == d);
-                assert_eq!(after[i].contains(d), read_later, "inst {i}");
+                assert_eq!(after.get(i).contains(d), read_later, "inst {i}");
             }
         }
     }

@@ -228,6 +228,34 @@ impl Inst {
                 .collect(),
         }
     }
+
+    /// Calls `f` on every slot this instruction reads, in [`Inst::uses`]
+    /// order, without building a vector (the liveness pass's hot path).
+    pub fn for_each_use(&self, mut f: impl FnMut(Slot)) {
+        match self {
+            Inst::Const { .. } | Inst::LoadG { .. } => {}
+            Inst::Copy { src, .. }
+            | Inst::Un { src, .. }
+            | Inst::Cast { src, .. }
+            | Inst::StoreG { src, .. } => f(*src),
+            Inst::LoadElem { idx, .. } => f(*idx),
+            Inst::Bin { lhs, rhs, .. } => {
+                f(*lhs);
+                f(*rhs);
+            }
+            Inst::StoreElem { idx, src, .. } => {
+                f(*idx);
+                f(*src);
+            }
+            Inst::Call { args, .. } => {
+                for a in args {
+                    if let Arg::Slot(s) = a {
+                        f(*s);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Block terminators.
@@ -257,6 +285,21 @@ impl Terminator {
                 then_bb, else_bb, ..
             } => vec![*then_bb, *else_bb],
             Terminator::Ret(_) => vec![],
+        }
+    }
+
+    /// Calls `f` on every successor block, in [`Terminator::successors`]
+    /// order, without building a vector.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
+        match self {
+            Terminator::Jump(b) => f(*b),
+            Terminator::Br {
+                then_bb, else_bb, ..
+            } => {
+                f(*then_bb);
+                f(*else_bb);
+            }
+            Terminator::Ret(_) => {}
         }
     }
 }

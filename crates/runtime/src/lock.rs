@@ -20,8 +20,19 @@ pub enum LockKind {
 pub struct RawLock {
     kind: LockKind,
     spin: AtomicBool,
-    mutex: Mutex<bool>,
+    mutex: Mutex<MutexState>,
     cv: Condvar,
+}
+
+/// The blocking lock's state, guarded by the inner mutex.
+#[derive(Default)]
+struct MutexState {
+    held: bool,
+    /// Threads blocked on the condvar. Changed only under the mutex, so a
+    /// release that reads zero knows no waiter can miss its wakeup: a
+    /// would-be waiter registers before it sleeps and rechecks `held`
+    /// under the same mutex first.
+    sleepers: u32,
 }
 
 impl RawLock {
@@ -30,7 +41,7 @@ impl RawLock {
         RawLock {
             kind,
             spin: AtomicBool::new(false),
-            mutex: Mutex::new(false),
+            mutex: Mutex::new(MutexState::default()),
             cv: Condvar::new(),
         }
     }
@@ -59,11 +70,13 @@ impl RawLock {
                 }
             }
             LockKind::Mutex => {
-                let mut held = self.mutex.lock();
-                while *held {
-                    self.cv.wait(&mut held);
+                let mut state = self.mutex.lock();
+                while state.held {
+                    state.sleepers += 1;
+                    self.cv.wait(&mut state);
+                    state.sleepers -= 1;
                 }
-                *held = true;
+                state.held = true;
             }
         }
     }
@@ -81,10 +94,13 @@ impl RawLock {
                 self.spin.store(false, Ordering::Release);
             }
             LockKind::Mutex => {
-                let mut held = self.mutex.lock();
-                debug_assert!(*held, "release of free lock");
-                *held = false;
-                self.cv.notify_one();
+                let mut state = self.mutex.lock();
+                debug_assert!(state.held, "release of free lock");
+                state.held = false;
+                // Uncontended release makes no futex-wake syscall.
+                if state.sleepers > 0 {
+                    self.cv.notify_one();
+                }
             }
         }
     }
@@ -117,16 +133,18 @@ impl RawLock {
                 true
             }
             LockKind::Mutex => {
-                let mut held = self.mutex.lock();
-                while *held {
+                let mut state = self.mutex.lock();
+                while state.held {
                     if cancel.load(Ordering::Relaxed) {
                         return false;
                     }
                     // Bounded waits so the cancel flag is observed even if
                     // the holder died without releasing.
-                    self.cv.wait_timeout(&mut held, Duration::from_millis(2));
+                    state.sleepers += 1;
+                    self.cv.wait_timeout(&mut state, Duration::from_millis(2));
+                    state.sleepers -= 1;
                 }
-                *held = true;
+                state.held = true;
                 true
             }
         }
@@ -140,11 +158,11 @@ impl RawLock {
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok(),
             LockKind::Mutex => {
-                let mut held = self.mutex.lock();
-                if *held {
+                let mut state = self.mutex.lock();
+                if state.held {
                     false
                 } else {
-                    *held = true;
+                    state.held = true;
                     true
                 }
             }
@@ -213,6 +231,40 @@ mod tests {
             );
             lock.release();
         }
+    }
+
+    /// A waiter parked in the untimed `acquire()` is woken by `release()`:
+    /// release notifies only when a sleeper is registered, so a lost
+    /// wakeup here would hang the waiter (`acquire_canceling`'s timed wait
+    /// would hide one). The test waits until the waiter is counted as a
+    /// sleeper — which it becomes under the mutex, right before the
+    /// condvar wait releases it — so the release must take the wake path.
+    #[test]
+    fn release_wakes_a_blocked_untimed_waiter() {
+        use std::sync::mpsc;
+        use std::time::Instant;
+        let lock = Arc::new(RawLock::new(LockKind::Mutex));
+        lock.acquire();
+        let (tx, rx) = mpsc::channel();
+        let waiter = {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                lock.acquire();
+                tx.send(()).expect("test thread listens");
+                lock.release();
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while lock.mutex.lock().sleepers == 0 {
+            assert!(Instant::now() < deadline, "waiter never blocked");
+            std::thread::yield_now();
+        }
+        lock.release();
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("release must wake the blocked waiter");
+        waiter.join().expect("waiter thread");
+        let state = lock.mutex.lock();
+        assert!(!state.held && state.sleepers == 0);
     }
 
     #[test]
