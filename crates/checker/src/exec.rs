@@ -25,6 +25,7 @@ use crate::model::{ModelConfig, ModelWorld};
 use commset_interp::globals::PlainGlobals;
 use commset_interp::vm::GlobalMem;
 use commset_interp::{BcModule, BcVm, ExecError, StepOutcome};
+use commset_ir::repr::FuncId;
 use commset_ir::Module;
 use commset_runtime::rng::SplitMix64;
 use commset_runtime::Value;
@@ -303,7 +304,7 @@ impl Scheduler for Chaos {
 enum WState {
     /// Paused at the entry of a region (frame pushed, body unexecuted).
     AtRegion {
-        func: String,
+        func: FuncId,
         args: Vec<Value>,
     },
     /// Paused at a bare world-intrinsic call (shard-acquisition point);
@@ -341,16 +342,16 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    /// Steps `vm` until its next pause point. `in_region` makes queue-pop
-    /// blocking an error (regions must stay atomic) and returns at region
-    /// *exit* instead of entry.
+    /// Steps `vm` until its next pause point. Inside `region`, queue-pop
+    /// blocking is an error (regions must stay atomic) and the run returns
+    /// at the region's *exit* instead of the next entry.
     fn run_vm(
         &mut self,
         vm: &mut BcVm<'_>,
         globals: &mut PlainGlobals,
-        in_region: bool,
-        region_func: &str,
+        region: Option<FuncId>,
     ) -> Result<WState, CheckError> {
+        let in_region = region.is_some();
         // Copy the module reference out so intrinsic names can stay
         // borrowed `&str` across the `self.world` calls below.
         let module = self.module;
@@ -366,10 +367,11 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    if in_region && vm.watched_depth() == 0 {
+                    if let (Some(func), 0) = (region, vm.watched_depth()) {
+                        // Region exit; the caller continues to the next
+                        // pause.
                         return Ok(WState::AtRegion {
-                            // Placeholder — caller continues to next pause.
-                            func: String::new(),
+                            func,
                             args: Vec::new(),
                         });
                     }
@@ -396,9 +398,9 @@ impl<'m> Machine<'m> {
                                     vm.resolve_special(Value::from_bits(bits, float));
                                 }
                                 None => {
-                                    if in_region {
+                                    if let Some(func) = region {
                                         return Err(CheckError::PopInsideRegion {
-                                            func: region_func.to_string(),
+                                            func: module.func(func).name.clone(),
                                         });
                                     }
                                     vm.retry_special_later();
@@ -562,7 +564,7 @@ where
         // Run the pre-region prefix (private computation) eagerly, in
         // worker order — deterministic and schedule-irrelevant.
         machine.world.set_worker(i + 1);
-        let state = machine.run_vm(&mut vm, globals, false, &w.func)?;
+        let state = machine.run_vm(&mut vm, globals, None)?;
         workers.push(CWorker { vm, state });
     }
 
@@ -590,7 +592,13 @@ where
                 states: workers
                     .iter()
                     .enumerate()
-                    .map(|(i, w)| format!("w{i}:{:?}", w.state))
+                    .map(|(i, w)| match &w.state {
+                        WState::AtRegion { func, args } => format!(
+                            "w{i}:AtRegion {{ func: {:?}, args: {args:?} }}",
+                            machine.module.func(*func).name
+                        ),
+                        state => format!("w{i}:{state:?}"),
+                    })
                     .collect(),
             });
         }
@@ -601,20 +609,21 @@ where
         machine.world.tick_advance();
         machine.world.set_worker(chosen + 1);
         let w = &mut workers[chosen];
-        match w.state.clone() {
+        match std::mem::replace(&mut w.state, WState::Done) {
             WState::AtRegion { func, args } => {
-                log.push(RegionExec {
-                    worker: chosen,
-                    func: func.clone(),
-                    args,
-                });
                 // Execute the region body atomically...
-                let after = machine.run_vm(&mut w.vm, globals, true, &func)?;
+                let after = machine.run_vm(&mut w.vm, globals, Some(func))?;
                 w.state = match after {
                     WState::Done => WState::Done,
                     // ...then run to the next pause point.
-                    _ => machine.run_vm(&mut w.vm, globals, false, &func)?,
+                    _ => machine.run_vm(&mut w.vm, globals, None)?,
                 };
+                // Logged once the region ran: an error drops the log.
+                log.push(RegionExec {
+                    worker: chosen,
+                    func: machine.module.func(func).name.clone(),
+                    args,
+                });
             }
             WState::AtWorldCall { intrinsic, args } => {
                 // Execute the pending world call (the shard acquisition
@@ -623,10 +632,10 @@ where
                     .world
                     .call_id(&machine.module.intrinsics, intrinsic, &args);
                 w.vm.resolve_special(v);
-                w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
+                w.state = machine.run_vm(&mut w.vm, globals, None)?;
             }
             WState::BlockedPop(_) => {
-                w.state = machine.run_vm(&mut w.vm, globals, false, "")?;
+                w.state = machine.run_vm(&mut w.vm, globals, None)?;
             }
             WState::Done => unreachable!("done workers are not ready"),
         }

@@ -956,7 +956,7 @@ impl<'m> BcVm<'m> {
                         st.depth += 1;
                         st.events.push(CallEvent {
                             enter: true,
-                            func: callee.name.clone(),
+                            func: *func,
                             args: vals,
                             depth: st.depth,
                         });
@@ -1028,7 +1028,7 @@ impl<'m> BcVm<'m> {
                         st.depth = st.depth.saturating_sub(1);
                         st.events.push(CallEvent {
                             enter: false,
-                            func: self.bc.funcs[popped.func.0 as usize].name.clone(),
+                            func: popped.func,
                             args: Vec::new(),
                             depth: st.depth,
                         });

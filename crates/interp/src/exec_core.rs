@@ -485,7 +485,8 @@ impl<'a> Observer<'a> {
         }
         let t = now();
         for ev in events {
-            let (func, args) = (ev.func, ev.args);
+            let func = self.run.module.func(ev.func).name.clone();
+            let args = ev.args;
             if ev.enter {
                 self.open_regions.push(t);
                 self.traced(t, TraceEvent::RegionEnter { func, args }, None);

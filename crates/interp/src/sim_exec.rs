@@ -28,7 +28,7 @@ use crate::globals::PlainGlobals;
 use crate::vm::{PendingSpecial, StepOutcome};
 use commset_ir::{ChannelId, Module};
 use commset_runtime::{
-    DeltaBuffer, DeltaSnapshot, Dispatch, FaultInjector, FaultStats, Registry, Value, Watchdog,
+    DeltaBuffer, DeltaSnapshot, Dispatch, FaultInjector, FaultStats, Registry, Value, WaitsFor,
     WatchdogReport, World,
 };
 use commset_sim::lock::AcquireOutcome;
@@ -309,7 +309,8 @@ fn run_section(
         .map(|q| SimQueue::new(injector.clamp_capacity(q.capacity)))
         .collect();
     let mut tm = TmModel::new();
-    let watchdog = Watchdog::new();
+    // The DES is single-threaded: it owns the waits-for state outright.
+    let mut watchdog = WaitsFor::new(plan.workers.len(), plan.locks.len());
     // Delta-routed calls skip the channels entirely (the modeled analogue
     // of taking no shard lock); their buffers fold back at the section
     // end.
@@ -411,7 +412,7 @@ fn run_section(
                         cm,
                         cfg,
                         injector,
-                        &watchdog,
+                        &mut watchdog,
                     )?;
                     false
                 }
@@ -468,7 +469,7 @@ fn run_section(
         queue_pushes: queues.iter().map(|q| q.pushes).sum(),
         queue_stalls: queues.iter().map(|q| q.empty_pops).sum(),
         fault: FaultStats::default(),
-        watchdog: watchdog.report(),
+        watchdog: watchdog.into_report(),
         delta,
     };
     Ok((end, stats, meta))
@@ -491,7 +492,7 @@ fn handle_special(
     cm: &CostModel,
     cfg: &ExecConfig,
     injector: &FaultInjector,
-    watchdog: &Watchdog,
+    watchdog: &mut WaitsFor,
 ) -> Result<(), ExecError> {
     // A stalled worker pauses at its synchronization events; a slow
     // worker pays its drag at every one of them.

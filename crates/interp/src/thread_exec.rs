@@ -122,6 +122,14 @@ impl WorldStore {
         }
     }
 
+    /// Watchdog ranks the store's multi-shard acquisitions use.
+    fn shard_ranks(&self) -> usize {
+        match self {
+            WorldStore::Single(_) => 0,
+            WorldStore::Sharded(_) => WORLD_STRIPES,
+        }
+    }
+
     fn snapshot(&self) -> ShardStatsSnapshot {
         match self {
             WorldStore::Single(_) => ShardStatsSnapshot::default(),
@@ -346,7 +354,9 @@ fn run_section(
         .map(|q| SpscQueue::new(injector.clamp_capacity(q.capacity)))
         .collect();
     let cancel = AtomicBool::new(false);
-    let watchdog = Watchdog::new();
+    // Ranks: the plan's locks, then one per world shard above them
+    // (`rank_base + shard`, see the world-call path).
+    let watchdog = Watchdog::new(plan.workers.len(), locks.len() + world.shard_ranks());
     let delta_out: Mutex<Vec<(usize, DeltaBuffer)>> = Mutex::new(Vec::new());
     let ctx = SectionCtx {
         dispatch,

@@ -77,8 +77,8 @@ struct Frame {
 pub struct CallEvent {
     /// True for an entry (frame push), false for an exit (frame pop).
     pub enter: bool,
-    /// The watched function's name.
-    pub func: String,
+    /// The watched function (its name is `module.func(func).name`).
+    pub func: FuncId,
     /// Argument values at entry (empty for exits).
     pub args: Vec<Value>,
     /// Number of watched frames on the stack *after* the event.
@@ -339,7 +339,7 @@ impl<'m> Vm<'m> {
                             st.depth = st.depth.saturating_sub(1);
                             st.events.push(CallEvent {
                                 enter: false,
-                                func: module.func(popped.func).name.clone(),
+                                func: popped.func,
                                 args: Vec::new(),
                                 depth: st.depth,
                             });
@@ -473,7 +473,7 @@ impl<'m> Vm<'m> {
                                 st.depth += 1;
                                 st.events.push(CallEvent {
                                     enter: true,
-                                    func: callee_fn.name.clone(),
+                                    func: *fid,
                                     args: vals.clone(),
                                     depth: st.depth,
                                 });
@@ -777,7 +777,10 @@ mod tests {
         events.extend(vm.drain_call_events());
         assert_eq!(max_depth, 1, "helper frames are watched while active");
         assert_eq!(vm.watched_depth(), 0);
-        let shape: Vec<(bool, &str)> = events.iter().map(|e| (e.enter, e.func.as_str())).collect();
+        let shape: Vec<(bool, &str)> = events
+            .iter()
+            .map(|e| (e.enter, m.func(e.func).name.as_str()))
+            .collect();
         assert_eq!(
             shape,
             vec![

@@ -56,5 +56,5 @@ pub use sharded::{
 };
 pub use stm::{BackoffPolicy, StmStats};
 pub use value::Value;
-pub use watchdog::{Watchdog, WatchdogReport};
+pub use watchdog::{WaitsFor, Watchdog, WatchdogReport};
 pub use world::{SlotError, SlotErrorKind, World};

@@ -629,7 +629,7 @@ mod tests {
     #[test]
     fn shard_hold_delay_inside_multi_shard_hold_keeps_watchdog_clean() {
         let sw = Arc::new(striped_world(8));
-        let wd = Arc::new(Watchdog::new());
+        let wd = Arc::new(Watchdog::new(2, 4 + 8));
         let inj = Arc::new(FaultInjector::new(FaultPlan::shard_hold(7, 200)));
         let handles: Vec<_> = (0..2)
             .map(|worker| {

@@ -18,7 +18,7 @@
 //! COMMSET properties on database read".
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
-use crate::worldlib::AllocTable;
+use crate::worldlib::{AllocTable, SharedInput};
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -236,12 +236,9 @@ fn objs_stripe(key: i64) -> usize {
 
 /// Intrinsic handlers, with slot bindings declaring each intrinsic's
 /// world footprint: group-level state (`eclat`) is a fixed slot, the
-/// per-instance object table is striped.
-pub fn registry() -> Registry {
-    // The delta-buffer init closures need the same immutable database the
-    // world shards carry; `generate` is deterministic, so this registry-owned
-    // copy is identical to the one `make_world` installs.
-    let db = Arc::new(EclatDb::generate(SEED));
+/// per-instance object table is striped. Delta-buffer stripes share `db`
+/// with the worlds.
+fn registry(db: SharedInput<Arc<EclatDb>>) -> Registry {
     let mut r = Registry::new();
     r.register("num_cands", |_, _| {
         IntrinsicOutcome::value(NUM_CANDS as i64)
@@ -330,7 +327,6 @@ pub fn registry() -> Registry {
             },
         ),
     );
-    let delta_db = Arc::clone(&db);
     r.declare_merge(
         "objs",
         MergeSpec::custom(
@@ -343,7 +339,7 @@ pub fn registry() -> Registry {
                     .expect("objs slots are `objs#k`");
                 ObjShard {
                     table: AllocTable::with_stride(k, WORLD_STRIPES),
-                    db: Arc::clone(&delta_db),
+                    db: Arc::clone(db.get()),
                 }
             },
             |base: &mut ObjShard, d: ObjShard| base.table.absorb(d.table),
@@ -354,13 +350,12 @@ pub fn registry() -> Registry {
 
 /// Fresh input world: the shared mining state plus [`WORLD_STRIPES`]
 /// object-table stripes (`objs#0` … `objs#7`) sharing the database.
-pub fn make_world() -> World {
+fn make_world(db: &Arc<EclatDb>) -> World {
     let mut w = World::new();
-    let db = Arc::new(EclatDb::generate(SEED));
     w.install(
         "eclat",
         Eclat {
-            db: Arc::clone(&db),
+            db: Arc::clone(db),
             ..Eclat::default()
         },
     );
@@ -369,7 +364,7 @@ pub fn make_world() -> World {
             &stripe_slot("objs", k),
             ObjShard {
                 table: AllocTable::with_stride(k, WORLD_STRIPES),
-                db: Arc::clone(&db),
+                db: Arc::clone(db),
             },
         );
     }
@@ -404,6 +399,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The ECLAT workload (Figure 6d).
 pub fn workload() -> Workload {
+    let db = SharedInput::new(|| Arc::new(EclatDb::generate(SEED)));
     Workload {
         name: "ECLAT",
         origin: "MineBench",
@@ -428,9 +424,9 @@ pub fn workload() -> Workload {
             ),
         ],
         table: table(),
-        registry: registry(),
+        registry: registry(db.clone()),
         irrevocable: vec!["DB", "LISTS"],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(db.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 7.5,

@@ -15,6 +15,7 @@
 //! annotations PS-DSWP replicates the per-node body (5.9x at 8 threads).
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
+use crate::worldlib::SharedInput;
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -29,15 +30,16 @@ pub const NUM_NODES: usize = 192;
 pub const DEGREE: usize = 6;
 const SEED: u64 = 0x5eed_0005;
 
-/// The graph under construction.
+/// The graph under construction. A clone shares the read-only links and
+/// degrees and copies the neighbor assignments handlers fill in.
 #[derive(Debug, Clone)]
 pub struct Graph {
     /// Next-node links (linked list of the partition), 0 = end.
-    pub next: Vec<i64>,
+    pub next: Arc<Vec<i64>>,
     /// Neighbor assignments, `DEGREE` per node (-1 = unassigned).
     pub neighbors: Vec<Vec<i64>>,
     /// Per-node degree.
-    pub degree: Vec<i64>,
+    pub degree: Arc<Vec<i64>>,
 }
 
 impl Graph {
@@ -47,9 +49,9 @@ impl Graph {
             .map(|h| if h == NUM_NODES as i64 { 0 } else { h + 1 })
             .collect();
         Graph {
-            next,
+            next: Arc::new(next),
             neighbors: vec![vec![-1; DEGREE]; NUM_NODES],
-            degree: vec![DEGREE as i64; NUM_NODES],
+            degree: Arc::new(vec![DEGREE as i64; NUM_NODES]),
         }
     }
 }
@@ -175,10 +177,10 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Fresh input world.
-pub fn make_world() -> World {
+/// Fresh input world: a copy of the generated graph (see [`Graph`]).
+fn make_world(graph: &Graph) -> World {
     let mut w = World::new();
-    w.install("graph", Graph::generate());
+    w.install("graph", graph.clone());
     w.install("rng", Lcg::new(SEED));
     w
 }
@@ -208,6 +210,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The em3d workload (Figure 6e).
 pub fn workload() -> Workload {
+    let graph = SharedInput::new(Graph::generate);
     Workload {
         name: "em3d",
         origin: "Olden",
@@ -227,7 +230,7 @@ pub fn workload() -> Workload {
         table: table(),
         registry: registry(),
         irrevocable: vec![],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(graph.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 5.9,

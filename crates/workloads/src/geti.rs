@@ -19,7 +19,7 @@
 //! limited by console time).
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
-use crate::worldlib::Console;
+use crate::worldlib::{Console, SharedInput};
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -72,11 +72,11 @@ impl ItemsetStore {
     }
 }
 
-/// The transaction database (read-only input).
+/// The transaction database (read-only input; a clone shares it).
 #[derive(Debug, Clone)]
 pub struct TransDb {
     /// Items of each transaction.
-    pub trans: Vec<Vec<usize>>,
+    pub trans: Arc<Vec<Vec<usize>>>,
 }
 
 impl TransDb {
@@ -89,7 +89,9 @@ impl TransDb {
                     .collect()
             })
             .collect();
-        TransDb { trans }
+        TransDb {
+            trans: Arc::new(trans),
+        }
     }
 }
 
@@ -265,10 +267,10 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Fresh input world.
-pub fn make_world() -> World {
+/// Fresh input world over the shared transaction database.
+fn make_world(db: &TransDb) -> World {
     let mut w = World::new();
-    w.install("db", TransDb::generate(SEED));
+    w.install("db", db.clone());
     w.install("isets", ItemsetStore::default());
     w.install("console", Console::default());
     w
@@ -291,6 +293,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The geti workload (Figure 6c).
 pub fn workload() -> Workload {
+    let db = SharedInput::new(|| TransDb::generate(SEED));
     Workload {
         name: "geti",
         origin: "MineBench",
@@ -310,7 +313,7 @@ pub fn workload() -> Workload {
         table: table(),
         registry: registry(),
         irrevocable: vec!["OUT"],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(db.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 3.6,

@@ -19,7 +19,7 @@
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
 use crate::md5;
-use crate::worldlib::{Console, FsShard, VirtualFs};
+use crate::worldlib::{Console, FsShard, SharedInput, VirtualFs};
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -168,14 +168,13 @@ fn fs_stripe(key: i64) -> usize {
     stripe_of(key, WORLD_STRIPES)
 }
 
+/// The file contents, shared by every world and delta-buffer stripe.
+type Files = Arc<Vec<Vec<u8>>>;
+
 /// Intrinsic handlers over the striped virtual filesystem and console,
 /// with slot bindings declaring each intrinsic's world footprint (the
-/// sharded world's routing map).
-pub fn registry() -> Registry {
-    // Registry-owned copy of the shared file contents for delta-buffer
-    // init; `generate` is deterministic, so it is identical to the one
-    // `make_world` installs into the shard slots.
-    let files = Arc::new(VirtualFs::generate(FILE_COUNT, 4, 4, SEED).files);
+/// sharded world's routing map). Delta-buffer stripes share `files`.
+fn registry(files: SharedInput<Files>) -> Registry {
     let mut r = Registry::new();
     r.register("file_count", |world, _| {
         IntrinsicOutcome::value(world.stripe::<FsShard>("fs", fs_stripe(0)).files.len() as i64)
@@ -249,7 +248,7 @@ pub fn registry() -> Registry {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .expect("fs slots are `fs#k`");
-                FsShard::new(Arc::clone(&files), k, WORLD_STRIPES)
+                FsShard::new(Arc::clone(files.get()), k, WORLD_STRIPES)
             },
             FsShard::absorb,
         ),
@@ -268,13 +267,12 @@ pub fn registry() -> Registry {
 /// Fresh input world: the virtual files striped into [`WORLD_STRIPES`]
 /// shard slots (`fs#0` … `fs#7`, sharing the file contents) plus an
 /// empty console.
-pub fn make_world() -> World {
+fn make_world(files: &Files) -> World {
     let mut w = World::new();
-    let files = Arc::new(VirtualFs::generate(FILE_COUNT, 4, 4, SEED).files);
     for k in 0..WORLD_STRIPES {
         w.install(
             &stripe_slot("fs", k),
-            FsShard::new(Arc::clone(&files), k, WORLD_STRIPES),
+            FsShard::new(Arc::clone(files), k, WORLD_STRIPES),
         );
     }
     w.install("console", Console::default());
@@ -311,6 +309,8 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The md5sum workload (Figure 6a).
 pub fn workload() -> Workload {
+    let files: SharedInput<Files> =
+        SharedInput::new(|| Arc::new(VirtualFs::generate(FILE_COUNT, 4, 4, SEED).files));
     Workload {
         name: "md5sum",
         origin: "Open Src",
@@ -330,9 +330,9 @@ pub fn workload() -> Workload {
             SchemeSpec::new("DSWP (no CommSet)", 0, Scheme::Dswp, SyncMode::Lib, false),
         ],
         table: table(),
-        registry: registry(),
+        registry: registry(files.clone()),
         irrevocable: vec!["FS_TABLE", "FS_DATA", "CONSOLE"],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(files.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 7.6,

@@ -12,6 +12,7 @@
 //!   (≈2.2x, the paper's number).
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
+use crate::worldlib::SharedInput;
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -83,8 +84,8 @@ impl Bitmap {
 /// The tracing world: input bitmaps, loaded handles, output file.
 #[derive(Debug, Default)]
 pub struct Tracer {
-    /// Input bitmaps.
-    pub bitmaps: Vec<Bitmap>,
+    /// Input bitmaps (read-only, shared by every world).
+    pub bitmaps: Arc<Vec<Bitmap>>,
     /// Loaded handles.
     pub loaded: HashMap<i64, usize>,
     next: i64,
@@ -96,9 +97,11 @@ impl Tracer {
     fn generate(seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         Tracer {
-            bitmaps: (0..NUM_BITMAPS)
-                .map(|_| Bitmap::generate(&mut rng))
-                .collect(),
+            bitmaps: Arc::new(
+                (0..NUM_BITMAPS)
+                    .map(|_| Bitmap::generate(&mut rng))
+                    .collect(),
+            ),
             ..Default::default()
         }
     }
@@ -238,10 +241,16 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Fresh input world.
-pub fn make_world() -> World {
+/// Fresh input world: an empty tracer over the shared bitmaps.
+fn make_world(bitmaps: &Arc<Vec<Bitmap>>) -> World {
     let mut w = World::new();
-    w.install("tracer", Tracer::generate(SEED));
+    w.install(
+        "tracer",
+        Tracer {
+            bitmaps: Arc::clone(bitmaps),
+            ..Default::default()
+        },
+    );
     w
 }
 
@@ -264,6 +273,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The potrace workload (Figure 6f).
 pub fn workload() -> Workload {
+    let bitmaps = SharedInput::new(|| Tracer::generate(SEED).bitmaps);
     Workload {
         name: "potrace",
         origin: "Open Src",
@@ -277,7 +287,7 @@ pub fn workload() -> Workload {
         table: table(),
         registry: registry(),
         irrevocable: vec!["BMP_TABLE", "OUTF"],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(bitmaps.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 5.5,

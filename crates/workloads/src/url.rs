@@ -11,6 +11,7 @@
 //! two-stage PS-DSWP with a sequential dequeue stage.
 
 use crate::framework::{PaperRow, SchemeSpec, Workload};
+use crate::worldlib::SharedInput;
 use commset::{Scheme, SyncMode};
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -33,8 +34,9 @@ pub struct Switch {
     pub pool: VecDeque<(i64, Vec<u8>)>,
     /// In-flight packets by handle.
     pub in_flight: std::collections::HashMap<i64, Vec<u8>>,
-    /// URL patterns to match (suffix rules, as in URL switches).
-    pub patterns: Vec<Vec<u8>>,
+    /// URL patterns to match (suffix rules, as in URL switches); read-only,
+    /// shared by every world.
+    pub patterns: Arc<Vec<Vec<u8>>>,
     /// Log of (packet id, matched rule) pairs.
     pub log: Vec<(i64, i64)>,
 }
@@ -62,7 +64,7 @@ impl Switch {
         Switch {
             pool,
             in_flight: std::collections::HashMap::new(),
-            patterns,
+            patterns: Arc::new(patterns),
             log: Vec::new(),
         }
     }
@@ -173,10 +175,12 @@ pub fn registry() -> Registry {
     r
 }
 
-/// Fresh input world.
-pub fn make_world() -> World {
+/// Fresh input world: a copy of the generated switch. Handlers mutate the
+/// pool, the in-flight table and the log, so those are copied; the
+/// patterns are shared.
+fn make_world(switch: &Switch) -> World {
     let mut w = World::new();
-    w.install("switch", Switch::generate(SEED));
+    w.install("switch", switch.clone());
     w
 }
 
@@ -201,6 +205,7 @@ fn validate(seq: &World, par: &World) -> Result<(), String> {
 
 /// The url workload (Figure 6h).
 pub fn workload() -> Workload {
+    let switch = SharedInput::new(|| Switch::generate(SEED));
     Workload {
         name: "url",
         origin: "NetBench",
@@ -220,7 +225,7 @@ pub fn workload() -> Workload {
         table: table(),
         registry: registry(),
         irrevocable: vec!["POOL", "LOG"],
-        make_world: Arc::new(make_world),
+        make_world: Arc::new(move || make_world(switch.get())),
         validate: Arc::new(validate),
         paper: PaperRow {
             best_speedup: 7.7,

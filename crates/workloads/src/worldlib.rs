@@ -3,7 +3,44 @@
 use crate::md5::Md5;
 use commset_runtime::rng::SplitMix64;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// A workload's constant input, generated once on first use and then
+/// handed out by reference to every `make_world` call and delta-buffer
+/// init of that workload. `T` is the cheap-to-clone form worlds install
+/// (`Arc`-backed where the input is read-only). The value lives as long
+/// as the workload's closures that hold its clones. Generation waits for
+/// the first world because a process may build every workload and never
+/// run one: the compiler benchmark builds all eight and would otherwise
+/// hold every input at once.
+pub(crate) struct SharedInput<T> {
+    cell: Arc<OnceLock<T>>,
+    generate: fn() -> T,
+}
+
+impl<T> Clone for SharedInput<T> {
+    fn clone(&self) -> Self {
+        SharedInput {
+            cell: Arc::clone(&self.cell),
+            generate: self.generate,
+        }
+    }
+}
+
+impl<T> SharedInput<T> {
+    /// An input that `generate` builds on first use.
+    pub(crate) fn new(generate: fn() -> T) -> Self {
+        SharedInput {
+            cell: Arc::new(OnceLock::new()),
+            generate,
+        }
+    }
+
+    /// The input, generated by the first call.
+    pub(crate) fn get(&self) -> &T {
+        self.cell.get_or_init(self.generate)
+    }
+}
 
 /// An in-memory filesystem: the substitute for the paper's real input
 /// files (see DESIGN.md, substitutions table).
