@@ -97,13 +97,16 @@
 //! pure compute with cost 100.
 
 use commset::merge_law::validate_custom_merges;
-use commset::profile::run_profile_with;
-use commset::replay::{replay_bundle, run_profile_supervised, SyntheticSource};
+use commset::profile::SyntheticSource;
+use commset::replay::replay_bundle;
 use commset::report::{parse_journal, render_journal};
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
 use commset_checker::{check_source, fuzz_annotations};
-use commset_interp::{run_id, Backend, ExecConfig, FailureBundle, RecoveryPolicy, TraceSink};
+use commset_interp::{
+    capture_bundle, run_attempt, run_id, AttemptError, Backend, ExecConfig, FailureBundle,
+    ProgramDesc, TraceSink,
+};
 use commset_lang::printer::print_program;
 use commset_telemetry::chrome_trace_json;
 use std::process::ExitCode;
@@ -118,7 +121,7 @@ fn usage() -> ExitCode {
          [--corpus DIR] [--capture-corpus] \
          [--trace-out <file.json>] [--real] \
          [--metrics] [--journal-out <file.jsonl>] [--top N] \
-         [--recover] [--deadline-ms N] [--max-retries N] [--repro-dir DIR]\n\
+         [--deadline-ms N] [--repro-dir DIR]\n\
          \u{20}      commsetc report --journal <run.jsonl> [--top N]\n\
          \u{20}      commsetc replay <bundle.repro.json>"
     );
@@ -148,9 +151,7 @@ struct Args {
     journal: Option<String>,
     journal_out: Option<String>,
     top: usize,
-    recover: bool,
     deadline_ms: Option<u64>,
-    max_retries: Option<u32>,
     repro_dir: Option<String>,
 }
 
@@ -197,9 +198,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         journal: None,
         journal_out: None,
         top: 10,
-        recover: false,
         deadline_ms: None,
-        max_retries: None,
         repro_dir: None,
     };
     while let Some(flag) = pending_flag.take().or_else(|| argv.next()) {
@@ -280,19 +279,11 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 }
                 args.top = t;
             }
-            "--recover" => args.recover = true,
             "--deadline-ms" => {
                 args.deadline_ms = Some(
                     value()?
                         .parse()
                         .map_err(|_| "--deadline-ms needs a number".to_string())?,
-                )
-            }
-            "--max-retries" => {
-                args.max_retries = Some(
-                    value()?
-                        .parse()
-                        .map_err(|_| "--max-retries needs a number".to_string())?,
                 )
             }
             "--repro-dir" => args.repro_dir = Some(value()?),
@@ -392,21 +383,91 @@ fn capture_into_corpus(
     Ok(cmm)
 }
 
-/// The deterministic run id of a `profile`/`report` run: the one a
-/// supervised run stamps on its bundles, too.
-fn journal_run_id(args: &Args, scheme: Scheme) -> u64 {
+/// `profile` and `report`: the program runs once on the synthetic world
+/// with its trace on, on the backend `--real` picks and under
+/// `--deadline-ms`. A failure writes its bundle into `--repro-dir` when
+/// one is given, prints the bundle's path and fails the command.
+fn run_profile(args: &Args, source: String, effects: String) -> Result<(), String> {
+    let report_verb = args.command == "report";
+    let scheme = args.scheme.ok_or(if report_verb {
+        "report needs --scheme doall|dswp|ps-dswp (or --journal FILE)"
+    } else {
+        "profile needs --scheme doall|dswp|ps-dswp"
+    })?;
+    let src = SyntheticSource::new(ProgramDesc {
+        path: args.file.clone(),
+        source,
+        effects,
+        scheme: scheme.to_string(),
+        sync: args.sync.to_string(),
+        hot_func: args.hot_func.clone(),
+    })?;
     let backend = if args.real {
         Backend::Threads
     } else {
         Backend::Sim
     };
-    run_id(
-        &args.file,
-        &scheme.to_string(),
-        &args.sync.to_string(),
-        args.threads,
-        backend.name(),
-    )
+    let cfg = ExecConfig {
+        trace: Some(TraceSink::new()),
+        metrics: report_verb || args.metrics,
+        deadline_ms: args.deadline_ms,
+        ..ExecConfig::default()
+    };
+    let out = match run_attempt(&src, backend, args.threads, &cfg) {
+        Ok(out) => out,
+        Err(e) => {
+            if let Some(dir) = &args.repro_dir {
+                let path = capture_bundle(&src, backend, args.threads, &cfg, &e, dir.as_ref())
+                    .map_err(|io| format!("{dir}: {io}"))?;
+                eprintln!("wrote failure bundle to {}", path.display());
+            }
+            return Err(match e {
+                AttemptError::Compile(d) => d,
+                AttemptError::Exec(e) => e.to_string(),
+            });
+        }
+    };
+    let report = out.telemetry.expect("the trace was on");
+    // The journal carries the run id a bundle of the same run carries.
+    let jsonl = || {
+        render_journal(
+            run_id(
+                &args.file,
+                &scheme.to_string(),
+                &args.sync.to_string(),
+                args.threads,
+                backend.name(),
+            ),
+            Some(&report),
+            out.sim_time,
+            out.metrics.as_ref(),
+        )
+    };
+    if report_verb {
+        // Render through the journal loader: the live view and a saved
+        // `--journal` view of the same run are identical.
+        let jsonl = jsonl();
+        print!("{}", parse_journal(&jsonl)?.render_text(args.top));
+        if let Some(t) = out.sim_time {
+            println!("total simulated time: {t} ticks");
+        }
+        return save_journal(args, || jsonl);
+    }
+    print!("{}", report.render_text());
+    if let Some(reg) = &out.metrics {
+        print!("{}", reg.render_text(args.top));
+    }
+    if let Some(t) = out.sim_time {
+        println!("total simulated time: {t} ticks");
+    }
+    if let Some(path) = &args.trace_out {
+        std::fs::write(path, chrome_trace_json(&report)).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!(
+            "wrote Chrome trace to {path} \
+             (load in chrome://tracing or ui.perfetto.dev)"
+        );
+    }
+    save_journal(args, jsonl)
 }
 
 /// Writes the journal `jsonl` renders when `--journal-out` names a file.
@@ -433,6 +494,9 @@ fn run(args: &Args) -> Result<(), String> {
         Some(path) => std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?,
         None => String::new(),
     };
+    if args.command == "profile" || args.command == "report" {
+        return run_profile(args, source, effects_text);
+    }
     let spec = parse_effects(&effects_text)?;
     let table = build_table(&source, &spec)?;
     let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
@@ -551,161 +615,6 @@ fn run(args: &Args) -> Result<(), String> {
                 }
             }
         }
-        "report" => {
-            let scheme = args
-                .scheme
-                .ok_or("report needs --scheme doall|dswp|ps-dswp (or --journal FILE)")?;
-            let cfg = ExecConfig {
-                metrics: true,
-                ..ExecConfig::default()
-            };
-            let out = run_profile_with(
-                &compiler,
-                &analysis,
-                &spec,
-                scheme,
-                args.threads,
-                args.sync,
-                args.real,
-                &cfg,
-            )?;
-            // Render through the journal loader: the live view and a
-            // saved `--journal` view of the same run are identical.
-            let jsonl = render_journal(
-                journal_run_id(args, scheme),
-                Some(&out.report),
-                out.sim_time,
-                out.metrics.as_ref(),
-                None,
-            );
-            let report = parse_journal(&jsonl)?;
-            print!("{}", report.render_text(args.top));
-            if let Some(t) = out.sim_time {
-                println!("total simulated time: {t} ticks");
-            }
-            save_journal(args, || jsonl)
-        }
-        "profile" => {
-            let scheme = args
-                .scheme
-                .ok_or("profile needs --scheme doall|dswp|ps-dswp")?;
-            let run_id = journal_run_id(args, scheme);
-            if args.recover {
-                // Supervised profile: deadlines, transient retries, the
-                // degradation ladder, and failure-bundle capture.
-                let src =
-                    SyntheticSource::new(&args.file, &source, &effects_text, scheme, args.sync)?;
-                let cfg = ExecConfig {
-                    trace: Some(TraceSink::new()),
-                    metrics: args.metrics,
-                    ..ExecConfig::default()
-                };
-                let mut policy = RecoveryPolicy {
-                    deadline_ms: args.deadline_ms,
-                    bundle_dir: Some(
-                        args.repro_dir
-                            .clone()
-                            .unwrap_or_else(|| "target/repro".to_string())
-                            .into(),
-                    ),
-                    ..RecoveryPolicy::default()
-                };
-                if let Some(r) = args.max_retries {
-                    policy.max_retries = r;
-                }
-                match run_profile_supervised(&src, args.real, args.threads, &cfg, &policy) {
-                    Ok(out) => {
-                        match &out.telemetry {
-                            Some(report) => {
-                                print!("{}", report.render_text());
-                                if let Some(path) = &args.trace_out {
-                                    std::fs::write(path, chrome_trace_json(report))
-                                        .map_err(|e| format!("{path}: {e}"))?;
-                                    eprintln!("wrote Chrome trace to {path}");
-                                }
-                            }
-                            None => {
-                                println!("(no telemetry: run completed on the sequential fallback)")
-                            }
-                        }
-                        if args.metrics {
-                            match &out.metrics {
-                                Some(reg) => print!("{}", reg.render_text(args.top)),
-                                None => println!("metrics:\n  (no metrics recorded)"),
-                            }
-                        }
-                        save_journal(args, || {
-                            render_journal(
-                                run_id,
-                                out.telemetry.as_ref(),
-                                out.sim_time,
-                                out.metrics.as_ref(),
-                                Some(&out.recovery),
-                            )
-                        })?;
-                        if out.recovery.is_clean() {
-                            println!(
-                                "recovery: clean ({} attempt, no retries, no degradation)",
-                                out.recovery.attempts
-                            );
-                        } else {
-                            print!("{}", out.recovery.render_text());
-                        }
-                        Ok(())
-                    }
-                    Err(fail) => {
-                        print!("{}", fail.recovery.render_text());
-                        // The journal of a terminally failed run is the
-                        // most interesting one; save it when asked.
-                        let jsonl =
-                            || render_journal(run_id, None, None, None, Some(&fail.recovery));
-                        if let Err(e) = save_journal(args, jsonl) {
-                            eprintln!("{e}");
-                        }
-                        Err(format!("supervised run failed terminally: {}", fail.error))
-                    }
-                }
-            } else {
-                let cfg = ExecConfig {
-                    metrics: args.metrics,
-                    ..ExecConfig::default()
-                };
-                let out = run_profile_with(
-                    &compiler,
-                    &analysis,
-                    &spec,
-                    scheme,
-                    args.threads,
-                    args.sync,
-                    args.real,
-                    &cfg,
-                )?;
-                print!("{}", out.report.render_text());
-                if let Some(reg) = &out.metrics {
-                    print!("{}", reg.render_text(args.top));
-                }
-                if let Some(t) = out.sim_time {
-                    println!("total simulated time: {t} ticks");
-                }
-                if let Some(path) = &args.trace_out {
-                    std::fs::write(path, chrome_trace_json(&out.report))
-                        .map_err(|e| format!("{path}: {e}"))?;
-                    eprintln!(
-                        "wrote Chrome trace to {path} \
-                         (load in chrome://tracing or ui.perfetto.dev)"
-                    );
-                }
-                save_journal(args, || {
-                    render_journal(
-                        run_id,
-                        Some(&out.report),
-                        out.sim_time,
-                        out.metrics.as_ref(),
-                        None,
-                    )
-                })
-            }
-        }
         "compile" => {
             let module = match args.scheme {
                 Some(scheme) => {
@@ -782,7 +691,10 @@ fn run_replay(args: &Args) -> Result<bool, String> {
     let out = replay_bundle(&bundle)?;
     println!("bundle:   {}", args.file);
     println!("program:  {}", bundle.program_path);
-    println!("rung:     {}", out.rung);
+    println!(
+        "attempt:  {} backend, {} world, {} threads",
+        bundle.backend, bundle.world_mode, bundle.threads
+    );
     println!("expected: {}", out.expected);
     match &out.observed {
         Some(e) => println!("observed: {e}"),
@@ -1021,7 +933,6 @@ mod tests {
             "value missing"
         );
         assert!(args(&["profile", "f.cmm", "--deadline-ms", "soon"]).is_err());
-        assert!(args(&["profile", "f.cmm", "--max-retries", "lots"]).is_err());
         assert!(
             args(&["profile", "f.cmm", "--repro-dir"]).is_err(),
             "value missing"
@@ -1035,23 +946,17 @@ mod tests {
             "p.cmm",
             "--scheme",
             "doall",
-            "--recover",
             "--deadline-ms",
             "250",
-            "--max-retries",
-            "5",
             "--repro-dir",
             "out/repro",
         ])
         .unwrap();
-        assert!(a.recover);
         assert_eq!(a.deadline_ms, Some(250));
-        assert_eq!(a.max_retries, Some(5));
         assert_eq!(a.repro_dir.as_deref(), Some("out/repro"));
-        // Recovery is opt-in.
         let a = args(&["profile", "p.cmm", "--scheme", "doall"]).unwrap();
-        assert!(!a.recover);
         assert!(a.deadline_ms.is_none());
+        assert!(a.repro_dir.is_none());
     }
 
     #[test]

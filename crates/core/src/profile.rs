@@ -1,7 +1,9 @@
-//! The `commsetc profile` runner: execute a compiled `.cmm` program
-//! against a *synthetic deterministic world* with its trace on, yielding a
-//! [`RunReport`] (stage balance, lock contention by rank, queue traffic,
-//! unified counters) without the user writing any intrinsic handlers.
+//! The program `commsetc profile` runs: a compiled `.cmm` program against
+//! a *synthetic deterministic world*, as a [`SyntheticSource`] for
+//! `commset_interp::run_attempt`. A traced attempt yields a
+//! `commset_telemetry::RunReport` (stage balance, lock contention by rank,
+//! queue traffic, unified counters) without the user writing any
+//! intrinsic handlers.
 //!
 //! The synthetic world is the dynamic checker's abstract model
 //! ([`commset_checker::ModelWorld`]): return values are pure hash
@@ -13,22 +15,21 @@
 //! from the effects sidecar's `cost=` rows, so the DES profile reflects
 //! the declared workload shape.
 //!
-//! Two backends:
+//! Two backends (`commset_interp::Backend`):
 //!
 //! * the **discrete-event simulator** (default) — deterministic ticks, so
 //!   profiles are bit-identical across runs and golden-testable;
 //! * the **real-thread executor** (`--real`) — monotonic nanoseconds, for
 //!   observing actual contention on the host.
 
-use crate::spec::EffectsSpec;
+use crate::replay::{parse_scheme, parse_sync};
+use crate::spec::{build_table, parse_effects, EffectsSpec};
 use crate::{Analysis, Compiler, Scheme, SyncMode};
 use commset_checker::{ModelConfig, ModelWorld};
-use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig};
+use commset_interp::{CompiledProgram, ProgramDesc, ProgramSource};
 use commset_ir::IntrinsicTable;
 use commset_runtime::intrinsics::{IntrinsicOutcome, Registry};
 use commset_runtime::{Value, World};
-use commset_sim::CostModel;
-use commset_telemetry::RunReport;
 use std::sync::Arc;
 
 /// World slot holding the checker-model world the synthetic handlers
@@ -67,93 +68,72 @@ pub fn synthetic_world() -> World {
     w
 }
 
-/// The outcome of a profiling run.
-#[derive(Debug, Clone)]
-pub struct ProfileOutcome {
-    /// The unified telemetry report.
-    pub report: RunReport,
-    /// Total simulated time, when the DES backend ran (`None` under
-    /// `--real`).
-    pub sim_time: Option<u64>,
-    /// The merged metrics registry, when `ExecConfig::metrics` was on.
-    pub metrics: Option<commset_telemetry::MetricsRegistry>,
+/// A [`ProgramSource`] over the synthetic world: the program `commsetc
+/// profile` and `commsetc report` run, and the one `commsetc replay`
+/// rebuilds from a failure bundle. Both build it from a [`ProgramDesc`]
+/// alone, so a bundle replays exactly the program that failed.
+pub struct SyntheticSource {
+    compiler: Compiler,
+    analysis: Analysis,
+    registry: Registry,
+    scheme: Scheme,
+    sync: SyncMode,
+    desc: ProgramDesc,
 }
 
-/// Compiles `analysis` under `(scheme, threads, sync)` and profiles one
-/// traced run against the synthetic world.
-///
-/// `real` selects the real-thread executor; the default is the
-/// deterministic discrete-event simulator.
-///
-/// # Errors
-///
-/// Returns the transform's applicability diagnostic or the executor's
-/// failure, rendered as a string for the CLI.
-pub fn run_profile(
-    compiler: &Compiler,
-    analysis: &Analysis,
-    spec: &EffectsSpec,
-    scheme: Scheme,
-    threads: usize,
-    sync: SyncMode,
-    real: bool,
-) -> Result<ProfileOutcome, String> {
-    let cfg = ExecConfig::default();
-    run_profile_with(compiler, analysis, spec, scheme, threads, sync, real, &cfg)
+impl SyntheticSource {
+    /// Parses the sidecar, builds the intrinsic table and analyses the
+    /// program under `desc`'s hot-function override.
+    ///
+    /// # Errors
+    ///
+    /// Returns the scheme/sync-name, sidecar, type-table or front-end
+    /// diagnostic as a string.
+    pub fn new(desc: ProgramDesc) -> Result<SyntheticSource, String> {
+        let scheme = parse_scheme(&desc.scheme)?;
+        let sync = parse_sync(&desc.sync)?;
+        let spec = parse_effects(&desc.effects)?;
+        let table = build_table(&desc.source, &spec)?;
+        let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
+        let mut compiler = Compiler::new(table).with_irrevocable(&irrevocable);
+        if let Some(f) = &desc.hot_func {
+            compiler = compiler.with_hot_func(f);
+        }
+        let analysis = compiler.analyze(&desc.source).map_err(|d| d.to_string())?;
+        let registry = synthetic_registry(&compiler.intrinsics, &spec);
+        Ok(SyntheticSource {
+            compiler,
+            analysis,
+            registry,
+            scheme,
+            sync,
+            desc,
+        })
+    }
 }
 
-/// [`run_profile`] with a caller-supplied [`ExecConfig`] — the hook for
-/// `--metrics` (hotspot registry). The outcome is everything
-/// [`crate::report::render_journal`] needs. The trace is forced on when `cfg.trace` is unset: a profile without a
-/// run report is not a profile.
-///
-/// # Errors
-///
-/// As [`run_profile`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_profile_with(
-    compiler: &Compiler,
-    analysis: &Analysis,
-    spec: &EffectsSpec,
-    scheme: Scheme,
-    threads: usize,
-    sync: SyncMode,
-    real: bool,
-    cfg: &ExecConfig,
-) -> Result<ProfileOutcome, String> {
-    let (module, plan) = compiler
-        .compile(analysis, scheme, threads, sync)
-        .map_err(|d| d.to_string())?;
-    let registry = synthetic_registry(&compiler.intrinsics, spec);
-    let mut world = synthetic_world();
-    let cfg = ExecConfig {
-        trace: Some(cfg.trace.clone().unwrap_or_default()),
-        ..cfg.clone()
-    };
-    let plans = [plan];
-    if real {
-        let out = run_threaded_with(&module, &registry, &plans, world, &cfg)
-            .map_err(|e| e.to_string())?;
-        Ok(ProfileOutcome {
-            report: out.telemetry.expect("the trace was on"),
-            sim_time: None,
-            metrics: out.metrics,
+impl ProgramSource for SyntheticSource {
+    fn parallel(&self, threads: usize) -> Result<CompiledProgram, String> {
+        let (module, plan) = self
+            .compiler
+            .compile(&self.analysis, self.scheme, threads, self.sync)
+            .map_err(|d| d.to_string())?;
+        Ok(CompiledProgram {
+            module,
+            plans: vec![plan],
         })
-    } else {
-        let out = run_simulated_with(
-            &module,
-            &registry,
-            &plans,
-            &mut world,
-            &CostModel::default(),
-            &cfg,
-        )
-        .map_err(|e| e.to_string())?;
-        Ok(ProfileOutcome {
-            report: out.telemetry.expect("the trace was on"),
-            sim_time: Some(out.sim_time),
-            metrics: out.metrics,
-        })
+    }
+
+    fn fresh_world(&self) -> World {
+        synthetic_world()
+    }
+
+    fn registry(&self) -> &Registry {
+        &self.registry
+    }
+
+    fn describe(&self) -> ProgramDesc {
+        self.desc.clone()
     }
 }
 

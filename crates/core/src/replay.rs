@@ -1,28 +1,18 @@
-//! Failure-bundle replay and the `Compiler`-backed [`ProgramSource`].
+//! Failure-bundle replay.
 //!
 //! A `.repro.json` bundle (see `commset-interp`'s `bundle` module) carries
-//! the program source and effects sidecar *inline*, so a failed supervised
-//! run can be rebuilt from the bundle alone: `parse_effects` +
-//! `build_table` reconstruct the intrinsic table, `synthetic_registry` /
-//! `synthetic_world` reconstruct the deterministic checker-model
-//! semantics, and the recorded scheme/sync/threads/backend/world-mode/
-//! fault-plan knobs pin the exact failing configuration. `commsetc replay
-//! <bundle>` re-executes that one attempt and reports whether the recorded
-//! error reproduces.
-//!
-//! [`SyntheticSource`] is the same machinery pointed at the supervisor:
-//! it implements [`ProgramSource`] by recompiling per ladder rung, which
-//! is what `commsetc profile --recover` drives.
+//! the program source, effects sidecar and hot-function override
+//! *inline*, so a failed run can be rebuilt from the bundle alone: the
+//! bundle's [`ProgramDesc`] builds the same [`SyntheticSource`]
+//! `commsetc profile` ran, and the recorded threads/backend/world-mode/
+//! deadline/fault-plan knobs pin the exact failing configuration.
+//! `commsetc replay <bundle>` re-executes that one attempt through
+//! `commset_interp::run_attempt` and reports whether the recorded error
+//! reproduces.
 
-use crate::profile::{synthetic_registry, synthetic_world};
-use crate::spec::{build_table, parse_effects, EffectsSpec};
-use crate::{Compiler, Scheme, SyncMode};
-use commset_interp::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
-use commset_interp::{
-    replay_attempt, run_supervised, Backend, ExecConfig, FailureBundle, RecoveryPolicy,
-    SupervisedFailure, SupervisedOutcome,
-};
-use commset_runtime::{Registry, World};
+use crate::profile::SyntheticSource;
+use crate::{Scheme, SyncMode};
+use commset_interp::{replay_attempt, FailureBundle, ProgramDesc, ProgramSource};
 
 /// Parses a scheme name, case-insensitively: bundles record the
 /// `Display` rendering (`DOALL`), the CLI spells it lowercase (`doall`).
@@ -54,106 +44,6 @@ pub fn parse_sync(name: &str) -> Result<SyncMode, String> {
     }
 }
 
-/// A [`ProgramSource`] that recompiles the program per ladder rung against
-/// the synthetic deterministic world (the `commsetc profile` semantics).
-pub struct SyntheticSource {
-    compiler: Compiler,
-    analysis: crate::Analysis,
-    registry: Registry,
-    scheme: Scheme,
-    sync: SyncMode,
-    desc: ProgramDesc,
-}
-
-impl SyntheticSource {
-    /// Builds the source from inline program text and sidecar text.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sidecar/type-table/front-end diagnostic as a string.
-    pub fn new(
-        path: &str,
-        source: &str,
-        effects: &str,
-        scheme: Scheme,
-        sync: SyncMode,
-    ) -> Result<SyntheticSource, String> {
-        let spec = if effects.trim().is_empty() {
-            EffectsSpec::default()
-        } else {
-            parse_effects(effects)?
-        };
-        let table = build_table(source, &spec)?;
-        let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
-        let compiler = Compiler::new(table).with_irrevocable(&irrevocable);
-        let analysis = compiler.analyze(source).map_err(|d| d.to_string())?;
-        let registry = synthetic_registry(&compiler.intrinsics, &spec);
-        Ok(SyntheticSource {
-            compiler,
-            analysis,
-            registry,
-            scheme,
-            sync,
-            desc: ProgramDesc {
-                path: path.to_string(),
-                source: source.to_string(),
-                effects: effects.to_string(),
-                scheme: scheme.to_string(),
-                sync: sync.to_string(),
-            },
-        })
-    }
-}
-
-impl ProgramSource for SyntheticSource {
-    fn parallel(&self, threads: usize) -> Result<CompiledProgram, String> {
-        let (module, plan) = self
-            .compiler
-            .compile(&self.analysis, self.scheme, threads, self.sync)
-            .map_err(|d| d.to_string())?;
-        Ok(CompiledProgram {
-            module,
-            plans: vec![plan],
-        })
-    }
-
-    fn sequential(&self) -> Result<commset_ir::Module, String> {
-        self.compiler
-            .compile_sequential(&self.analysis)
-            .map_err(|d| d.to_string())
-    }
-
-    fn fresh_world(&self) -> World {
-        synthetic_world()
-    }
-
-    fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    fn describe(&self) -> ProgramDesc {
-        self.desc.clone()
-    }
-}
-
-/// Runs the synthetic-world profile under the supervisor.
-///
-/// # Errors
-///
-/// Returns [`SupervisedFailure`] when the whole ladder (including the
-/// sequential fallback) fails; front-end diagnostics surface as strings in
-/// `Err`'s `error` rendering via the supervisor's compile-error path.
-pub fn run_profile_supervised(
-    src: &SyntheticSource,
-    real: bool,
-    threads: usize,
-    cfg: &ExecConfig,
-    policy: &RecoveryPolicy,
-) -> Result<SupervisedOutcome, Box<SupervisedFailure>> {
-    let backend = if real { Backend::Threads } else { Backend::Sim };
-    run_supervised(src, backend, threads, cfg, policy, None)
-}
-
 /// The outcome of replaying a failure bundle.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -163,8 +53,6 @@ pub struct ReplayOutcome {
     pub expected: String,
     /// The error the replay observed (`None`: the run succeeded).
     pub observed: Option<String>,
-    /// The rung description from the bundle.
-    pub rung: String,
 }
 
 /// Re-executes the single attempt a bundle captured — same program, same
@@ -176,19 +64,19 @@ pub struct ReplayOutcome {
 /// Returns a message when the bundle's program no longer compiles or its
 /// knob strings are unknown (a corrupt or hand-edited bundle).
 pub fn replay_bundle(bundle: &FailureBundle) -> Result<ReplayOutcome, String> {
-    let src = SyntheticSource::new(
-        &bundle.program_path,
-        &bundle.source,
-        &bundle.effects,
-        parse_scheme(&bundle.scheme)?,
-        parse_sync(&bundle.sync)?,
-    )?;
+    let src = SyntheticSource::new(ProgramDesc {
+        path: bundle.program_path.clone(),
+        source: bundle.source.clone(),
+        effects: bundle.effects.clone(),
+        scheme: bundle.scheme.clone(),
+        sync: bundle.sync.clone(),
+        hot_func: bundle.hot_func.clone(),
+    })?;
     replay_bundle_on(bundle, &src)
 }
 
-/// As [`replay_bundle`], against the program source the supervised run
-/// used (an embedder's registry and world rather than the synthetic
-/// ones).
+/// As [`replay_bundle`], against the program source the failed run used
+/// (an embedder's registry and world rather than the synthetic ones).
 ///
 /// # Errors
 ///
@@ -202,14 +90,15 @@ pub fn replay_bundle_on(
         reproduced: observed.as_deref() == Some(bundle.error.as_str()),
         expected: bundle.error.clone(),
         observed,
-        rung: bundle.rung.clone(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commset_interp::TraceSink;
+    use commset_interp::{
+        capture_bundle, run_attempt, AttemptError, Backend, ExecConfig, TraceSink,
+    };
 
     /// A DOALL-able program whose worker divides by zero on one iteration:
     /// a deterministic program error that every backend reproduces.
@@ -226,24 +115,33 @@ mod tests {
         #pragma CommSet(SELF)\n        \
         { emit(i); }\n    }\n    return 0;\n}\n";
 
+    fn desc(src: &str) -> ProgramDesc {
+        ProgramDesc {
+            path: "t.cmm".into(),
+            source: src.into(),
+            effects: String::new(),
+            scheme: Scheme::Doall.to_string(),
+            sync: SyncMode::Spin.to_string(),
+            hot_func: None,
+        }
+    }
+
     fn bundle_for(src: &str, backend: &str, error: &str) -> FailureBundle {
         FailureBundle {
-            version: 1,
+            version: 2,
             program_path: "test.cmm".into(),
             source: src.into(),
             effects: String::new(),
             scheme: "doall".into(),
             sync: "spin".into(),
+            hot_func: None,
             threads: 4,
             backend: backend.into(),
             world_mode: "auto".into(),
             deadline_ms: None,
             fault: commset_runtime::FaultPlan::default(),
             error: error.into(),
-            rung: format!("{backend}(4)"),
-            attempt: 1,
             run_id: 0,
-            history: vec![],
         }
     }
 
@@ -251,7 +149,7 @@ mod tests {
     fn deterministic_failure_reproduces_under_replay() {
         // Per backend: discover the exact error rendering once, then
         // assert replay reproduces it from the bundle alone.
-        for backend in ["sim", "threads", "sequential"] {
+        for backend in ["sim", "threads"] {
             let probe = bundle_for(DIV_SRC, backend, "probe");
             let out = replay_bundle(&probe).unwrap();
             let err = out.observed.expect("division by zero must fail");
@@ -265,8 +163,8 @@ mod tests {
 
     #[test]
     fn parallel_compile_failure_is_observed_not_an_error() {
-        // A rung that does not compile is an observed attempt failure,
-        // rendered as the supervisor records it.
+        // An attempt that does not compile is an observed failure,
+        // rendered as the attempt runner reports it.
         let mut b = bundle_for(SUM_SRC, "threads", "e");
         b.threads = 0;
         let out = replay_bundle(&b).unwrap();
@@ -298,45 +196,28 @@ mod tests {
     }
 
     #[test]
-    fn supervised_profile_recovers_a_clean_program() {
-        let src =
-            SyntheticSource::new("t.cmm", SUM_SRC, "", Scheme::Doall, SyncMode::Spin).unwrap();
-        let out = run_profile_supervised(
-            &src,
-            false,
-            4,
-            &ExecConfig::with_trace(TraceSink::new()),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert!(out.recovery.is_clean());
-        assert_eq!(out.recovery.final_mode, "sim(4)");
+    fn a_clean_program_finishes_in_one_attempt() {
+        let src = SyntheticSource::new(desc(SUM_SRC)).unwrap();
+        let cfg = ExecConfig::with_trace(TraceSink::new());
+        let out = run_attempt(&src, Backend::Sim, 4, &cfg).unwrap();
         assert!(out.telemetry.is_some());
+        assert!(out.sim_time.is_some());
     }
 
     #[test]
     fn captured_bundle_replays_the_original_failure_deterministically() {
-        // End-to-end acceptance: supervise a deterministically-failing
-        // program with bundle capture on, load the `.repro.json` it
-        // writes, and assert `replay_bundle` reproduces the recorded
-        // failure exactly.
+        // End-to-end acceptance: run a deterministically failing program
+        // once, capture its failure, load the `.repro.json` and assert
+        // `replay_bundle` reproduces the recorded failure exactly.
         let dir = std::env::temp_dir().join("commset-replay-capture-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let src =
-            SyntheticSource::new("t.cmm", DIV_SRC, "", Scheme::Doall, SyncMode::Spin).unwrap();
-        let policy = RecoveryPolicy {
-            bundle_dir: Some(dir.clone()),
-            ..RecoveryPolicy::default()
-        };
-        let fail =
-            run_profile_supervised(&src, false, 4, &ExecConfig::default(), &policy).unwrap_err();
-        let path = fail
-            .recovery
-            .bundle
-            .as_ref()
-            .expect("first failure must capture a bundle");
-        assert!(path.ends_with(".repro.json"), "{path}");
-        let bundle = FailureBundle::load(std::path::Path::new(path)).unwrap();
+        let src = SyntheticSource::new(desc(DIV_SRC)).unwrap();
+        let cfg = ExecConfig::default();
+        let err = run_attempt(&src, Backend::Sim, 4, &cfg).unwrap_err();
+        assert!(matches!(err, AttemptError::Exec(_)), "{err}");
+        let path = capture_bundle(&src, Backend::Sim, 4, &cfg, &err, &dir).unwrap();
+        assert!(path.to_string_lossy().ends_with(".repro.json"));
+        let bundle = FailureBundle::load(&path).unwrap();
         assert_eq!(bundle.source, DIV_SRC);
         assert!(
             bundle.error.contains("division by zero"),
@@ -350,35 +231,5 @@ mod tests {
             out.expected, out.observed
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn supervised_profile_falls_through_to_sequential_on_program_error() {
-        // Division by zero is deterministic: every parallel rung fails,
-        // the sequential fallback fails identically, and the supervisor
-        // reports a terminal failure whose error is the true program
-        // error.
-        let src =
-            SyntheticSource::new("t.cmm", DIV_SRC, "", Scheme::Doall, SyncMode::Spin).unwrap();
-        let fail = run_profile_supervised(
-            &src,
-            false,
-            4,
-            &ExecConfig::default(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
-        assert!(
-            fail.error.to_string().contains("division by zero"),
-            "{}",
-            fail.error
-        );
-        assert_eq!(
-            fail.recovery.rungs.last().map(String::as_str),
-            Some("sequential")
-        );
-        assert_eq!(fail.recovery.final_mode, "exhausted");
-        // Deterministic errors skip same-rung retries.
-        assert_eq!(fail.recovery.retries, 0);
     }
 }

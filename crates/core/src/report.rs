@@ -5,20 +5,13 @@
 //!
 //! Each line is one JSON object with a stable field order: `run` (the
 //! 16-hex-digit [`run_id`](commset_interp::run_id)), `t`, `kind`, the
-//! optional causal coordinates `attempt`, `rung` and `section`, then the
-//! string `fields`. The events, in order:
+//! optional `section`, then the string `fields`. The events, in order:
 //!
-//! * supervised runs only: `run_start` (the first rung), one
-//!   `attempt_error` per error the supervisor met and `bundle_captured`
-//!   (the `.repro.json` path). The supervisor has no deterministic clock,
-//!   so their `t` is 0;
-//! * `section_start` / `section_end` per parallel section of the run (the
-//!   accepted attempt, when supervised), at the section's span;
+//! * `section_start` / `section_end` per parallel section of the run, at
+//!   the section's span;
 //! * `metrics`, whose `metrics` field embeds the registry JSON (escaped,
 //!   as a string), so a saved journal alone renders the hotspot tables;
-//! * `sim_finished` with the simulated time (DES runs);
-//! * supervised runs only: `run_end` with the attempt count, final mode,
-//!   `recovered`, `degraded`, `retries` and `backoff_ms`.
+//! * `sim_finished` with the simulated time (DES runs).
 //!
 //! On the DES every timestamp is a tick and the run id is derived, so two
 //! runs of the same program and knobs render byte-identical journals.
@@ -26,7 +19,7 @@
 use commset_interp::bundle::Json;
 use commset_runtime::Hist64;
 use commset_telemetry::json::escape;
-use commset_telemetry::{MetricsRegistry, RecoveryReport, RunReport};
+use commset_telemetry::{MetricsRegistry, RunReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -35,8 +28,6 @@ use std::fmt::Write as _;
 struct Event<'a> {
     t: u64,
     kind: &'a str,
-    attempt: Option<u32>,
-    rung: Option<&'a str>,
     section: Option<usize>,
     fields: Vec<(&'a str, String)>,
 }
@@ -48,12 +39,6 @@ impl Event<'_> {
             "{{\"run\":\"{run_id:016x}\",\"t\":{},\"kind\":\"{}\"",
             self.t, self.kind
         );
-        if let Some(a) = self.attempt {
-            let _ = write!(out, ",\"attempt\":{a}");
-        }
-        if let Some(r) = self.rung {
-            let _ = write!(out, ",\"rung\":\"{}\"", escape(r));
-        }
         if let Some(s) = self.section {
             let _ = write!(out, ",\"section\":{s}");
         }
@@ -70,39 +55,16 @@ impl Event<'_> {
 }
 
 /// Renders the JSONL journal of a finished run from what it returned:
-/// its run report (the section spans), its simulated time (DES runs),
-/// its metrics registry and, for a supervised run, the supervisor's
-/// recovery report. Absent inputs contribute no events.
+/// its run report (the section spans), its simulated time (DES runs)
+/// and its metrics registry. Absent inputs contribute no events.
 pub fn render_journal(
     run_id: u64,
     report: Option<&RunReport>,
     sim_time: Option<u64>,
     metrics: Option<&MetricsRegistry>,
-    recovery: Option<&RecoveryReport>,
 ) -> String {
     let mut out = String::new();
     let mut emit = |ev: Event| ev.write(run_id, &mut out);
-    if let Some(r) = recovery {
-        emit(Event {
-            kind: "run_start",
-            rung: r.rungs.first().map(String::as_str),
-            ..Event::default()
-        });
-        for e in &r.errors {
-            emit(Event {
-                kind: "attempt_error",
-                fields: vec![("error", e.clone())],
-                ..Event::default()
-            });
-        }
-        if let Some(b) = &r.bundle {
-            emit(Event {
-                kind: "bundle_captured",
-                fields: vec![("path", b.clone())],
-                ..Event::default()
-            });
-        }
-    }
     let sections = report.map_or(&[][..], |r| &r.sections);
     for s in sections {
         emit(Event {
@@ -113,7 +75,6 @@ pub fn render_journal(
                 ("plan_section", s.plan_section.to_string()),
                 ("workers", s.workers.len().to_string()),
             ],
-            ..Event::default()
         });
         emit(Event {
             t: s.span.1,
@@ -139,24 +100,10 @@ pub fn render_journal(
             ..Event::default()
         });
     }
-    if let Some(r) = recovery {
-        emit(Event {
-            kind: "run_end",
-            attempt: Some(r.attempts),
-            fields: vec![
-                ("final_mode", r.final_mode.clone()),
-                ("recovered", r.recovered.to_string()),
-                ("degraded", r.degraded.to_string()),
-                ("retries", r.retries.to_string()),
-                ("backoff_ms", r.backoff_ms.to_string()),
-            ],
-            ..Event::default()
-        });
-    }
     out
 }
 
-/// What a saved journal says about its run: the causal summary plus the
+/// What a saved journal says about its run: the event summary plus the
 /// rebuilt metrics registry (absent when the run had metrics off).
 #[derive(Debug, Clone)]
 pub struct JournalReport {
@@ -166,12 +113,6 @@ pub struct JournalReport {
     pub events: usize,
     /// Event count per kind, e.g. `section_start -> 2`.
     pub kinds: BTreeMap<String, usize>,
-    /// Highest supervisor attempt ordinal seen (0 when unsupervised).
-    pub attempts: u64,
-    /// The `final_mode` field of the `run_end` event, when present.
-    pub final_mode: Option<String>,
-    /// Bundle paths from `bundle_captured` events, in capture order.
-    pub bundles: Vec<String>,
     /// The rebuilt metrics registry from the terminal `metrics` event.
     pub metrics: Option<MetricsRegistry>,
 }
@@ -242,9 +183,6 @@ pub fn parse_journal(text: &str) -> Result<JournalReport, String> {
         run_id: String::new(),
         events: 0,
         kinds: BTreeMap::new(),
-        attempts: 0,
-        final_mode: None,
-        bundles: Vec::new(),
         metrics: None,
     };
     for (lineno, line) in text.lines().enumerate() {
@@ -264,34 +202,17 @@ pub fn parse_journal(text: &str) -> Result<JournalReport, String> {
             .and_then(Json::as_str)
             .ok_or_else(|| format!("journal line {}: missing kind", lineno + 1))?
             .to_string();
-        if let Some(a) = ev.get("attempt").and_then(Json::as_u64) {
-            report.attempts = report.attempts.max(a);
-        }
-        let fields = ev.get("fields");
-        match kind.as_str() {
-            "run_end" => {
-                report.final_mode = fields
-                    .and_then(|f| f.get("final_mode"))
-                    .and_then(Json::as_str)
-                    .map(str::to_string);
-            }
-            "bundle_captured" => {
-                if let Some(p) = fields.and_then(|f| f.get("path")).and_then(Json::as_str) {
-                    report.bundles.push(p.to_string());
-                }
-            }
-            "metrics" => {
-                let payload = fields
-                    .and_then(|f| f.get("metrics"))
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| {
-                        format!("journal line {}: metrics event without payload", lineno + 1)
-                    })?;
-                let parsed = Json::parse(payload)
-                    .map_err(|e| format!("journal line {}: embedded metrics: {e}", lineno + 1))?;
-                report.metrics = Some(registry_from_json(&parsed)?);
-            }
-            _ => {}
+        if kind == "metrics" {
+            let payload = ev
+                .get("fields")
+                .and_then(|f| f.get("metrics"))
+                .and_then(Json::as_str)
+                .ok_or_else(|| {
+                    format!("journal line {}: metrics event without payload", lineno + 1)
+                })?;
+            let parsed = Json::parse(payload)
+                .map_err(|e| format!("journal line {}: embedded metrics: {e}", lineno + 1))?;
+            report.metrics = Some(registry_from_json(&parsed)?);
         }
         *report.kinds.entry(kind).or_insert(0) += 1;
     }
@@ -302,7 +223,7 @@ pub fn parse_journal(text: &str) -> Result<JournalReport, String> {
 }
 
 impl JournalReport {
-    /// Renders the causal run summary followed by the hotspot tables
+    /// Renders the run summary followed by the hotspot tables
     /// (`top` rows per table), matching the live `commsetc report`
     /// layout.
     pub fn render_text(&self, top: usize) -> String {
@@ -311,15 +232,6 @@ impl JournalReport {
         let _ = writeln!(s, "events:   {}", self.events);
         let kinds: Vec<String> = self.kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
         let _ = writeln!(s, "kinds:    {}", kinds.join(" "));
-        if self.attempts > 0 {
-            let _ = writeln!(s, "attempts: {}", self.attempts);
-        }
-        if let Some(m) = &self.final_mode {
-            let _ = writeln!(s, "final:    {m}");
-        }
-        for b in &self.bundles {
-            let _ = writeln!(s, "bundle:   {b}");
-        }
         match &self.metrics {
             Some(reg) => s.push_str(&reg.render_text(top)),
             None => s.push_str("metrics:\n  (journal has no metrics event)\n"),
@@ -366,7 +278,6 @@ mod tests {
             Some(&one_section_report()),
             Some(99),
             Some(&reg),
-            None,
         );
         let report = parse_journal(&jsonl).unwrap();
         assert_eq!(report.run_id, "0000000000c0ffee");
@@ -381,7 +292,7 @@ mod tests {
 
     #[test]
     fn metrics_event_embeds_registry_json() {
-        let jsonl = render_journal(9, None, Some(77), Some(&sample_registry()), None);
+        let jsonl = render_journal(9, None, Some(77), Some(&sample_registry()));
         let metrics = jsonl.lines().next().unwrap();
         assert!(metrics.contains("\"t\":77,\"kind\":\"metrics\""), "{jsonl}");
         // The registry JSON rides inside the string field, escaped.
@@ -390,7 +301,7 @@ mod tests {
 
     #[test]
     fn journal_without_metrics_reports_none() {
-        let report = parse_journal(&render_journal(5, None, Some(7), None, None)).unwrap();
+        let report = parse_journal(&render_journal(5, None, Some(7), None)).unwrap();
         assert!(report.metrics.is_none());
         assert!(report.render_text(5).contains("no metrics event"));
     }
@@ -404,85 +315,19 @@ mod tests {
         assert!(err.contains("missing kind"), "{err}");
     }
 
-    fn sample_recovery() -> RecoveryReport {
-        RecoveryReport {
-            attempts: 2,
-            rungs: vec!["threads(deltas, 8)".into(), "threads(sharded, 8)".into()],
-            final_mode: "threads(sharded, 8)".into(),
-            recovered: true,
-            degraded: true,
-            errors: vec!["worker `w` failed: injected delta poison".into()],
-            bundle: Some("target/repro/b.repro.json".into()),
-            ..RecoveryReport::default()
-        }
-    }
-
     #[test]
     fn jsonl_has_one_object_per_event_with_causal_ids() {
-        let recovery = sample_recovery();
-        let jsonl = render_journal(
-            0xabcd,
-            Some(&one_section_report()),
-            None,
-            None,
-            Some(&recovery),
-        );
+        let jsonl = render_journal(0xabcd, Some(&one_section_report()), Some(12), None);
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 6);
         assert_eq!(
-            lines[0],
-            "{\"run\":\"000000000000abcd\",\"t\":0,\"kind\":\"run_start\",\
-             \"rung\":\"threads(deltas, 8)\"}"
-        );
-        assert_eq!(
-            lines[3..5],
+            lines,
             [
                 "{\"run\":\"000000000000abcd\",\"t\":3,\"kind\":\"section_start\",\"section\":0,\
                  \"fields\":{\"plan_section\":\"2\",\"workers\":\"2\"}}",
                 "{\"run\":\"000000000000abcd\",\"t\":10,\"kind\":\"section_end\",\"section\":0}",
+                "{\"run\":\"000000000000abcd\",\"t\":12,\"kind\":\"sim_finished\",\
+                 \"fields\":{\"sim_time\":\"12\"}}",
             ]
         );
-        assert!(
-            lines[5].contains("\"kind\":\"run_end\",\"attempt\":2,"),
-            "{jsonl}"
-        );
-        for line in lines {
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-        }
-    }
-
-    #[test]
-    fn summary_tracks_attempts_bundles_and_final_mode() {
-        let recovery = sample_recovery();
-        let jsonl = render_journal(1, Some(&one_section_report()), None, None, Some(&recovery));
-        let kinds: Vec<&str> = jsonl
-            .lines()
-            .map(|l| {
-                l.split("\"kind\":\"")
-                    .nth(1)
-                    .unwrap()
-                    .split('"')
-                    .next()
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                "run_start",
-                "attempt_error",
-                "bundle_captured",
-                "section_start",
-                "section_end",
-                "run_end"
-            ]
-        );
-        let report = parse_journal(&jsonl).unwrap();
-        assert_eq!(report.attempts, 2);
-        assert_eq!(report.final_mode.as_deref(), Some("threads(sharded, 8)"));
-        assert_eq!(report.bundles, vec!["target/repro/b.repro.json"]);
-        let text = report.render_text(3);
-        assert!(text.contains("attempts: 2"));
-        assert!(text.contains("final:    threads(sharded, 8)"));
     }
 }

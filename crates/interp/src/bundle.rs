@@ -1,14 +1,13 @@
 //! Replayable failure bundles.
 //!
-//! When a supervised run fails (see [`crate::supervise`]), the supervisor
-//! captures everything needed to re-execute the failing attempt
-//! deterministically into a self-contained `.repro.json` file: the program
-//! source and effects sidecar *inline* (so the bundle survives the
-//! original files moving), the schedule knobs (scheme, sync mode, thread
-//! count, backend, world mode), the full [`FaultPlan`], the deadline, and
-//! the failure itself (error rendering, ladder rung, attempt ordinal,
-//! per-attempt error history). `commsetc replay <bundle>` re-runs the
-//! attempt and reports whether the recorded failure reproduces.
+//! When an attempt fails (see [`crate::attempt`]), [`crate::capture_bundle`]
+//! writes everything needed to re-execute it deterministically into a
+//! self-contained `.repro.json` file: the program source and effects
+//! sidecar *inline* (so the bundle survives the original files moving),
+//! the schedule knobs (scheme, sync mode, thread count, backend, world
+//! mode), the full [`FaultPlan`], the deadline, and the failure's error
+//! rendering. `commsetc replay <bundle>` re-runs the attempt and reports
+//! whether the recorded failure reproduces.
 //!
 //! The workspace is intentionally dependency-free, so this module carries
 //! its own small JSON reader ([`Json`]) alongside the hand-written writer
@@ -247,7 +246,7 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
 /// Everything needed to re-execute one failed attempt deterministically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FailureBundle {
-    /// Bundle format version (currently 1).
+    /// Bundle format version (currently 2).
     pub version: u32,
     /// Path of the original program (informational; `source` is inline).
     pub program_path: String,
@@ -259,7 +258,9 @@ pub struct FailureBundle {
     pub scheme: String,
     /// Sync mode name (`lib`, `spin`, `mutex`, `tm`).
     pub sync: String,
-    /// Worker thread count of the failing rung.
+    /// The hot-function override the program was analysed under, if any.
+    pub hot_func: Option<String>,
+    /// Worker thread count of the failing attempt.
     pub threads: usize,
     /// Executor backend of the failing attempt (`threads` or `sim`).
     pub backend: String,
@@ -272,12 +273,6 @@ pub struct FailureBundle {
     pub fault: FaultPlan,
     /// The failure's error rendering.
     pub error: String,
-    /// Description of the ladder rung that failed.
-    pub rung: String,
-    /// 1-based attempt ordinal at which this failure occurred.
-    pub attempt: u32,
-    /// Schedule excerpt: per-attempt error history up to the capture.
-    pub history: Vec<String>,
     /// Causal run id linking this bundle to the journal of the run that
     /// captured it (see [`run_id`]).
     pub run_id: u64,
@@ -287,7 +282,7 @@ pub struct FailureBundle {
 /// and sync names (lowercased, so `DSWP` and `dswp` agree), the initial
 /// thread count and the backend name, NUL-separated. There is no wall
 /// clock in it, so the same program and knobs always get the same id.
-/// Rendered journals and the bundles of supervised runs carry it.
+/// Rendered journals and failure bundles carry it.
 pub fn run_id(path: &str, scheme: &str, sync: &str, threads: usize, backend: &str) -> u64 {
     let parts = [
         path,
@@ -339,11 +334,6 @@ impl FailureBundle {
             Some(c) => c.to_string(),
             None => "null".to_string(),
         };
-        let history: Vec<String> = self
-            .history
-            .iter()
-            .map(|h| format!("\"{}\"", escape(h)))
-            .collect();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"version\": {},", self.version);
         let _ = writeln!(
@@ -355,6 +345,11 @@ impl FailureBundle {
         let _ = writeln!(out, "  \"effects\": \"{}\",", escape(&self.effects));
         let _ = writeln!(out, "  \"scheme\": \"{}\",", escape(&self.scheme));
         let _ = writeln!(out, "  \"sync\": \"{}\",", escape(&self.sync));
+        let hot_func = match &self.hot_func {
+            Some(f) => format!("\"{}\"", escape(f)),
+            None => "null".to_string(),
+        };
+        let _ = writeln!(out, "  \"hot_func\": {hot_func},");
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
         let _ = writeln!(out, "  \"backend\": \"{}\",", escape(&self.backend));
         let _ = writeln!(out, "  \"world_mode\": \"{}\",", escape(&self.world_mode));
@@ -381,10 +376,7 @@ impl FailureBundle {
             slow
         );
         let _ = writeln!(out, "  \"error\": \"{}\",", escape(&self.error));
-        let _ = writeln!(out, "  \"rung\": \"{}\",", escape(&self.rung));
-        let _ = writeln!(out, "  \"attempt\": {},", self.attempt);
-        let _ = writeln!(out, "  \"run_id\": {},", self.run_id);
-        let _ = writeln!(out, "  \"history\": [{}]", history.join(","));
+        let _ = writeln!(out, "  \"run_id\": {}", self.run_id);
         out.push('}');
         out
     }
@@ -408,7 +400,7 @@ impl FailureBundle {
                 .ok_or_else(|| format!("bundle missing numeric field `{k}`"))
         };
         let version = u64_field("version")? as u32;
-        if version != 1 {
+        if version != 2 {
             return Err(format!("unsupported bundle version {version}"));
         }
         let fj = v
@@ -458,23 +450,12 @@ impl FailureBundle {
                 .map(|c| c as usize),
             shard_hold_every: fault_u64("shard_hold_every")?,
             shard_hold_cost: fault_u64("shard_hold_cost")?,
-            queue_stall_every: fault_u64("queue_stall_every").unwrap_or(0),
-            queue_stall_cost: fault_u64("queue_stall_cost").unwrap_or(0),
-            shard_poison_nth: fault_u64("shard_poison_nth").unwrap_or(0),
-            // Older bundles predate delta privatization: default 0.
-            delta_poison_nth: fault_u64("delta_poison_nth").unwrap_or(0),
+            queue_stall_every: fault_u64("queue_stall_every")?,
+            queue_stall_cost: fault_u64("queue_stall_cost")?,
+            shard_poison_nth: fault_u64("shard_poison_nth")?,
+            delta_poison_nth: fault_u64("delta_poison_nth")?,
             slow,
         };
-        let history = v
-            .get("history")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|i| i.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
         Ok(FailureBundle {
             version,
             program_path: str_field("program_path")?,
@@ -482,17 +463,14 @@ impl FailureBundle {
             effects: str_field("effects")?,
             scheme: str_field("scheme")?,
             sync: str_field("sync")?,
+            hot_func: v.get("hot_func").and_then(Json::as_str).map(str::to_string),
             threads: u64_field("threads")? as usize,
             backend: str_field("backend")?,
             world_mode: str_field("world_mode")?,
             deadline_ms: v.get("deadline_ms").and_then(Json::as_u64),
             fault,
             error: str_field("error")?,
-            rung: str_field("rung")?,
-            attempt: u64_field("attempt")? as u32,
-            history,
-            // Older bundles predate run ids: default 0.
-            run_id: v.get("run_id").and_then(Json::as_u64).unwrap_or(0),
+            run_id: u64_field("run_id")?,
         })
     }
 
@@ -551,12 +529,13 @@ mod tests {
 
     fn sample() -> FailureBundle {
         FailureBundle {
-            version: 1,
+            version: 2,
             program_path: "progs/reduce.cmm".into(),
             source: "int main() {\n  return 0;\n}".into(),
             effects: "emit writes=OUT cost=25\n".into(),
             scheme: "doall".into(),
             sync: "spin".into(),
+            hot_func: Some("work".into()),
             threads: 8,
             backend: "threads".into(),
             world_mode: "sharded".into(),
@@ -574,9 +553,6 @@ mod tests {
                 ..FaultPlan::default()
             },
             error: "worker `w` failed: injected shard poison (fault plan)".into(),
-            rung: "threads(sharded, 8)".into(),
-            attempt: 2,
-            history: vec!["first error \"quoted\"".into()],
             run_id: 0xdead_beef_0042_1111,
         }
     }
@@ -622,6 +598,12 @@ mod tests {
         let b = sample();
         let parsed = FailureBundle::from_json(&b.to_json()).unwrap();
         assert_eq!(parsed, b);
+        let default_hot = FailureBundle {
+            hot_func: None,
+            ..sample()
+        };
+        let parsed = FailureBundle::from_json(&default_hot.to_json()).unwrap();
+        assert_eq!(parsed, default_hot);
         // Bundles written while the watchdog was a knob carry a
         // `"watchdog"` key; the reader ignores it.
         let old = b.to_json().replace(
@@ -643,7 +625,7 @@ mod tests {
     #[test]
     fn corrupt_bundles_are_rejected_with_field_names() {
         assert!(FailureBundle::from_json("not json").is_err());
-        let missing = FailureBundle::from_json("{\"version\": 1}").unwrap_err();
+        let missing = FailureBundle::from_json("{\"version\": 2}").unwrap_err();
         assert!(missing.contains('`'), "{missing}");
         let bad_version = FailureBundle::from_json("{\"version\": 9}").unwrap_err();
         assert!(bad_version.contains("version"), "{bad_version}");

@@ -27,7 +27,7 @@
 //! [`BcVm`] implements the resumable [`StepOutcome::Special`] contract
 //! (watched calls, `resolve_special`, `retry_special_later`) and is the
 //! only engine: the sequential, discrete-event and real-thread
-//! executors, the supervisor ladder and the checker all drive it. The
+//! executors, the attempt runner and the checker all drive it. The
 //! tree-walk [`Vm`](crate::vm::Vm) is kept as the reference the parity
 //! tests compare it against.
 
@@ -810,12 +810,11 @@ impl<'m> BcVm<'m> {
         self.watch_calls(names.iter().map(String::as_str));
     }
 
-    /// Removes and returns the recorded call-boundary events.
-    pub fn drain_call_events(&mut self) -> Vec<CallEvent> {
-        match &mut self.watch {
-            Some(st) => std::mem::take(&mut st.events),
-            None => Vec::new(),
-        }
+    /// Removes and yields the recorded call-boundary events. The buffer
+    /// keeps its capacity, so the next region entry records without
+    /// allocating.
+    pub fn drain_call_events(&mut self) -> impl Iterator<Item = CallEvent> + '_ {
+        self.watch.iter_mut().flat_map(|st| st.events.drain(..))
     }
 
     /// Number of watched frames currently on the stack.
@@ -1512,8 +1511,8 @@ mod tests {
                 break;
             }
         }
-        let te = tree.drain_call_events();
-        let be = byte.drain_call_events();
+        let te: Vec<_> = tree.drain_call_events().collect();
+        let be: Vec<_> = byte.drain_call_events().collect();
         assert_eq!(te, be);
         assert_eq!(te.len(), 4);
     }

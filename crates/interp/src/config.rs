@@ -30,7 +30,7 @@ pub enum WorldMode {
 }
 
 impl WorldMode {
-    /// The mode's name in ladder rungs and failure bundles.
+    /// The mode's name in failure bundles.
     pub fn name(self) -> &'static str {
         match self {
             WorldMode::Auto => "auto",

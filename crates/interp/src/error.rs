@@ -118,44 +118,6 @@ pub enum ExecError {
     },
 }
 
-impl ExecError {
-    /// True for failure modes that depend on scheduling/timing — a
-    /// different interleaving (or a lower rung of the degradation ladder)
-    /// may succeed, so the supervisor retries them. Deterministic errors
-    /// (dynamic errors the program will hit under *any* schedule) are not
-    /// retried at the same rung.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            ExecError::Deadlock { .. }
-            | ExecError::WatchdogViolation { .. }
-            | ExecError::DeadlineExceeded { .. }
-            | ExecError::Canceled { .. } => true,
-            ExecError::WorkerFailed { cause, .. } => !Self::deterministic_cause(cause),
-            _ => false,
-        }
-    }
-
-    /// Does a `WorkerFailed` cause string render a deterministic dynamic
-    /// error (as produced by [`ExecError`]'s `Display` or a typed
-    /// `SlotError` payload), rather than a raw panic?
-    fn deterministic_cause(cause: &str) -> bool {
-        const DETERMINISTIC: &[&str] = &[
-            "division by zero",
-            "remainder by zero",
-            "out of bounds",
-            "type error in",
-            "no function `",
-            "arity mismatch",
-            "unknown queue id",
-            "no parallel plan for section",
-            "nested parallel sections",
-            "__tx_commit without",
-            "world slot `",
-        ];
-        DETERMINISTIC.iter().any(|m| cause.contains(m))
-    }
-}
-
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -263,48 +225,5 @@ mod tests {
     fn error_trait_is_implemented() {
         let e: Box<dyn std::error::Error> = Box::new(ExecError::NestedParallelSection);
         assert!(e.to_string().contains("nested"));
-    }
-
-    #[test]
-    fn transient_classification_separates_schedule_from_program_errors() {
-        // Schedule-dependent: retryable.
-        assert!(ExecError::Deadlock {
-            section: 0,
-            waiting: vec![]
-        }
-        .is_transient());
-        assert!(ExecError::DeadlineExceeded {
-            section: 0,
-            deadline_ms: 5
-        }
-        .is_transient());
-        assert!(ExecError::Canceled { stage: "w".into() }.is_transient());
-        assert!(ExecError::WatchdogViolation {
-            section: 1,
-            detail: "cycle".into()
-        }
-        .is_transient());
-        // A contained raw panic could be schedule-dependent: retryable.
-        assert!(ExecError::WorkerFailed {
-            stage: "w".into(),
-            cause: "injected shard poison (fault plan)".into()
-        }
-        .is_transient());
-        // Deterministic dynamic errors: not retryable at the same rung.
-        assert!(!ExecError::DivisionByZero { func: "f".into() }.is_transient());
-        assert!(!ExecError::MissingHandler {
-            intrinsic: "nope".into()
-        }
-        .is_transient());
-        assert!(!ExecError::WorkerFailed {
-            stage: "w".into(),
-            cause: "division by zero in `f`".into()
-        }
-        .is_transient());
-        assert!(!ExecError::WorkerFailed {
-            stage: "w".into(),
-            cause: "world slot `acc` is not installed".into()
-        }
-        .is_transient());
     }
 }

@@ -479,8 +479,8 @@ impl<'a> Observer<'a> {
     /// Records the VM's buffered region entries and exits, stamped with
     /// `now()` (read only when there are events).
     pub fn regions(&mut self, vm: &mut BcVm<'_>, now: impl FnOnce() -> u64) {
-        let events = vm.drain_call_events();
-        if events.is_empty() {
+        let mut events = vm.drain_call_events().peekable();
+        if events.peek().is_none() {
             return;
         }
         let t = now();
@@ -614,10 +614,9 @@ impl Drop for Observer<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
     use crate::{
-        run_sequential, run_simulated_with, run_supervised, run_threaded_with, Backend, ExecConfig,
-        ExecError, RecoveryPolicy, TraceEvent, TraceRecord, TraceSink,
+        run_sequential, run_simulated_with, run_threaded_with, ExecConfig, ExecError, TraceEvent,
+        TraceRecord, TraceSink,
     };
     use commset_ir::{lower_program, IntrinsicTable, Module};
     use commset_runtime::intrinsics::IntrinsicOutcome;
@@ -625,8 +624,6 @@ mod tests {
     use commset_sim::CostModel;
     use commset_telemetry::RunReport;
     use commset_transform::{ParallelPlan, Scheme, SyncMode, WorkerSpec};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     fn module(src: &str) -> Module {
         let unit = commset_lang::compile_unit(src).unwrap();
@@ -722,14 +719,10 @@ mod tests {
         }
         int main() { __par_invoke(0); return 0; }";
 
-    /// A registry whose `tick` panics on its first call when `flaky`.
-    fn tick_registry(flaky: bool) -> Registry {
-        let armed = Arc::new(AtomicBool::new(flaky));
+    /// A registry whose `tick` does nothing.
+    fn tick_registry() -> Registry {
         let mut r = Registry::new();
-        r.register("tick", move |_, _| {
-            assert!(!armed.swap(false, Ordering::SeqCst), "flaky tick");
-            IntrinsicOutcome::unit()
-        });
+        r.register("tick", |_, _| IntrinsicOutcome::unit());
         r
     }
 
@@ -769,7 +762,7 @@ mod tests {
     #[test]
     fn each_worker_streams_its_events_in_its_own_order_on_both_executors() {
         let (m, plans) = (module(REGIONS_SRC), [plan("__par0_w", 2)]);
-        let reg = tick_registry(false);
+        let reg = tick_registry();
         let des = || {
             let sink = TraceSink::new();
             let cfg = ExecConfig::with_trace(sink.clone());
@@ -789,49 +782,5 @@ mod tests {
         let cfg = ExecConfig::with_trace(sink.clone());
         run_threaded_with(&m, &reg, &plans, World::new(), &cfg).unwrap();
         assert_worker_order(&sink.take(), "threads");
-    }
-
-    /// [`REGIONS_SRC`] on two workers at every rung, with a flaky `tick`.
-    struct Flaky(Module, Registry);
-
-    impl ProgramSource for Flaky {
-        fn parallel(&self, _threads: usize) -> Result<CompiledProgram, String> {
-            let (module, plans) = (self.0.clone(), vec![plan("__par0_w", 2)]);
-            Ok(CompiledProgram { module, plans })
-        }
-        fn sequential(&self) -> Result<Module, String> {
-            Err("no sequential form".into())
-        }
-        fn fresh_world(&self) -> World {
-            World::new()
-        }
-        fn registry(&self) -> &Registry {
-            &self.1
-        }
-        fn describe(&self) -> ProgramDesc {
-            ProgramDesc::default()
-        }
-    }
-
-    #[test]
-    fn a_retried_run_reports_the_final_attempts_events_only() {
-        let src = Flaky(module(REGIONS_SRC), tick_registry(true));
-        let sink = TraceSink::new();
-        let cfg = ExecConfig::with_trace(sink.clone());
-        let policy = RecoveryPolicy::default();
-        let out = run_supervised(&src, Backend::Threads, 2, &cfg, &policy, None).unwrap();
-        assert_eq!(out.recovery.retries, 1, "{:?}", out.recovery);
-        assert_eq!(
-            regions(out.telemetry),
-            8,
-            "the final attempt's regions only"
-        );
-        // The shared sink holds both attempts: the failed one entered at
-        // least the region whose world call panicked.
-        let recs = sink.take();
-        let enters = recs
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::RegionEnter { .. }));
-        assert!(enters.count() > 8);
     }
 }

@@ -7,8 +7,8 @@
 //!   superinstructions, inline-cached intrinsic call sites) and run by
 //!   [`bytecode::BcVm`], a *resumable* machine: `step()` retires one op;
 //!   intrinsic calls surface as pending *special* events the driving
-//!   executor resolves. Every executor, the supervisor and the checker
-//!   run it.
+//!   executor resolves. Every executor, the attempt runner and the
+//!   checker run it.
 //! * [`vm`] — the resumable contract ([`vm::StepOutcome`],
 //!   [`vm::CallEvent`], [`vm::GlobalMem`]) and [`vm::Vm`], a tree-walk
 //!   interpreter over the CFG IR kept only as the reference the tests
@@ -36,10 +36,9 @@
 //! * [`config`] — the shared [`config::ExecConfig`] knob set (fault
 //!   injection, STM retry discipline, world mode, deadlines, trace sink,
 //!   metrics).
-//! * [`supervise`] — the self-healing execution supervisor: per-section
-//!   deadlines, transient-failure retry with backoff, a degradation ladder
-//!   (sharded → single lock → thread halving → sequential) with
-//!   oracle-validated degraded results, and replayable failure bundles.
+//! * [`attempt`] — one execution attempt: compile for a thread count, run
+//!   once on either parallel executor, and on failure return the
+//!   structured error, capture a replayable failure bundle and replay it.
 //! * [`bundle`] — the `.repro.json` failure-bundle format (and the small
 //!   JSON reader it needs), consumed by `commsetc replay`, and the
 //!   deterministic [`bundle::run_id`] bundles and journals share.
@@ -55,6 +54,7 @@
 //! counters) the outcome carries — monotonic nanoseconds on real threads,
 //! deterministic ticks under the DES.
 
+pub mod attempt;
 pub mod bundle;
 pub mod bytecode;
 pub mod config;
@@ -64,11 +64,14 @@ pub mod globals;
 pub mod metrics;
 pub mod seq;
 pub mod sim_exec;
-pub mod supervise;
 pub mod thread_exec;
 pub mod trace;
 pub mod vm;
 
+pub use attempt::{
+    capture_bundle, replay_attempt, run_attempt, Attempt, AttemptError, Backend, CompiledProgram,
+    ProgramDesc, ProgramSource,
+};
 pub use bundle::{run_id, FailureBundle};
 pub use bytecode::{print_bc_function, print_bc_module, BcModule, BcVm};
 pub use config::{ExecConfig, WorldMode};
@@ -76,10 +79,6 @@ pub use error::ExecError;
 pub use metrics::MetricsLocal;
 pub use seq::run_sequential;
 pub use sim_exec::{run_simulated, run_simulated_with, SimOutcome, SimStats};
-pub use supervise::{
-    replay_attempt, run_supervised, Backend, CompiledProgram, ProgramDesc, ProgramSource,
-    RecoveryPolicy, SupervisedFailure, SupervisedOutcome, Validator,
-};
 pub use thread_exec::{run_threaded, run_threaded_with, ThreadOutcome, ThreadStats};
 pub use trace::{TraceEvent, TraceRecord, TraceSink};
 pub use vm::{CallEvent, OobError, StepOutcome, Vm};

@@ -493,8 +493,8 @@ fn run_section(
         return Err(e);
     }
 
-    // A panicking merge is contained exactly like a worker panic so the
-    // supervisor can descend the ladder to plain Sharded.
+    // A panicking merge is contained exactly like a worker panic, so the
+    // run fails with a structured error instead of unwinding.
     let bufs = delta_out.into_inner();
     let delta = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         coalesce_deltas(run, injector, bufs, |buf| {

@@ -244,12 +244,11 @@ impl<'m> Vm<'m> {
         self.watch_calls(names.iter().map(String::as_str));
     }
 
-    /// Removes and returns the recorded call-boundary events.
-    pub fn drain_call_events(&mut self) -> Vec<CallEvent> {
-        match &mut self.watch {
-            Some(st) => std::mem::take(&mut st.events),
-            None => Vec::new(),
-        }
+    /// Removes and yields the recorded call-boundary events. The buffer
+    /// keeps its capacity, so the next region entry records without
+    /// allocating.
+    pub fn drain_call_events(&mut self) -> impl Iterator<Item = CallEvent> + '_ {
+        self.watch.iter_mut().flat_map(|st| st.events.drain(..))
     }
 
     /// Number of watched frames currently on the stack (`> 0` means the
@@ -806,7 +805,7 @@ mod tests {
                 StepOutcome::Special(_) => panic!("unexpected intrinsic"),
             }
         }
-        assert!(vm.drain_call_events().is_empty());
+        assert!(vm.drain_call_events().next().is_none());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 /// Panic payload used for injected delta-coalesce poisoning, recognizable
-/// by the containment layer and the supervisor's error classifier.
+/// by the containment layer and in the error it reports.
 pub const DELTA_POISON_MSG: &str = "injected delta poison (fault plan)";
 
 /// Identity constructor for one delta slot. Receives the concrete slot

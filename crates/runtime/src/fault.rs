@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Panic payload used for injected shard poisoning, recognizable by the
-/// containment layer and the supervisor's error classifier.
+/// containment layer and in the error it reports.
 pub const SHARD_POISON_MSG: &str = "injected shard poison (fault plan)";
 
 /// Stall specification for one worker.
@@ -77,15 +77,15 @@ pub struct FaultPlan {
     pub queue_stall_cost: u64,
     /// Panic *inside* the `n`-th shard hold (0 = never). Fires exactly
     /// once per injector: the panic unwinds through the shard guard,
-    /// poisoning the shard mutex — the supervisor-torture probe that a
-    /// poisoned shard is recovered, contained, and survivable.
+    /// poisoning the shard mutex — the torture probe that a poisoned
+    /// shard is recovered and the worker's panic contained and reported.
     pub shard_poison_nth: u64,
     /// One persistently slow worker (`None` = none).
     pub slow: Option<SlowWorker>,
     /// Fail the `n`-th delta-coalesce event (0 = never). Fires exactly
     /// once per injector, only on the delta-privatized world mode's
-    /// section-barrier merge — the probe that a poisoned coalesce
-    /// degrades cleanly to the lock-mediated sharded world.
+    /// section-barrier merge — the probe that a poisoned coalesce is
+    /// contained and reported as a structured error.
     pub delta_poison_nth: u64,
 }
 
@@ -185,8 +185,8 @@ impl FaultPlan {
     }
 
     /// Delta poison: the first section-barrier coalesce of per-worker
-    /// delta buffers fails. The supervisor must contain the failure and
-    /// descend the ladder to the lock-mediated sharded world.
+    /// delta buffers fails. The executor must contain the failure and
+    /// report it as a structured error.
     pub fn delta_poison(seed: u64) -> Self {
         FaultPlan {
             seed,

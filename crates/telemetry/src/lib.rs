@@ -24,13 +24,10 @@
 //!   counters, log2-bucketed histograms, and bytecode hotspot
 //!   attribution (per-opcode retires, hot-block ranks), merged from
 //!   per-worker local state published once at worker exit.
-//! * [`recovery`] — the [`recovery::RecoveryReport`]: what the execution
-//!   supervisor did to finish a run.
 //!
 //! The JSONL event journal is not recorded during a run: `commset`'s
 //! `report::render_journal` renders it afterwards from the run report,
-//! the simulated time, the registry and the recovery report the run
-//! returns.
+//! the simulated time and the registry the run returns.
 //!
 //! Telemetry is zero-cost when off: the executors consult one option per
 //! layer (`ExecConfig::trace` for the event stream and the run report it
@@ -40,13 +37,11 @@
 pub mod chrome;
 pub mod json;
 pub mod metrics;
-pub mod recovery;
 pub mod report;
 pub mod span;
 
 pub use chrome::{chrome_trace_json, ChromeTraceBuilder};
 pub use metrics::{MetricsRegistry, MetricsSink};
-pub use recovery::RecoveryReport;
 pub use report::{
     ClockUnit, LockReport, QueueReport, RunCounters, RunReport, SectionMeta, SectionProfile,
     StageReport, WorkerReport,

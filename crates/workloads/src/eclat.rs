@@ -41,7 +41,7 @@ const SEED: u64 = 0x5eed_0004;
 /// frequent set. Shared (`Arc`) between the mutable mining state and the
 /// per-stripe object shards, so the heavy intersection kernel can run
 /// against a stripe-local slot without touching the shared `eclat` slot.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EclatDb {
     /// Sorted tid-lists per candidate.
     pub tidlists: Vec<Vec<i64>>,
@@ -88,7 +88,7 @@ impl EclatDb {
 
 /// The mutable mining state (outputs + shared cursor) over the shared
 /// database.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Eclat {
     /// The shared vertical database.
     pub db: Arc<EclatDb>,
@@ -103,6 +103,17 @@ pub struct Eclat {
 }
 
 impl Eclat {
+    /// Mining state over `db` with nothing read or mined yet.
+    fn start(db: &Arc<EclatDb>) -> Eclat {
+        Eclat {
+            db: Arc::clone(db),
+            cursor: 0,
+            lists: Vec::new(),
+            stat_count: 0,
+            stat_max: 0,
+        }
+    }
+
     /// Sorted-list intersection size (delegates to the shared database).
     pub fn intersect(&self, c: usize) -> i64 {
         self.db.intersect(c)
@@ -314,11 +325,12 @@ fn registry(db: SharedInput<Arc<EclatDb>>) -> Registry {
     // object tables absorb: alloc/free pair within one iteration (one
     // worker), so a worker's table arrives empty and contributes only its
     // allocation count.
+    let fold_db = db.clone();
     r.declare_merge(
         "eclat",
         MergeSpec::custom(
             "eclat-fold",
-            |_| Eclat::default(),
+            move |_| Eclat::start(fold_db.get()),
             |base: &mut Eclat, d: Eclat| {
                 base.cursor += d.cursor;
                 base.lists.extend(d.lists);
@@ -352,13 +364,7 @@ fn registry(db: SharedInput<Arc<EclatDb>>) -> Registry {
 /// object-table stripes (`objs#0` … `objs#7`) sharing the database.
 fn make_world(db: &Arc<EclatDb>) -> World {
     let mut w = World::new();
-    w.install(
-        "eclat",
-        Eclat {
-            db: Arc::clone(db),
-            ..Eclat::default()
-        },
-    );
+    w.install("eclat", Eclat::start(db));
     for k in 0..WORLD_STRIPES {
         w.install(
             &stripe_slot("objs", k),

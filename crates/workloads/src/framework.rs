@@ -3,8 +3,7 @@
 //! Table 2 and Figure 6.
 
 use commset::{Analysis, Compiler, Scheme, SyncMode};
-use commset_interp::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
-use commset_interp::{Backend, ExecError, RecoveryPolicy, SupervisedFailure, SupervisedOutcome};
+use commset_interp::ExecError;
 use commset_ir::IntrinsicTable;
 use commset_lang::diag::Diagnostic;
 use commset_runtime::{Registry, World};
@@ -282,61 +281,6 @@ impl Workload {
         .map_err(Err)
     }
 
-    /// A [`ProgramSource`] for one scheme series, suitable for
-    /// `commset_interp::run_supervised`: the supervisor recompiles per
-    /// degradation-ladder rung (thread counts are baked into modules) and
-    /// obtains fresh input worlds per attempt.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the analysis diagnostic.
-    pub fn supervised_source(&self, spec: &SchemeSpec) -> Result<WorkloadSource<'_>, Diagnostic> {
-        let source: String = if spec.commset {
-            self.variants[spec.variant].clone()
-        } else {
-            self.plain_source()
-        };
-        let compiler = self.compiler();
-        let analysis = compiler.analyze(&source)?;
-        Ok(WorkloadSource {
-            workload: self,
-            scheme: spec.scheme,
-            sync: spec.sync,
-            label: spec.label.clone(),
-            compiler,
-            analysis,
-            source,
-        })
-    }
-
-    /// Runs one scheme under the execution supervisor: deadlines,
-    /// transient retries, and the degradation ladder down to the
-    /// sequential oracle, with every degraded result re-validated through
-    /// this workload's own [`Workload::validate`].
-    ///
-    /// # Errors
-    ///
-    /// `Err(Ok(diag))` when the scheme does not even analyze;
-    /// `Err(Err(fail))` when the whole ladder (including the sequential
-    /// fallback) failed.
-    #[allow(clippy::type_complexity)]
-    pub fn run_scheme_supervised(
-        &self,
-        spec: &SchemeSpec,
-        nthreads: usize,
-        backend: Backend,
-        cfg: &commset_interp::ExecConfig,
-        policy: &RecoveryPolicy,
-    ) -> Result<SupervisedOutcome, Result<Diagnostic, Box<SupervisedFailure>>> {
-        let src = self.supervised_source(spec).map_err(Ok)?;
-        // The framework validator is (sequential, parallel); the
-        // supervisor's is (candidate, oracle).
-        let validate = self.validate.clone();
-        let flip = move |cand: &World, oracle: &World| (validate)(oracle, cand);
-        commset_interp::run_supervised(&src, backend, nthreads, cfg, policy, Some(&flip))
-            .map_err(Err)
-    }
-
     /// Speedup of `spec` at `nthreads` over the sequential baseline,
     /// validating the parallel world. `None` when inapplicable.
     ///
@@ -386,59 +330,6 @@ impl Workload {
             .filter_map(|s| self.speedup(s, nthreads, cm).map(|v| (v, s.label.clone())))
             .max_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN speedups"))
             .unwrap_or((1.0, "Sequential".to_string()))
-    }
-}
-
-/// Adapter exposing one workload scheme series to the execution
-/// supervisor (see [`Workload::supervised_source`]).
-pub struct WorkloadSource<'a> {
-    workload: &'a Workload,
-    scheme: Scheme,
-    sync: SyncMode,
-    label: String,
-    compiler: Compiler,
-    analysis: Analysis,
-    source: String,
-}
-
-impl ProgramSource for WorkloadSource<'_> {
-    fn parallel(&self, threads: usize) -> Result<CompiledProgram, String> {
-        let (module, plan) = self
-            .compiler
-            .compile(&self.analysis, self.scheme, threads, self.sync)
-            .map_err(|d| d.to_string())?;
-        Ok(CompiledProgram {
-            module,
-            plans: vec![plan],
-        })
-    }
-
-    fn sequential(&self) -> Result<commset_ir::Module, String> {
-        // The sequential fallback is the pragma-stripped program — the
-        // paper's guarantee that eliding annotations yields the original.
-        let plain = self.workload.plain_source();
-        let analysis = self.compiler.analyze(&plain).map_err(|d| d.to_string())?;
-        self.compiler
-            .compile_sequential(&analysis)
-            .map_err(|d| d.to_string())
-    }
-
-    fn fresh_world(&self) -> World {
-        (self.workload.make_world)()
-    }
-
-    fn registry(&self) -> &Registry {
-        &self.workload.registry
-    }
-
-    fn describe(&self) -> ProgramDesc {
-        ProgramDesc {
-            path: format!("workload:{}/{}", self.workload.name, self.label),
-            source: self.source.clone(),
-            effects: String::new(),
-            scheme: self.scheme.to_string(),
-            sync: self.sync.to_string(),
-        }
     }
 }
 

@@ -33,7 +33,7 @@ pub mod potrace;
 pub mod url;
 pub mod worldlib;
 
-pub use framework::{strip_pragmas, PaperRow, SchemeSpec, Workload, WorkloadSource};
+pub use framework::{strip_pragmas, PaperRow, SchemeSpec, Workload};
 
 /// All eight workloads, in Table 2 order.
 pub fn all() -> Vec<Workload> {

@@ -11,10 +11,9 @@
 //! not an event). Timestamps, orders and durations differ between the
 //! substrates and are not compared.
 
-use commset::profile::run_profile_with;
-use commset::spec::{build_table, parse_effects};
-use commset::{Compiler, Scheme, SyncMode};
-use commset_interp::{ExecConfig, TraceEvent, TraceSink};
+use commset::profile::SyntheticSource;
+use commset::{Scheme, SyncMode};
+use commset_interp::{run_attempt, Backend, ExecConfig, ProgramDesc, TraceEvent, TraceSink};
 use commset_telemetry::SpanKind;
 use std::collections::BTreeMap;
 
@@ -52,27 +51,23 @@ fn event_key(ev: &TraceEvent) -> String {
 
 fn observe(sample: &str, scheme: Scheme, threads: usize, real: bool) -> Counts {
     let dir = samples_dir();
-    let src = std::fs::read_to_string(format!("{dir}/{sample}.cmm")).expect("sample source");
-    let fx = std::fs::read_to_string(format!("{dir}/{sample}.effects")).expect("sample sidecar");
-    let spec = parse_effects(&fx).expect("sidecar parses");
-    let table = build_table(&src, &spec).expect("table builds");
-    let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
-    let compiler = Compiler::new(table).with_irrevocable(&irrevocable);
-    let analysis = compiler.analyze(&src).expect("analyzes");
+    let src = SyntheticSource::new(ProgramDesc {
+        path: format!("samples/{sample}.cmm"),
+        source: std::fs::read_to_string(format!("{dir}/{sample}.cmm")).expect("sample source"),
+        effects: std::fs::read_to_string(format!("{dir}/{sample}.effects"))
+            .expect("sample sidecar"),
+        scheme: scheme.to_string(),
+        sync: SyncMode::Spin.to_string(),
+        hot_func: None,
+    })
+    .expect("analyzes");
+    let backend = if real { Backend::Threads } else { Backend::Sim };
     let sink = TraceSink::new();
     let cfg = ExecConfig::with_trace(sink.clone());
-    let out = run_profile_with(
-        &compiler,
-        &analysis,
-        &spec,
-        scheme,
-        threads,
-        SyncMode::Spin,
-        real,
-        &cfg,
-    )
-    .unwrap_or_else(|e| panic!("{sample} (real={real}): {e}"));
-    let spans = out.report.spans.iter().filter_map(|sp| span_key(&sp.kind));
+    let out = run_attempt(&src, backend, threads, &cfg)
+        .unwrap_or_else(|e| panic!("{sample} (real={real}): {e}"));
+    let report = out.telemetry.expect("the trace was on");
+    let spans = report.spans.iter().filter_map(|sp| span_key(&sp.kind));
     let events = sink.take().into_iter().map(|r| event_key(&r.event));
     let mut counts = Counts::new();
     for k in spans.chain(events) {

@@ -7,45 +7,46 @@
 //! after an intentional report-format change, rerun with
 //! `PROFILE_GOLDEN_REGEN=1` and review the diff.
 
-use commset::profile::{run_profile, synthetic_registry, synthetic_world, ProfileOutcome};
+use commset::profile::{synthetic_registry, synthetic_world, SyntheticSource};
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
-use commset_interp::{run_simulated_with, run_threaded_with, ExecConfig, TraceSink};
+use commset_interp::{
+    run_attempt, run_simulated_with, run_threaded_with, Backend, ExecConfig, ProgramDesc, TraceSink,
+};
 use commset_sim::CostModel;
-use commset_telemetry::chrome_trace_json;
+use commset_telemetry::{chrome_trace_json, RunReport};
 
 fn samples_dir() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../samples")
 }
 
-fn md5sum_profile(scheme: Scheme, threads: usize) -> ProfileOutcome {
+/// Profiles the md5sum sample the way `commsetc profile` does (DES
+/// backend, trace on): its run report and total simulated time.
+fn md5sum_profile(scheme: Scheme, threads: usize) -> (RunReport, u64) {
     let dir = samples_dir();
-    let src = std::fs::read_to_string(format!("{dir}/md5sum.cmm")).expect("md5sum.cmm");
-    let fx = std::fs::read_to_string(format!("{dir}/md5sum.effects")).expect("md5sum.effects");
-    let spec = parse_effects(&fx).expect("sidecar parses");
-    let table = build_table(&src, &spec).expect("table builds");
-    let irrevocable: Vec<&str> = spec.irrevocable.iter().map(String::as_str).collect();
-    let compiler = Compiler::new(table).with_irrevocable(&irrevocable);
-    let analysis = compiler.analyze(&src).expect("analyzes");
-    run_profile(
-        &compiler,
-        &analysis,
-        &spec,
-        scheme,
-        threads,
-        SyncMode::Spin,
-        false,
+    let src = SyntheticSource::new(ProgramDesc {
+        path: "samples/md5sum.cmm".into(),
+        source: std::fs::read_to_string(format!("{dir}/md5sum.cmm")).expect("md5sum.cmm"),
+        effects: std::fs::read_to_string(format!("{dir}/md5sum.effects")).expect("md5sum.effects"),
+        scheme: scheme.to_string(),
+        sync: SyncMode::Spin.to_string(),
+        hot_func: None,
+    })
+    .expect("analyzes");
+    let cfg = ExecConfig::with_trace(TraceSink::new());
+    let out = run_attempt(&src, Backend::Sim, threads, &cfg).expect("profile runs");
+    (
+        out.telemetry.expect("the trace was on"),
+        out.sim_time.expect("DES backend reports sim time"),
     )
-    .expect("profile runs")
 }
 
 #[test]
 fn md5sum_dswp_profile_matches_golden() {
-    let out = md5sum_profile(Scheme::Dswp, 4);
+    let (report, sim_time) = md5sum_profile(Scheme::Dswp, 4);
     let got = format!(
-        "{}total simulated time: {} ticks\n",
-        out.report.render_text(),
-        out.sim_time.expect("DES backend reports sim time")
+        "{}total simulated time: {sim_time} ticks\n",
+        report.render_text()
     );
     let path = format!("{}/md5sum.profile.txt", samples_dir());
     if std::env::var_os("PROFILE_GOLDEN_REGEN").is_some() {
@@ -62,11 +63,11 @@ fn md5sum_dswp_profile_matches_golden() {
 
 #[test]
 fn profile_is_deterministic_across_runs() {
-    let a = md5sum_profile(Scheme::Dswp, 4);
-    let b = md5sum_profile(Scheme::Dswp, 4);
-    assert_eq!(a.report.render_text(), b.report.render_text());
-    assert_eq!(chrome_trace_json(&a.report), chrome_trace_json(&b.report));
-    assert_eq!(a.sim_time, b.sim_time);
+    let (a, a_time) = md5sum_profile(Scheme::Dswp, 4);
+    let (b, b_time) = md5sum_profile(Scheme::Dswp, 4);
+    assert_eq!(a.render_text(), b.render_text());
+    assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
+    assert_eq!(a_time, b_time);
 }
 
 /// Minimal structural validation of the Chrome trace-event document: the
@@ -74,8 +75,8 @@ fn profile_is_deterministic_across_runs() {
 /// brace-balanced object carrying the fields the trace viewers require.
 #[test]
 fn chrome_trace_export_has_the_perfetto_shape() {
-    let out = md5sum_profile(Scheme::Dswp, 4);
-    let doc = chrome_trace_json(&out.report);
+    let (report, _) = md5sum_profile(Scheme::Dswp, 4);
+    let doc = chrome_trace_json(&report);
     assert!(doc.starts_with("{\"traceEvents\": [\n"), "{doc}");
     assert!(doc.trim_end().ends_with("]}"), "{doc}");
     let events: Vec<&str> = doc.lines().filter(|l| l.contains("\"ph\":")).collect();

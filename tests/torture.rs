@@ -9,17 +9,16 @@
 //! change the answer**, and the waits-for watchdog must stay clean (no
 //! cycles, no rank-order violations).
 //!
-//! The matrix additionally runs *through the execution supervisor*
-//! ([`commset_interp::run_supervised`]): a fault plan may force retries or
-//! a descent down the degradation ladder, but every cell must converge to
-//! output identical to the sequential oracle — recovery is allowed,
-//! failure is not.
+//! Faults that are meant to kill a run (an impossible deadline, shard
+//! poison, delta poison) must surface from
+//! [`commset_interp::run_attempt`] as a structured error whose captured
+//! bundle replays to the same error.
 
 use commset::replay::{replay_bundle, replay_bundle_on};
 use commset::{Compiler, Scheme, SyncMode};
-use commset_interp::supervise::{CompiledProgram, ProgramDesc, ProgramSource};
 use commset_interp::{
-    run_threaded_with, Backend, ExecConfig, ExecError, FailureBundle, RecoveryPolicy, WorldMode,
+    capture_bundle, run_attempt, run_threaded_with, AttemptError, Backend, CompiledProgram,
+    ExecConfig, ExecError, FailureBundle, ProgramDesc, ProgramSource, WorldMode,
 };
 use commset_ir::IntrinsicTable;
 use commset_lang::ast::Type;
@@ -69,7 +68,7 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
 
 /// The chaos-job amplifier: `COMMSET_CHAOS=K` multiplies every fault
 /// plan's injected cost K-fold (default 1 — the plans as written). CI's
-/// chaos job runs the supervised matrix with an enlarged budget this way.
+/// chaos job runs the fault-plan matrix with an enlarged budget this way.
 fn chaos_scale() -> u64 {
     std::env::var("COMMSET_CHAOS")
         .ok()
@@ -93,13 +92,14 @@ fn amplify(mut p: FaultPlan, k: u64) -> FaultPlan {
     p
 }
 
-/// Every workload × every scheme series × every fault plan on the
-/// simulated executor: the workload's own validator must accept the
-/// tortured world against the sequential reference, and the watchdog
-/// must stay clean.
+/// Every workload × every scheme series × every fault plan (amplified by
+/// `COMMSET_CHAOS`) on the simulated executor: the workload's own
+/// validator must accept the tortured world against the sequential
+/// reference, and the watchdog must stay clean.
 #[test]
 fn every_workload_survives_every_fault_plan() {
     let cm = CostModel::default();
+    let scale = chaos_scale();
     let mut tortured = 0u32;
     for w in all() {
         let (_, seq_world) = w.run_sequential(&cm);
@@ -108,7 +108,7 @@ fn every_workload_survives_every_fault_plan() {
                 continue;
             }
             for (label, fault) in plans() {
-                let cfg = ExecConfig::with_fault(fault);
+                let cfg = ExecConfig::with_fault(amplify(fault, scale));
                 match w.run_scheme_with(spec, 4, &cm, &cfg) {
                     Ok((_, par_world, stats)) => {
                         (w.validate)(&seq_world, &par_world).unwrap_or_else(|e| {
@@ -540,134 +540,36 @@ fn simulated_deadlock_is_reported_structurally() {
 }
 
 // ---------------------------------------------------------------------
-// Supervised torture: the same matrix routed through the execution
-// supervisor. Recovery (retries, ladder descent) is allowed; failure or
-// divergence from the sequential oracle is not.
+// Fatal faults: one attempt, a structured error, a bundle that replays.
 // ---------------------------------------------------------------------
 
-/// Every workload × scheme series × fault plan, run through
-/// `run_supervised` on the simulated executor: each cell must finish with
-/// a world the workload's validator accepts against the sequential
-/// oracle, whatever recovery it took to get there.
-#[test]
-fn supervised_matrix_converges_to_oracle_identical_output() {
-    let cm = CostModel::default();
-    let scale = chaos_scale();
-    // The chaos job sets COMMSET_REPRO_DIR so any terminal failure leaves
-    // a replayable bundle behind as a CI artifact.
-    let policy = RecoveryPolicy {
-        max_retries: 1,
-        base_backoff_ms: 1,
-        max_backoff_ms: 2,
-        bundle_dir: std::env::var_os("COMMSET_REPRO_DIR").map(std::path::PathBuf::from),
-        ..RecoveryPolicy::default()
-    };
-    let mut cells = 0u32;
-    for w in all() {
-        let (_, seq_world) = w.run_sequential(&cm);
-        for spec in &w.schemes {
-            if spec.scheme == Scheme::Sequential {
-                continue;
-            }
-            for (label, fault) in plans() {
-                let cfg = ExecConfig::with_fault(amplify(fault, scale));
-                match w.run_scheme_supervised(spec, 4, Backend::Sim, &cfg, &policy) {
-                    Ok(out) => {
-                        (w.validate)(&seq_world, &out.world).unwrap_or_else(|e| {
-                            panic!(
-                                "{}: {} under {label}: supervised output diverged: {e}\n{}",
-                                w.name,
-                                spec.label,
-                                out.recovery.render_text()
-                            )
-                        });
-                        cells += 1;
-                    }
-                    Err(Ok(diag)) => panic!(
-                        "{}: {} under {label}: analysis failed: {diag}",
-                        w.name, spec.label
-                    ),
-                    Err(Err(fail)) => panic!(
-                        "{}: {} under {label}: supervisor exhausted the ladder: {}\n{}",
-                        w.name,
-                        spec.label,
-                        fail.error,
-                        fail.recovery.render_text()
-                    ),
-                }
-            }
-        }
-    }
-    assert!(cells >= 60, "supervised matrix too small: {cells} cells");
-}
-
-/// A zero-millisecond deadline kills every parallel rung deterministically
-/// on the simulator; the supervisor must walk the whole ladder and finish
-/// on the sequential fallback — degraded, but correct.
-#[test]
-fn impossible_deadline_degrades_to_the_sequential_fallback() {
-    let cm = CostModel::default();
-    let workloads = all();
-    let w = &workloads[0];
-    let (_, seq_world) = w.run_sequential(&cm);
-    let spec = w
-        .schemes
-        .iter()
-        .find(|s| s.scheme != Scheme::Sequential)
-        .expect("workload has a parallel scheme");
-    let policy = RecoveryPolicy {
-        max_retries: 0,
-        deadline_ms: Some(0),
-        ..RecoveryPolicy::default()
-    };
-    let out = w
-        .run_scheme_supervised(spec, 4, Backend::Sim, &ExecConfig::default(), &policy)
-        .unwrap_or_else(|e| panic!("{}: supervisor failed outright: {e:?}", w.name));
-    assert!(out.recovery.degraded, "ladder was never descended");
-    assert!(out.recovery.recovered);
-    assert_eq!(out.recovery.final_mode, "sequential");
-    assert!(
-        out.recovery.errors.iter().any(|e| e.contains("deadline")),
-        "no deadline error recorded: {:?}",
-        out.recovery.errors
-    );
-    (w.validate)(&seq_world, &out.world)
-        .unwrap_or_else(|e| panic!("sequential fallback diverged: {e}"));
-}
-
-/// An inline [`ProgramSource`] over a hand-built compiler + registry, for
-/// supervising the real-thread reduction.
-struct TestSource {
+/// The DOALL/Mutex [`REDUCTION`] over a hand-built compiler + registry,
+/// as a [`ProgramSource`] for `run_attempt`.
+struct Reduction {
     compiler: Compiler,
     registry: Registry,
-    source: String,
-    sync: SyncMode,
 }
 
-impl ProgramSource for TestSource {
+impl Reduction {
+    fn new((compiler, registry): (Compiler, Registry)) -> Reduction {
+        Reduction { compiler, registry }
+    }
+}
+
+impl ProgramSource for Reduction {
     fn parallel(&self, threads: usize) -> Result<CompiledProgram, String> {
         let a = self
             .compiler
-            .analyze(&self.source)
+            .analyze(REDUCTION)
             .map_err(|d| d.to_string())?;
         let (module, plan) = self
             .compiler
-            .compile(&a, Scheme::Doall, threads, self.sync)
+            .compile(&a, Scheme::Doall, threads, SyncMode::Mutex)
             .map_err(|d| d.to_string())?;
         Ok(CompiledProgram {
             module,
             plans: vec![plan],
         })
-    }
-
-    fn sequential(&self) -> Result<commset_ir::Module, String> {
-        let a = self
-            .compiler
-            .analyze(&self.source)
-            .map_err(|d| d.to_string())?;
-        self.compiler
-            .compile_sequential(&a)
-            .map_err(|d| d.to_string())
     }
 
     fn fresh_world(&self) -> World {
@@ -683,147 +585,86 @@ impl ProgramSource for TestSource {
     fn describe(&self) -> ProgramDesc {
         ProgramDesc {
             path: "torture:reduction".into(),
-            source: self.source.clone(),
+            source: REDUCTION.to_string(),
             effects: String::new(),
             scheme: "doall".into(),
-            sync: self.sync.to_string(),
+            sync: "mutex".into(),
+            hot_func: None,
         }
     }
 }
 
-/// Injected shard poison panics inside a shard hold on every sharded
-/// attempt (the injector is deterministic in its seed), so the supervisor
-/// must descend from the sharded world to the single-lock world — where
-/// no shard events exist — and converge to the exact reduction total.
-#[test]
-fn shard_poison_descends_the_ladder_on_real_threads() {
-    let (compiler, registry) = reduction_setup();
-    let src = TestSource {
-        compiler,
-        registry,
-        source: REDUCTION.to_string(),
-        sync: SyncMode::Mutex,
+/// Runs `src` once at four threads, expecting the injected fault to fail
+/// it with an executor error; captures the failure's bundle and asserts
+/// that the bundle replays to the same error. Returns both.
+fn fails_and_replays(
+    src: &Reduction,
+    backend: Backend,
+    cfg: &ExecConfig,
+    dir: &str,
+) -> (ExecError, FailureBundle) {
+    let err = match run_attempt(src, backend, 4, cfg) {
+        Ok(_) => panic!("the injected fault never fired"),
+        Err(e) => e,
     };
-    let expected: i64 = (0..96).sum();
-    let cfg = ExecConfig::with_fault(FaultPlan::shard_poison(0x50));
-    let policy = RecoveryPolicy {
-        max_retries: 1,
-        base_backoff_ms: 1,
-        max_backoff_ms: 2,
-        ..RecoveryPolicy::default()
+    let AttemptError::Exec(exec) = &err else {
+        panic!("expected an executor error, got {err}");
     };
-    let validate = |cand: &World, oracle: &World| -> Result<(), String> {
-        let (c, o) = (*cand.get::<i64>("acc"), *oracle.get::<i64>("acc"));
-        if c == o {
-            Ok(())
-        } else {
-            Err(format!("acc {c} != oracle {o}"))
-        }
-    };
-    let out =
-        commset_interp::run_supervised(&src, Backend::Threads, 4, &cfg, &policy, Some(&validate))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "supervisor failed under shard poison: {}\n{}",
-                    e.error,
-                    e.recovery.render_text()
-                )
-            });
-    assert_eq!(*out.world.get::<i64>("acc"), expected);
-    assert!(out.recovery.recovered, "poison never fired?");
-    assert!(
-        out.recovery.degraded,
-        "sharded rung somehow survived poison"
-    );
-    assert_eq!(out.recovery.final_mode, "threads(single-lock, 4)");
-    assert!(
-        out.recovery
-            .errors
-            .iter()
-            .any(|e| e.contains("injected shard poison")),
-        "errors: {:?}",
-        out.recovery.errors
-    );
-    assert!(
-        out.recovery.retries >= 1,
-        "poison is transient: it must be retried before descending"
-    );
-}
-
-/// Injected delta poison panics inside the barrier coalesce on every
-/// deltas attempt (the injector is rebuilt per attempt, so the
-/// once-only trigger re-fires), exhausting the deltas rung. The
-/// supervisor must descend exactly one step — to the sharded world,
-/// where no coalesce exists — and converge to the exact total.
-#[test]
-fn delta_poison_descends_to_the_sharded_rung_on_real_threads() {
-    let (compiler, registry) = delta_reduction_setup();
-    let src = TestSource {
-        compiler,
-        registry,
-        source: REDUCTION.to_string(),
-        sync: SyncMode::Mutex,
-    };
-    let expected: i64 = (0..96).sum();
-    let mut cfg = ExecConfig::with_fault(FaultPlan::delta_poison(0xDE));
-    cfg.world = WorldMode::Deltas;
-    let dir = std::env::temp_dir().join("commset-torture-delta-bundle");
+    let dir = std::env::temp_dir().join(dir);
     let _ = std::fs::remove_dir_all(&dir);
-    let policy = RecoveryPolicy {
-        max_retries: 1,
-        base_backoff_ms: 1,
-        max_backoff_ms: 2,
-        bundle_dir: Some(dir.clone()),
-        ..RecoveryPolicy::default()
-    };
-    let validate = |cand: &World, oracle: &World| -> Result<(), String> {
-        let (c, o) = (*cand.get::<i64>("acc"), *oracle.get::<i64>("acc"));
-        if c == o {
-            Ok(())
-        } else {
-            Err(format!("acc {c} != oracle {o}"))
-        }
-    };
-    let out =
-        commset_interp::run_supervised(&src, Backend::Threads, 4, &cfg, &policy, Some(&validate))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "supervisor failed under delta poison: {}\n{}",
-                    e.error,
-                    e.recovery.render_text()
-                )
-            });
-    assert_eq!(*out.world.get::<i64>("acc"), expected);
-    assert!(out.recovery.recovered, "poison never fired?");
-    assert!(out.recovery.degraded, "deltas rung somehow survived poison");
-    assert_eq!(out.recovery.final_mode, "threads(sharded, 4)");
-    assert!(
-        out.recovery
-            .errors
-            .iter()
-            .any(|e| e.contains("injected delta poison")),
-        "errors: {:?}",
-        out.recovery.errors
-    );
-    assert!(
-        out.recovery.retries >= 1,
-        "poison is transient: it must be retried before descending"
-    );
-
-    // The first failure was captured on the deltas rung; its bundle names
-    // that world, loads, and replays to the same injected poison.
-    let path = out.recovery.bundle.as_ref().expect("a bundle was captured");
-    let bundle = FailureBundle::load(std::path::Path::new(path)).unwrap();
-    assert_eq!(bundle.world_mode, "deltas");
-    assert_eq!(bundle.rung, "threads(deltas, 4)");
+    let path = capture_bundle(src, backend, 4, cfg, &err, &dir).expect("bundle written");
+    let bundle = FailureBundle::load(&path).unwrap();
+    assert_eq!(bundle.error, exec.to_string());
     replay_bundle(&bundle).expect("every recorded knob parses");
-    let replay = replay_bundle_on(&bundle, &src).unwrap();
+    let replay = replay_bundle_on(&bundle, src).unwrap();
     assert!(
         replay.reproduced,
         "expected {:?}, observed {:?}",
         replay.expected, replay.observed
     );
     let _ = std::fs::remove_dir_all(&dir);
+    (exec.clone(), bundle)
+}
+
+/// A zero-millisecond deadline is a zero-tick budget on the simulator:
+/// the first section overruns it, deterministically.
+#[test]
+fn impossible_deadline_surfaces_as_a_replayable_error() {
+    let src = Reduction::new(reduction_setup());
+    let cfg = ExecConfig {
+        deadline_ms: Some(0),
+        ..ExecConfig::default()
+    };
+    let (err, bundle) = fails_and_replays(&src, Backend::Sim, &cfg, "commset-torture-deadline");
+    assert!(
+        matches!(err, ExecError::DeadlineExceeded { deadline_ms: 0, .. }),
+        "{err}"
+    );
+    assert_eq!(bundle.deadline_ms, Some(0));
+}
+
+/// Injected shard poison panics inside a shard hold of the sharded world
+/// (the reduction declares its footprint, so `Auto` picks that world);
+/// the worker's panic is contained and reported, never papered over.
+#[test]
+fn shard_poison_surfaces_as_a_replayable_error_on_real_threads() {
+    let src = Reduction::new(reduction_setup());
+    let cfg = ExecConfig::with_fault(FaultPlan::shard_poison(0x50));
+    let (err, _) = fails_and_replays(&src, Backend::Threads, &cfg, "commset-torture-shard");
+    assert!(err.to_string().contains("injected shard poison"), "{err}");
+}
+
+/// Injected delta poison panics inside the barrier coalesce of the
+/// deltas world; the bundle records that world and replays the poison.
+#[test]
+fn delta_poison_surfaces_as_a_replayable_error_on_real_threads() {
+    let src = Reduction::new(delta_reduction_setup());
+    let mut cfg = ExecConfig::with_fault(FaultPlan::delta_poison(0xDE));
+    cfg.world = WorldMode::Deltas;
+    let (err, bundle) = fails_and_replays(&src, Backend::Threads, &cfg, "commset-torture-delta");
+    assert!(err.to_string().contains("injected delta poison"), "{err}");
+    assert_eq!(bundle.world_mode, "deltas");
+    assert_eq!(bundle.backend, "threads");
 }
 
 /// Satellite coverage: shard holds combined with the slow-worker fault at
