@@ -99,37 +99,48 @@ fn sym_rel(a: u32, b: u32, rels: &[Rel]) -> Rel {
     Rel::Unknown
 }
 
+/// Folds constants and affine offsets exactly: a fold that overflows
+/// `i64` (the VM would wrap, or trap on a division) is [`SVal::Opaque`],
+/// which can only weaken a proof.
 #[allow(clippy::only_used_in_recursion)]
 fn eval_val(e: &Expr, env: &HashMap<&str, SVal>, rels: &[Rel]) -> SVal {
     match &e.kind {
         ExprKind::IntLit(v) => SVal::Const(*v),
         ExprKind::Var(n) => env.get(n.as_str()).copied().unwrap_or(SVal::Opaque),
         ExprKind::Unary(UnOp::Neg, a) => match eval_val(a, env, rels) {
-            SVal::Const(v) => SVal::Const(-v),
+            SVal::Const(v) => v.checked_neg().map_or(SVal::Opaque, SVal::Const),
             _ => SVal::Opaque,
         },
         ExprKind::Binary(op @ (BinOp::Add | BinOp::Sub), a, b) => {
             let va = eval_val(a, env, rels);
-            let vb = eval_val(b, env, rels);
-            let sign = if *op == BinOp::Sub { -1 } else { 1 };
-            match (va, vb) {
-                (SVal::Const(x), SVal::Const(y)) => SVal::Const(x + sign * y),
-                (SVal::Sym(s), SVal::Const(c)) => SVal::SymOff(s, sign * c),
-                (SVal::SymOff(s, o), SVal::Const(c)) => SVal::SymOff(s, o + sign * c),
-                (SVal::Const(c), SVal::Sym(s)) if *op == BinOp::Add => SVal::SymOff(s, c),
-                (SVal::Const(c), SVal::SymOff(s, o)) if *op == BinOp::Add => SVal::SymOff(s, c + o),
+            // `x - c` folds as `x + (-c)`; nothing else is subtracted.
+            let vb = match (op, eval_val(b, env, rels)) {
+                (BinOp::Add, v) => v,
+                (_, SVal::Const(c)) => c.checked_neg().map_or(SVal::Opaque, SVal::Const),
                 _ => SVal::Opaque,
+            };
+            match (va, vb) {
+                (SVal::Const(x), SVal::Const(y)) => x.checked_add(y).map(SVal::Const),
+                (SVal::Sym(s), SVal::Const(c)) | (SVal::Const(c), SVal::Sym(s)) => {
+                    Some(SVal::SymOff(s, c))
+                }
+                (SVal::SymOff(s, o), SVal::Const(c)) | (SVal::Const(c), SVal::SymOff(s, o)) => {
+                    o.checked_add(c).map(|o| SVal::SymOff(s, o))
+                }
+                _ => None,
             }
+            .unwrap_or(SVal::Opaque)
         }
         ExprKind::Binary(op, a, b) => {
             let va = eval_val(a, env, rels);
             let vb = eval_val(b, env, rels);
             match (op, va, vb) {
-                (BinOp::Mul, SVal::Const(x), SVal::Const(y)) => SVal::Const(x * y),
-                (BinOp::Div, SVal::Const(x), SVal::Const(y)) if y != 0 => SVal::Const(x / y),
-                (BinOp::Rem, SVal::Const(x), SVal::Const(y)) if y != 0 => SVal::Const(x % y),
-                _ => SVal::Opaque,
+                (BinOp::Mul, SVal::Const(x), SVal::Const(y)) => x.checked_mul(y),
+                (BinOp::Div, SVal::Const(x), SVal::Const(y)) => x.checked_div(y),
+                (BinOp::Rem, SVal::Const(x), SVal::Const(y)) => x.checked_rem(y),
+                _ => None,
             }
+            .map_or(SVal::Opaque, SVal::Const)
         }
         _ => SVal::Opaque,
     }
@@ -188,9 +199,10 @@ fn compare(op: BinOp, a: SVal, b: SVal, rels: &[Rel]) -> Tri {
         (SVal::Sym(x), SVal::Sym(y)) => rel_compare(op, sym_rel(x, y, rels)),
         (SVal::SymOff(x, ox), SVal::SymOff(y, oy)) => {
             // s1 + o1 <op> s2 + o2: decidable for Eq/Ne when the symbols'
-            // relation and offsets combine cleanly.
+            // relation and offsets combine cleanly. Ordered ops are not:
+            // the VM's addition wraps, so s + 2 > s + 1 fails at i64::MAX.
             match sym_rel(x, y, rels) {
-                Rel::Eq => {
+                Rel::Eq if matches!(op, BinOp::Eq | BinOp::Ne) => {
                     // Reduces to o1 <op> o2.
                     compare(op, SVal::Const(ox), SVal::Const(oy), rels)
                 }
@@ -280,6 +292,35 @@ mod tests {
         assert_eq!(prove(&p, &[Rel::Unknown]), Tri::True);
         let q = pred(&["a"], &["b"], "2 * 3 == 6 && a == a");
         assert_eq!(prove(&q, &[Rel::Unknown]), Tri::True);
+    }
+
+    #[test]
+    fn overflowing_folds_are_opaque() {
+        // i64::MIN / -1 traps in Rust and wraps in the VM.
+        let p = pred(
+            &["k1"],
+            &["k2"],
+            "(k1 != k2) && ((-9223372036854775807 - 1) / -1 != 0)",
+        );
+        assert_eq!(prove(&p, &[Rel::Ne]), Tri::Unknown);
+        let q = pred(&["a"], &["b"], "9223372036854775807 + 1 != 0");
+        assert_eq!(prove(&q, &[Rel::Unknown]), Tri::Unknown);
+        let r = pred(&["a"], &["b"], "-(-9223372036854775807 - 1) != 0");
+        assert_eq!(prove(&r, &[Rel::Unknown]), Tri::Unknown);
+        let s = pred(&["a"], &["b"], "a - (-9223372036854775807 - 1) != b");
+        assert_eq!(prove(&s, &[Rel::Eq]), Tri::Unknown);
+    }
+
+    #[test]
+    fn ordered_offset_compare_is_not_proven() {
+        // At i = i64::MAX - 1 the VM computes i + 2 > i + 1 as false.
+        let p = pred(&["i1"], &["i2"], "i1 + 2 > i2 + 1");
+        assert_eq!(prove(&p, &[Rel::Eq]), Tri::Unknown);
+        let i = i64::MAX - 1;
+        assert!(i.wrapping_add(2) <= i.wrapping_add(1));
+        // Equality of the same offsets still decides.
+        let q = pred(&["i1"], &["i2"], "i1 + 2 != i2 + 1");
+        assert_eq!(prove(&q, &[Rel::Eq]), Tri::True);
     }
 
     #[test]

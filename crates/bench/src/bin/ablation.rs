@@ -3,9 +3,7 @@
 //! 1. **DOALL iteration scheduling** (cyclic vs blocked) on a workload
 //!    with skewed per-iteration cost — why the transform defaults to
 //!    cyclic distribution.
-//! 2. **Static schedule selection**: does the performance estimator's
-//!    ranking (`Compiler::compile_all`) agree with the simulated outcome?
-//! 3. **Cost-model sensitivity**: how the kmeans spin-degradation story
+//! 2. **Cost-model sensitivity**: how the kmeans spin-degradation story
 //!    depends on the contention constants (showing the *shape*, not the
 //!    constant, carries the result).
 //!
@@ -93,56 +91,8 @@ fn schedule_ablation() {
     println!("    heavy tail to the last worker — the default is cyclic)\n");
 }
 
-fn estimator_ablation() {
-    println!("=== 2. Estimator-selected schedule vs simulated best ===");
-    let cm = CostModel::default();
-    let mut agree_top2 = 0;
-    let mut total = 0;
-    for w in commset_workloads::all() {
-        let compiler = w.compiler();
-        let a = compiler.analyze(&w.variants[0]).expect("analyzes");
-        let ranked = compiler.compile_all(&a, 8);
-        if ranked.is_empty() {
-            continue;
-        }
-        // Simulate every compiled schedule and find the true best.
-        let mut simulated: Vec<(String, u64)> = Vec::new();
-        for (scheme, sync, module, plan) in &ranked {
-            let mut world = (w.make_world)();
-            let out = run_simulated(
-                module,
-                &w.registry,
-                std::slice::from_ref(plan),
-                &mut world,
-                &cm,
-            )
-            .expect("ranked schedule runs");
-            simulated.push((format!("{scheme}+{sync}"), out.sim_time));
-        }
-        let est_pick = &simulated[0].0;
-        let true_best = simulated
-            .iter()
-            .min_by_key(|(_, t)| *t)
-            .expect("nonempty")
-            .0
-            .clone();
-        let top2: Vec<&String> = simulated.iter().take(2).map(|(l, _)| l).collect();
-        let hit = top2.contains(&&true_best);
-        total += 1;
-        agree_top2 += usize::from(hit);
-        println!(
-            "   {:<10} estimator: {:<16} simulated best: {:<16} {}",
-            w.name,
-            est_pick,
-            true_best,
-            if hit { "(top-2 hit)" } else { "(miss)" }
-        );
-    }
-    println!("   estimator's top-2 contains the simulated best on {agree_top2}/{total} programs\n");
-}
-
 fn sensitivity_ablation() {
-    println!("=== 3. Cost-model sensitivity: kmeans spin degradation ===");
+    println!("=== 2. Cost-model sensitivity: kmeans spin degradation ===");
     let w = commset_workloads::kmeans::workload();
     let spin = w
         .schemes
@@ -171,6 +121,5 @@ fn sensitivity_ablation() {
 
 fn main() {
     schedule_ablation();
-    estimator_ablation();
     sensitivity_ablation();
 }

@@ -712,7 +712,6 @@ mod tests {
             locks: Vec::new(),
             stage_desc: Vec::new(),
             section: 0,
-            estimated_cost: 0.0,
         };
         let err = run_controlled(&sync, &sync_bc, Some(&plan), cfg(), &mut Canonical).unwrap_err();
         assert_eq!(

@@ -1,8 +1,8 @@
 //! `commsetc` — the COMMSET compiler as a command-line tool.
 //!
 //! Analyzes an annotated Cmm source file, explains what inhibits
-//! parallelization, ranks the applicable schedules, and emits the
-//! transformed (parallelized) source:
+//! parallelization, ranks the applicable schedules on the simulator, and
+//! emits the transformed (parallelized) source:
 //!
 //! ```text
 //! commsetc analyze  prog.cmm [--effects prog.effects] [--pdg] [--threads N]
@@ -25,6 +25,15 @@
 //!                            [--journal-out run.jsonl]
 //! commsetc report   --journal run.jsonl [--top N]
 //! ```
+//!
+//! `schedules` compiles every applicable (scheme, sync) pair at
+//! `--threads` and runs each one once on the discrete-event simulator,
+//! over the same synthetic world `profile` uses (see below). It prints
+//! the sequential run's ticks, then one row per schedule, fastest first:
+//! simulated ticks, speedup over sequential, workers, queues and locks.
+//! A row's ticks are what `profile` reports for that schedule.
+//!
+//! `--threads` and `--jobs` are at most 64.
 //!
 //! `compile` lowers the program to the interpreter's flat register
 //! bytecode (the compiled execution backend) and prints a per-function
@@ -97,8 +106,8 @@
 //! pure compute with cost 100.
 
 use commset::merge_law::validate_custom_merges;
-use commset::profile::SyntheticSource;
-use commset::replay::replay_bundle;
+use commset::profile::{rank_schedules, SyntheticSource};
+use commset::replay::{parse_scheme, parse_sync, replay_bundle};
 use commset::report::{parse_journal, render_journal};
 use commset::spec::{build_table, parse_effects};
 use commset::{Compiler, Scheme, SyncMode};
@@ -126,6 +135,23 @@ fn usage() -> ExitCode {
          \u{20}      commsetc replay <bundle.repro.json>"
     );
     ExitCode::from(2)
+}
+
+/// Largest `--threads` and `--jobs` accepted. `schedules` runs up to 12
+/// simulated sections at `--threads`, `profile --real` starts one OS
+/// thread per worker and `check` one per job; 64 is well above the 8
+/// that anything in the repository uses.
+const MAX_THREADS: usize = 64;
+
+/// Parses `flag`'s count in `1..=max`. Zero is rejected for every count
+/// flag: no workers, no checker jobs, no schedules, no hotspot rows.
+fn count(flag: &str, v: &str, max: usize) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Err(_) => Err(format!("{flag} needs a number")),
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) if n > max => Err(format!("{flag} must be at most {max}")),
+        Ok(n) => Ok(n),
+    }
 }
 
 #[derive(Debug)]
@@ -206,43 +232,12 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
         match flag.as_str() {
             "--effects" => args.effects = Some(value()?),
             "--pdg" => args.pdg = true,
-            "--threads" => {
-                let t: usize = value()?
-                    .parse()
-                    .map_err(|_| "--threads needs a number".to_string())?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                args.threads = t;
-            }
-            "--scheme" => {
-                args.scheme = Some(match value()?.as_str() {
-                    "doall" => Scheme::Doall,
-                    "dswp" => Scheme::Dswp,
-                    "ps-dswp" | "psdswp" => Scheme::PsDswp,
-                    other => return Err(format!("unknown scheme `{other}`")),
-                })
-            }
-            "--sync" => {
-                args.sync = match value()?.as_str() {
-                    "spin" => SyncMode::Spin,
-                    "mutex" => SyncMode::Mutex,
-                    "tm" => SyncMode::Tm,
-                    "lib" => SyncMode::Lib,
-                    other => return Err(format!("unknown sync mode `{other}`")),
-                }
-            }
+            "--threads" => args.threads = count(&flag, &value()?, MAX_THREADS)?,
+            "--scheme" => args.scheme = Some(parse_scheme(&value()?)?),
+            "--sync" => args.sync = parse_sync(&value()?)?,
             "--hot-func" => args.hot_func = Some(value()?),
             "--dump-bytecode" => args.dump_bytecode = true,
-            "--budget" => {
-                let b: usize = value()?
-                    .parse()
-                    .map_err(|_| "--budget needs a number".to_string())?;
-                if b == 0 {
-                    return Err("--budget must be at least 1 (0 explores no schedules)".into());
-                }
-                args.budget = Some(b);
-            }
+            "--budget" => args.budget = Some(count(&flag, &value()?, usize::MAX)?),
             "--seed" => {
                 // Accept both decimal and the `0x…` hex form the REPLAY:
                 // line prints, so a failure's replay knobs paste verbatim.
@@ -253,15 +248,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
                 };
                 args.seed = Some(parsed.map_err(|_| "--seed needs a number".to_string())?);
             }
-            "--jobs" => {
-                let j: usize = value()?
-                    .parse()
-                    .map_err(|_| "--jobs needs a number".to_string())?;
-                if j == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-                args.jobs = j;
-            }
+            "--jobs" => args.jobs = count(&flag, &value()?, MAX_THREADS)?,
             "--corpus" => args.corpus = Some(value()?),
             "--capture-corpus" => args.capture_corpus = true,
             "--fuzz" => args.fuzz = true,
@@ -270,15 +257,7 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--metrics" => args.metrics = true,
             "--journal" => args.journal = Some(value()?),
             "--journal-out" => args.journal_out = Some(value()?),
-            "--top" => {
-                let t: usize = value()?
-                    .parse()
-                    .map_err(|_| "--top needs a number".to_string())?;
-                if t == 0 {
-                    return Err("--top must be at least 1".into());
-                }
-                args.top = t;
-            }
+            "--top" => args.top = count(&flag, &value()?, usize::MAX)?,
             "--deadline-ms" => {
                 args.deadline_ms = Some(
                     value()?
@@ -532,22 +511,24 @@ fn run(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "schedules" => {
-            let ranked = compiler.compile_all(&analysis, args.threads);
-            if ranked.is_empty() {
+            let ranking = rank_schedules(&compiler, &analysis, &spec, args.threads)?;
+            if ranking.schedules.is_empty() {
                 return Err("no schedule applies; run `analyze` for why".to_string());
             }
+            println!("sequential: {} ticks", ranking.sequential_ticks);
             println!(
-                "{:<22} {:>12} {:>8} {:>7} {:>7}",
-                "schedule", "est. cost", "workers", "queues", "locks"
+                "{:<22} {:>10} {:>8} {:>8} {:>7} {:>7}",
+                "schedule", "ticks", "speedup", "workers", "queues", "locks"
             );
-            for (scheme, sync, _, plan) in &ranked {
+            for s in &ranking.schedules {
                 println!(
-                    "{:<22} {:>12.0} {:>8} {:>7} {:>7}",
-                    format!("{scheme} + {sync}"),
-                    plan.estimated_cost,
-                    plan.workers.len(),
-                    plan.queues.len(),
-                    plan.locks.len()
+                    "{:<22} {:>10} {:>7.2}x {:>8} {:>7} {:>7}",
+                    format!("{} + {}", s.scheme, s.sync),
+                    s.ticks,
+                    s.speedup,
+                    s.plan.workers.len(),
+                    s.plan.queues.len(),
+                    s.plan.locks.len()
                 );
             }
             Ok(())
@@ -656,10 +637,7 @@ fn run(args: &Args) -> Result<(), String> {
             let pp = compiler
                 .compile_to_ast(&analysis, scheme, args.threads, args.sync)
                 .map_err(|d| d.to_string())?;
-            let mut out = format!(
-                "// {} x{} ({}), estimated cost {:.0}\n",
-                scheme, args.threads, args.sync, pp.plan.estimated_cost
-            );
+            let mut out = format!("// {} x{} ({})\n", scheme, args.threads, args.sync);
             for (i, d) in pp.plan.stage_desc.iter().enumerate() {
                 out.push_str(&format!("// stage {i}: {d}\n"));
             }
@@ -922,6 +900,17 @@ mod tests {
         // A zero-worker plan would drop every iteration.
         let err = args(&["emit", "f.cmm", "--threads", "0"]).unwrap_err();
         assert!(err.contains("--threads"), "{err}");
+        // Past the documented maximum is a usage error too; the maximum
+        // itself parses. No run starts here, so no thread is spawned.
+        for flag in ["--threads", "--jobs"] {
+            let too_many = (MAX_THREADS + 1).to_string();
+            let err = args(&["check", "f.cmm", flag, &too_many]).unwrap_err();
+            assert!(err.contains(&format!("at most {MAX_THREADS}")), "{err}");
+            assert!(args(&["check", "f.cmm", flag, "18446744073709551616"]).is_err());
+        }
+        let max = MAX_THREADS.to_string();
+        let a = args(&["check", "f.cmm", "--threads", &max, "--jobs", &max]).unwrap();
+        assert_eq!((a.threads, a.jobs), (MAX_THREADS, MAX_THREADS));
         // Zero hotspot rows would render empty tables.
         let err = args(&["report", "f.cmm", "--top", "0"]).unwrap_err();
         assert!(err.contains("--top"), "{err}");

@@ -21,15 +21,21 @@
 //!   profiles are bit-identical across runs and golden-testable;
 //! * the **real-thread executor** (`--real`) — monotonic nanoseconds, for
 //!   observing actual contention on the host.
+//!
+//! [`rank_schedules`] gives `commsetc schedules` its per-schedule
+//! performance figure: every applicable schedule runs once on the DES
+//! over the same synthetic world, so a schedule's rank and the ticks
+//! `profile` reports for it come from one cost model.
 
 use crate::replay::{parse_scheme, parse_sync};
 use crate::spec::{build_table, parse_effects, EffectsSpec};
-use crate::{Analysis, Compiler, Scheme, SyncMode};
+use crate::{Analysis, Compiler, ParallelPlan, Scheme, SyncMode};
 use commset_checker::{ModelConfig, ModelWorld};
-use commset_interp::{CompiledProgram, ProgramDesc, ProgramSource};
+use commset_interp::{run_sequential, run_simulated, CompiledProgram, ProgramDesc, ProgramSource};
 use commset_ir::IntrinsicTable;
 use commset_runtime::intrinsics::{IntrinsicOutcome, Registry};
 use commset_runtime::{Value, World};
+use commset_sim::CostModel;
 use std::sync::Arc;
 
 /// World slot holding the checker-model world the synthetic handlers
@@ -66,6 +72,80 @@ pub fn synthetic_world() -> World {
     let mut w = World::new();
     w.install(MODEL_SLOT, None::<ModelWorld>);
     w
+}
+
+/// One applicable schedule with its simulated cost.
+#[derive(Debug, Clone)]
+pub struct RankedSchedule {
+    /// The parallelizing transform.
+    pub scheme: Scheme,
+    /// The synchronization mode.
+    pub sync: SyncMode,
+    /// The schedule's plan (workers, queues, locks).
+    pub plan: ParallelPlan,
+    /// Simulated ticks of one run on the synthetic world.
+    pub ticks: u64,
+    /// Sequential ticks over `ticks`.
+    pub speedup: f64,
+}
+
+/// The schedules [`rank_schedules`] ranked, with their baseline.
+#[derive(Debug, Clone)]
+pub struct Ranking {
+    /// Simulated ticks of the sequential program on the synthetic world.
+    pub sequential_ticks: u64,
+    /// Every applicable schedule, fastest first; ties keep the
+    /// enumeration order of [`Compiler::compile_all`].
+    pub schedules: Vec<RankedSchedule>,
+}
+
+/// Ranks every applicable (scheme, sync) schedule at `nthreads` by
+/// running it once on the DES over the synthetic world of `spec`'s model
+/// knobs. The sequential module runs once first as the baseline.
+///
+/// # Errors
+///
+/// Returns the diagnostic when the sequential module does not lower, and
+/// the executor error, prefixed by the schedule, when a run fails.
+pub fn rank_schedules(
+    compiler: &Compiler,
+    analysis: &Analysis,
+    spec: &EffectsSpec,
+    nthreads: usize,
+) -> Result<Ranking, String> {
+    let registry = synthetic_registry(&compiler.intrinsics, spec);
+    let cm = CostModel::default();
+    let seq_module = compiler
+        .compile_sequential(analysis)
+        .map_err(|d| d.to_string())?;
+    let sequential_ticks =
+        run_sequential(&seq_module, &registry, &mut synthetic_world(), &cm, "main")
+            .map_err(|e| format!("sequential: {e}"))?
+            .sim_time;
+    let mut schedules = Vec::new();
+    for (scheme, sync, module, plan) in compiler.compile_all(analysis, nthreads) {
+        let ticks = run_simulated(
+            &module,
+            &registry,
+            std::slice::from_ref(&plan),
+            &mut synthetic_world(),
+            &cm,
+        )
+        .map_err(|e| format!("{scheme} + {sync}: {e}"))?
+        .sim_time;
+        schedules.push(RankedSchedule {
+            scheme,
+            sync,
+            plan,
+            ticks,
+            speedup: sequential_ticks as f64 / ticks as f64,
+        });
+    }
+    schedules.sort_by_key(|s| s.ticks);
+    Ok(Ranking {
+        sequential_ticks,
+        schedules,
+    })
 }
 
 /// A [`ProgramSource`] over the synthetic world: the program `commsetc

@@ -648,7 +648,6 @@ mod tests {
             locks: Vec::new(),
             stage_desc: vec!["worker".into()],
             section: 0,
-            estimated_cost: 0.0,
         }
     }
 

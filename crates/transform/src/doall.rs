@@ -3,7 +3,6 @@
 //! effective loop-carried dependence and the loop is countable.
 
 use crate::codegen::*;
-use crate::estimate;
 use crate::plan::*;
 use crate::sync::SyncEngine;
 use commset_analysis::hotloop::{HotLoop, LoopShape};
@@ -274,7 +273,6 @@ pub fn apply_doall_scheduled(
             stage: 0,
         })
         .collect();
-    let estimated_cost = estimate::doall_cost(hot, nthreads, sync, engine.locks.len());
     let mut locks = engine.locks.clone();
     if !hot.reductions.is_empty() {
         locks.push(LockSpec {
@@ -294,7 +292,6 @@ pub fn apply_doall_scheduled(
             locks,
             stage_desc: vec![format!("DOALL x{nthreads} ({schedule})")],
             section,
-            estimated_cost,
         },
     })
 }

@@ -242,12 +242,14 @@ impl Compiler {
     }
 
     /// Compiles every applicable (scheme, sync mode) combination at
-    /// `nthreads`, returning them ranked by the static performance
-    /// estimate (lowest estimated cost first).
+    /// `nthreads`, in enumeration order: schemes DOALL, DSWP, PS-DSWP,
+    /// each with sync modes Lib, Spin, Mutex, TM.
     ///
-    /// This is the selection step the paper leaves to "a production
-    /// quality compiler \[that\] would typically use heuristics to select
-    /// the optimal across all parallelization schemes" (§4.5).
+    /// This is the candidate set for the selection step the paper leaves
+    /// to "a production quality compiler \[that\] would typically use
+    /// heuristics to select the optimal across all parallelization
+    /// schemes" (§4.5); `commset::profile::rank_schedules` ranks it on
+    /// the simulator.
     pub fn compile_all(
         &self,
         analysis: &Analysis,
@@ -261,21 +263,7 @@ impl Compiler {
                 }
             }
         }
-        out.sort_by(|a, b| {
-            a.3.estimated_cost
-                .partial_cmp(&b.3.estimated_cost)
-                .expect("estimates are finite")
-        });
         out
-    }
-
-    /// The estimator's preferred schedule at `nthreads`, if any applies.
-    pub fn compile_best(
-        &self,
-        analysis: &Analysis,
-        nthreads: usize,
-    ) -> Option<(Scheme, SyncMode, Module, ParallelPlan)> {
-        self.compile_all(analysis, nthreads).into_iter().next()
     }
 
     /// Which transforms apply to this loop at `nthreads` threads, mirroring
@@ -375,21 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn compile_best_prefers_lockless_doall_here() {
-        let c = compiler();
-        let a = c.analyze(ANNOTATED).unwrap();
-        let ranked = c.compile_all(&a, 8);
-        assert!(ranked.len() >= 4, "several schedules apply");
-        let (scheme, sync, _, _) = c.compile_best(&a, 8).expect("something applies");
-        assert_eq!(scheme, Scheme::Doall);
-        assert_eq!(sync, SyncMode::Lib, "no locks beats locks in the estimate");
-        // Ranking is by estimated cost, ascending.
-        for pair in ranked.windows(2) {
-            assert!(pair[0].3.estimated_cost <= pair[1].3.estimated_cost);
-        }
-    }
-
-    #[test]
     fn zero_threads_is_a_diagnostic() {
         let c = compiler();
         let a = c.analyze(ANNOTATED).unwrap();
@@ -398,7 +371,6 @@ mod tests {
             assert!(e.message.contains("at least 1 thread"), "{e}");
         }
         assert!(c.applicable_schemes(&a, 0).is_empty());
-        assert!(c.compile_best(&a, 0).is_none());
     }
 
     #[test]

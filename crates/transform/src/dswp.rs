@@ -10,7 +10,6 @@
 //! sequential stage, which preserves output determinism).
 
 use crate::codegen::*;
-use crate::estimate;
 use crate::partition::{self, Partition};
 use crate::plan::*;
 use crate::sync::SyncEngine;
@@ -356,17 +355,6 @@ fn build_pipeline(
     }
     engine.insert_in(&mut program, &stage_names, &mut ids);
 
-    let stage_weights: Vec<f64> = stage_stmts
-        .iter()
-        .map(|idx| {
-            idx.iter()
-                .map(|&i| hot.body[i].weight as f64)
-                .sum::<f64>()
-                .max(1.0)
-        })
-        .collect();
-    let estimated_cost =
-        estimate::pipeline_cost(&stage_weights, part.parallel_stage, replicas, queues.len());
     let scheme = if part.parallel_stage.is_some() {
         Scheme::PsDswp
     } else {
@@ -392,7 +380,6 @@ fn build_pipeline(
             locks,
             stage_desc,
             section,
-            estimated_cost,
         },
     })
 }

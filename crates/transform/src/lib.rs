@@ -15,7 +15,6 @@
 //! * [`dswp`] — DSWP and PS-DSWP (pipeline with optional replicated stage).
 //! * [`sync`] — the CommSet synchronization engine (rank-ordered
 //!   mutex/spin locks, transactions, `NoSync`/`Lib` handling).
-//! * [`estimate`] — static performance estimates used to rank schemes.
 //! * [`driver`] — the end-to-end [`Compiler`]: analysis, then any scheme
 //!   through the transforms above, then lowering.
 
@@ -23,7 +22,6 @@ pub mod codegen;
 pub mod doall;
 pub mod driver;
 pub mod dswp;
-pub mod estimate;
 pub mod partition;
 pub mod plan;
 pub mod sync;

@@ -139,8 +139,6 @@ pub struct ParallelPlan {
     pub stage_desc: Vec<String>,
     /// The `__par_invoke` section id this plan answers to.
     pub section: i64,
-    /// Static cost estimate (lower is better), from [`crate::estimate`].
-    pub estimated_cost: f64,
 }
 
 /// A transformed program together with its plan.
