@@ -679,6 +679,36 @@ struct BcFrame {
     watched: bool,
 }
 
+impl BcFrame {
+    /// A frame with no buffers yet; [`reset`](Self::reset) fills it.
+    fn empty() -> Self {
+        BcFrame {
+            func: FuncId(0),
+            pc: 0,
+            regs: Vec::new(),
+            arrays: Vec::new(),
+            ret_dst: None,
+            watched: false,
+        }
+    }
+
+    /// Re-initializes the frame for a call of `bf`: registers and local
+    /// arrays back to their initial values, reusing their buffers.
+    fn reset(&mut self, bf: &BcFunction, func: FuncId, ret_dst: Option<Reg>) {
+        self.func = func;
+        self.pc = 0;
+        self.ret_dst = ret_dst;
+        self.watched = false;
+        self.regs.clear();
+        self.regs.extend_from_slice(&bf.regs_init);
+        self.arrays.resize_with(bf.arrays_init.len(), Vec::new);
+        for (a, &(zero, len)) in self.arrays.iter_mut().zip(&bf.arrays_init) {
+            a.clear();
+            a.resize(len, zero);
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct WatchState {
     set: std::collections::BTreeSet<FuncId>,
@@ -688,12 +718,16 @@ struct WatchState {
 
 /// A resumable bytecode machine — the compiled twin of [`Vm`], with the
 /// same step/special/resume contract and the same dynamic-error surface.
+/// A returned call's frame is kept and reset for the next call, which
+/// reuses its buffers instead of allocating new ones.
 ///
 /// [`Vm`]: crate::vm::Vm
 pub struct BcVm<'m> {
     module: &'m Module,
     bc: &'m BcModule,
     frames: Vec<BcFrame>,
+    /// Frames of returned calls, reset and reused by the next calls.
+    spare: Vec<BcFrame>,
     pending: bool,
     finished: bool,
     watch: Option<WatchState>,
@@ -709,29 +743,14 @@ impl std::fmt::Debug for BcVm<'_> {
     }
 }
 
-fn new_frame(
-    bf: &BcFunction,
-    func: FuncId,
-    args: &[Value],
-    ret_dst: Option<Reg>,
-) -> Result<BcFrame, ExecError> {
-    if args.len() != bf.param_count {
-        return Err(ExecError::ArityMismatch {
-            func: bf.name.clone(),
-            expected: bf.param_count,
-            got: args.len(),
-        });
+fn arity_check(bf: &BcFunction, got: usize) -> Result<(), ExecError> {
+    if got == bf.param_count {
+        return Ok(());
     }
-    let mut regs = bf.regs_init.clone();
-    regs[..args.len()].copy_from_slice(args);
-    let arrays = bf.arrays_init.iter().map(|(z, n)| vec![*z; *n]).collect();
-    Ok(BcFrame {
-        func,
-        pc: 0,
-        regs,
-        arrays,
-        ret_dst,
-        watched: false,
+    Err(ExecError::ArityMismatch {
+        func: bf.name.clone(),
+        expected: bf.param_count,
+        got,
     })
 }
 
@@ -749,10 +768,15 @@ impl<'m> BcVm<'m> {
         args: &[Value],
     ) -> Result<Self, ExecError> {
         let bf = &bc.funcs[func.0 as usize];
+        arity_check(bf, args.len())?;
+        let mut entry = BcFrame::empty();
+        entry.reset(bf, func, None);
+        entry.regs[..args.len()].copy_from_slice(args);
         Ok(BcVm {
             module,
             bc,
-            frames: vec![new_frame(bf, func, args, None)?],
+            frames: vec![entry],
+            spare: Vec::new(),
             pending: false,
             finished: false,
             watch: None,
@@ -940,15 +964,16 @@ impl<'m> BcVm<'m> {
                 store_elem(&bf.name, &mut fr.arrays, globals, *arr, i, v)?;
             }
             Op::CallFunc { dst, func, args } => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| match a {
+                let callee = &self.bc.funcs[func.0 as usize];
+                arity_check(callee, args.len())?;
+                let mut frame = self.spare.pop().unwrap_or_else(BcFrame::empty);
+                frame.reset(callee, *func, *dst);
+                for (slot, a) in frame.regs.iter_mut().zip(args.iter()) {
+                    *slot = match a {
                         BcCallArg::Reg(r) => fr.regs[*r as usize],
                         BcCallArg::Str => Value::Int(0),
-                    })
-                    .collect();
-                let callee = &self.bc.funcs[func.0 as usize];
-                let mut frame = new_frame(callee, *func, &vals, *dst)?;
+                    };
+                }
                 if let Some(st) = &mut self.watch {
                     if st.set.contains(func) {
                         frame.watched = true;
@@ -956,7 +981,7 @@ impl<'m> BcVm<'m> {
                         st.events.push(CallEvent {
                             enter: true,
                             func: *func,
-                            args: vals,
+                            args: frame.regs[..args.len()].to_vec(),
                             depth: st.depth,
                         });
                     }
@@ -1039,6 +1064,7 @@ impl<'m> BcVm<'m> {
                             caller.regs[d as usize] = v;
                         }
                         caller.pc += 1;
+                        self.spare.push(popped);
                     }
                     None => {
                         self.finished = true;

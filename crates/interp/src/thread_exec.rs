@@ -10,12 +10,20 @@
 //! clock. TM mode falls back to a single global mutex here (pessimistic
 //! but correct); the simulated executor models optimism.
 //!
+//! A section spawns workers 1.. on threads of their own and runs worker 0
+//! on the calling thread, which would otherwise only wait to join them.
+//! Each worker reports its lock traffic to a lock-free [`Watchdog`] (rank
+//! order checked in the worker's own slot, see `commset_runtime::watchdog`).
+//! With a deadline, a monitor thread parks until it and is unparked as
+//! soon as the workers have joined.
+//!
 //! Robustness: a worker that hits a dynamic error — or *panics* inside a
 //! registry intrinsic — no longer takes the process down. The failure is
 //! contained (`catch_unwind` plus join-handle inspection), a shared cancel
 //! flag unblocks every sibling parked in a queue or lock wait, the SPSC
 //! queues are drained, and the run reports
-//! [`ExecError::WorkerFailed`] naming the stage and cause.
+//! [`ExecError::WorkerFailed`] naming the stage and cause. Worker 0 is
+//! contained the same way on the calling thread.
 //!
 //! Observation, section setup, the delta fast paths and the end-of-run
 //! fold come from the `exec_core` module; this module keeps the threads,
@@ -40,7 +48,7 @@ use commset_runtime::{
     Watchdog, WatchdogReport, World,
 };
 use commset_telemetry::{ClockUnit, MetricsRegistry, RunCounters, RunReport, SectionMeta};
-use commset_transform::{ParallelPlan, RtOp};
+use commset_transform::{ParallelPlan, RtOp, WorkerSpec};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -377,12 +385,14 @@ fn run_section(
     // Deadline enforcement: a monitor thread (spawned inside the scope,
     // below) waits out `cfg.deadline_ms`, escalates to the watchdog for a
     // diagnosis, then trips the cooperative cancel flag — the same flag a
-    // failed sibling uses, so every canceling wait unblocks.
+    // failed sibling uses, so every canceling wait unblocks. It parks for
+    // the whole deadline and is unparked as soon as the workers have
+    // joined, so a deadline never holds a finished section open.
     let deadline_fired = AtomicBool::new(false);
     let workers_done = AtomicBool::new(false);
     let results: Vec<Result<(), ExecError>> = std::thread::scope(|scope| {
         let ctx = &ctx;
-        if let Some(ms) = cfg.deadline_ms {
+        let monitor = cfg.deadline_ms.map(|ms| {
             let fired = &deadline_fired;
             let done = &workers_done;
             let wd = &watchdog;
@@ -390,7 +400,7 @@ fn run_section(
             scope.spawn(move || {
                 let deadline = Duration::from_millis(ms);
                 let t0 = Instant::now();
-                while !done.load(Ordering::Relaxed) {
+                while !done.load(Ordering::SeqCst) {
                     let elapsed = t0.elapsed();
                     if elapsed >= deadline {
                         // Escalation order: ask the watchdog whether the
@@ -401,58 +411,42 @@ fn run_section(
                         cancel.store(true, Ordering::SeqCst);
                         break;
                     }
-                    std::thread::sleep((deadline - elapsed).min(Duration::from_millis(1)));
+                    std::thread::park_timeout(deadline - elapsed);
                 }
-            });
-        }
+            })
+        });
+        // Workers 1.. get threads of their own; worker 0 runs right here,
+        // on the calling thread, which would otherwise only wait to join.
         let handles: Vec<_> = plan
             .workers
             .iter()
             .enumerate()
-            .map(|(widx, w)| {
-                let globals = SharedGlobals::new(Arc::clone(shared_globals));
-                let func = w.func.clone();
-                let (tid, nt) = (w.tid, w.nt);
-                scope.spawn(move || {
-                    let now = || ctx.epoch.elapsed().as_nanos() as u64;
-                    let w_start = now();
-                    let mut obs = Observer::new(ctx.run, ctx.sec, ctx.section_ord, widx);
-                    let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        worker_loop(ctx, widx, &func, tid, nt, globals, &mut obs)
-                    }));
-                    // The lifetime event is recorded here (not inside the
-                    // loop) so failed workers have one too.
-                    obs.worker_span(w_start, now());
-                    let outcome = match body {
-                        Ok(r) => r,
-                        Err(payload) => Err(ExecError::WorkerFailed {
-                            stage: func.clone(),
-                            cause: panic_message(&*payload),
-                        }),
-                    };
-                    if outcome.is_err() {
-                        // Unblock every sibling parked in a queue or lock.
-                        ctx.cancel.store(true, Ordering::SeqCst);
-                    }
-                    outcome
-                })
-            })
+            .skip(1)
+            .map(|(widx, w)| scope.spawn(move || run_worker(ctx, widx, w, shared_globals)))
             .collect();
-        let results: Vec<Result<(), ExecError>> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                // catch_unwind already contained worker panics; this arm
-                // only fires for panics outside it (defensive).
-                Err(payload) => Err(ExecError::WorkerFailed {
-                    stage: "<worker>".into(),
-                    cause: panic_message(&*payload),
-                }),
-            })
-            .collect();
-        // Workers joined: release the deadline monitor (it polls this
-        // flag at millisecond granularity, so the scope exits promptly).
-        workers_done.store(true, Ordering::Relaxed);
+        let mut results = Vec::with_capacity(plan.workers.len());
+        if let Some(w) = plan.workers.first() {
+            // `run_worker` contains the panics of the worker's own code;
+            // one that escapes it must still cancel the siblings, or the
+            // scope below would wait on them forever.
+            let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_worker(ctx, 0, w, shared_globals)
+            }));
+            results.push(own.unwrap_or_else(|payload| {
+                ctx.cancel.store(true, Ordering::SeqCst);
+                Err(stray_panic(&*payload))
+            }));
+        }
+        // catch_unwind already contained worker panics; the join error
+        // only carries panics outside it (defensive).
+        results.extend(handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|payload| Err(stray_panic(&*payload)))
+        }));
+        workers_done.store(true, Ordering::SeqCst);
+        if let Some(m) = monitor {
+            m.thread().unpark();
+        }
         results
     });
 
@@ -517,6 +511,46 @@ fn run_section(
         meta,
         delta,
     })
+}
+
+/// One worker from start to exit, wherever it runs: its VM loop with
+/// panics contained, its lifetime event, and the cancel flag tripped on
+/// failure so every sibling parked in a queue or lock unblocks.
+fn run_worker(
+    ctx: &SectionCtx<'_>,
+    widx: usize,
+    w: &WorkerSpec,
+    shared_globals: &Arc<AtomicGlobals>,
+) -> Result<(), ExecError> {
+    let globals = SharedGlobals::new(Arc::clone(shared_globals));
+    let now = || ctx.epoch.elapsed().as_nanos() as u64;
+    let w_start = now();
+    let mut obs = Observer::new(ctx.run, ctx.sec, ctx.section_ord, widx);
+    let body = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        worker_loop(ctx, widx, &w.func, w.tid, w.nt, globals, &mut obs)
+    }));
+    // The lifetime event is recorded here (not inside the loop) so failed
+    // workers have one too.
+    obs.worker_span(w_start, now());
+    let outcome = match body {
+        Ok(r) => r,
+        Err(payload) => Err(ExecError::WorkerFailed {
+            stage: w.func.clone(),
+            cause: panic_message(&*payload),
+        }),
+    };
+    if outcome.is_err() {
+        ctx.cancel.store(true, Ordering::SeqCst);
+    }
+    outcome
+}
+
+/// A worker panic that escaped [`run_worker`]'s containment.
+fn stray_panic(payload: &(dyn std::any::Any + Send)) -> ExecError {
+    ExecError::WorkerFailed {
+        stage: "<worker>".into(),
+        cause: panic_message(payload),
+    }
 }
 
 /// Round-robin flush of every staged queue push. Never parks on one full
@@ -1130,5 +1164,158 @@ mod tests {
             );
             assert!(out.stats.watchdog.is_clean(), "{:?}", out.stats.watchdog);
         }
+    }
+
+    #[test]
+    fn worker_zero_failure_on_the_calling_thread_is_named() {
+        // Division by zero at i == 0 only: with cyclic distribution that
+        // iteration belongs to worker 0, which runs on the calling thread.
+        let src = r#"
+            extern void add_acc(int v);
+            int main() {
+                int n = 200;
+                for (int i = 0; i < n; i = i + 1) {
+                    int z = 100 / i;
+                    #pragma CommSet(SELF)
+                    { add_acc(z); }
+                }
+                return 0;
+            }
+        "#;
+        let (module, plan) = compile_doall(src, 4, SyncMode::Spin);
+        assert_eq!(plan.workers[0].tid, 0);
+        let mut world = World::new();
+        world.install("acc", 0i64);
+        match run_threaded(&module, &registry(), &[plan], world).unwrap_err() {
+            ExecError::WorkerFailed { stage, cause } => {
+                assert!(stage.starts_with("__par"), "stage: {stage}");
+                assert!(cause.contains("division by zero"), "cause: {cause}");
+            }
+            other => panic!("expected WorkerFailed, got {other}"),
+        }
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// returned within a minute, so a hang shows as a failure.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the run hung (or panicked)")
+    }
+
+    /// The pipeline with its workers reversed: worker 0, on the calling
+    /// thread, is the ordered `emit` stage, a consumer that pops.
+    fn consumer_first_pipeline() -> (Module, ParallelPlan) {
+        let (module, mut plan) = compile_pipeline();
+        plan.workers.reverse();
+        let last = plan.workers.iter().map(|w| w.stage).max();
+        assert_eq!(Some(plan.workers[0].stage), last);
+        (module, plan)
+    }
+
+    #[test]
+    fn producer_panic_cancels_a_consumer_worker_zero() {
+        // The same plan runs to completion in this order...
+        let (module, plan) = consumer_first_pipeline();
+        let mut world = World::new();
+        world.install("out", Vec::<i64>::new());
+        let out = run_threaded(&module, &registry(), &[plan], world).unwrap();
+        let expected: Vec<i64> = (0..100).map(|i| i * 2).collect();
+        assert_eq!(out.world.get::<Vec<i64>>("out"), &expected);
+        // ...and a producer panic mid-stream unblocks worker 0's pop.
+        let err = within_a_minute(|| {
+            let (module, plan) = consumer_first_pipeline();
+            let mut reg = Registry::new();
+            reg.register("double", |_, args| {
+                let x = args[0].as_int();
+                if x == 30 {
+                    panic!("producer blew up at 30");
+                }
+                IntrinsicOutcome::value(x * 2)
+            });
+            reg.register("emit", |world, args| {
+                world.get_mut::<Vec<i64>>("out").push(args[0].as_int());
+                IntrinsicOutcome::unit()
+            });
+            let mut world = World::new();
+            world.install("out", Vec::<i64>::new());
+            run_threaded(&module, &reg, &[plan], world).unwrap_err()
+        });
+        match err {
+            ExecError::WorkerFailed { cause, .. } => {
+                assert!(cause.contains("producer blew up at 30"), "cause: {cause}");
+            }
+            other => panic!("expected WorkerFailed, got {other}"),
+        }
+    }
+
+    #[test]
+    fn impossible_deadline_cancels_worker_zero() {
+        // Worker 0 drags 2 ms at every sync event, so the run would take
+        // about 100 ms; a 0 ms deadline fires before any of it.
+        let err = within_a_minute(|| {
+            let (module, plan) = compile_doall(SUM_SRC, 2, SyncMode::Mutex);
+            let mut world = World::new();
+            world.install("acc", 0i64);
+            let cfg = ExecConfig {
+                deadline_ms: Some(0),
+                ..ExecConfig::with_fault(FaultPlan::slow_worker(3, 0, 2000))
+            };
+            run_threaded_with(&module, &registry(), &[plan], world, &cfg).unwrap_err()
+        });
+        assert!(
+            matches!(err, ExecError::DeadlineExceeded { deadline_ms: 0, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_deadline_does_not_hold_a_finished_section_open() {
+        // Four iterations: the workers finish in well under a millisecond,
+        // even unoptimized. An unmet deadline must not keep the section
+        // open once they have joined: the median run with one may cost a
+        // thread spawn more than without, not the deadline monitor's
+        // polling step (1 ms).
+        let src = r#"
+            extern void add_acc(int v);
+            int main() {
+                int n = 4;
+                for (int i = 0; i < n; i = i + 1) {
+                    #pragma CommSet(SELF)
+                    { add_acc(i); }
+                }
+                return 0;
+            }
+        "#;
+        let (module, plan) = compile_doall(src, 2, SyncMode::Spin);
+        let run = |deadline_ms| {
+            let mut world = World::new();
+            world.install("acc", 0i64);
+            let cfg = ExecConfig {
+                deadline_ms,
+                ..ExecConfig::default()
+            };
+            let t0 = Instant::now();
+            let plans = std::slice::from_ref(&plan);
+            let out = run_threaded_with(&module, &registry(), plans, world, &cfg);
+            let wall = t0.elapsed();
+            assert_eq!(*out.unwrap().world.get::<i64>("acc"), 6);
+            wall
+        };
+        let (mut with, mut without) = (Vec::new(), Vec::new());
+        for _ in 0..41 {
+            with.push(run(Some(60_000)));
+            without.push(run(None));
+        }
+        with.sort();
+        without.sort();
+        let (w, wo) = (with[20], without[20]);
+        assert!(
+            w < wo + Duration::from_micros(500),
+            "median with a deadline {w:?} vs without {wo:?}"
+        );
     }
 }

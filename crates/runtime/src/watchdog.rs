@@ -24,24 +24,41 @@
 //! allocates only when the chain closes back on it. [`Watchdog::check`]
 //! keeps the full walk over every waiter, for diagnosis.
 //!
-//! The state lives in dense tables indexed by lock id and worker index
-//! ([`WaitsFor`]), sized from the section's workers and ranks and grown on
-//! demand, so an attempt, a grant or a release is a few indexed loads and
-//! stores: no map lookups and, once each worker's held-rank stack has
-//! reached its depth, no allocation. The discrete-event simulator is
-//! single-threaded and owns a [`WaitsFor`] directly; real threads share
-//! one behind the [`Watchdog`]'s mutex.
+//! The discrete-event simulator is single-threaded and owns a
+//! [`WaitsFor`]: dense tables indexed by lock id and worker index, sized
+//! from the section's workers and ranks and grown on demand, so an
+//! attempt, a grant or a release is a few indexed loads and stores, with
+//! no map lookups and, once each worker's held-rank stack has reached its
+//! depth, no allocation.
+//!
+//! Real threads share a [`Watchdog`], which takes no shared lock on that
+//! path. Each worker keeps its held ranks, its `checks` count and its rank
+//! violations in its own cache-padded slot; the waits-for edges are
+//! atomic `waiting` and `holder` tables, and `max_blocked` is the
+//! `fetch_max` peak of one in-flight counter. Because workers that all
+//! acquire in strictly increasing rank cannot form a waits-for cycle
+//! (§4.6), the threaded watchdog runs the incremental chain walk only
+//! once a rank violation has been recorded; its [`Watchdog::check`], the
+//! deadline monitor's escalation, keeps the full walk. Replayed from one
+//! thread, a [`Watchdog`] reports exactly what a [`WaitsFor`] does for
+//! the same events: `checks`, `cycles`, `rank_violations` and
+//! `max_blocked`.
 //!
 //! Violations never panic: they accumulate in the [`WatchdogReport`] that
 //! executors surface, and the torture suite asserts the report is clean
 //! under every adversarial schedule.
 
 use crate::sync::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Cumulative findings of one watchdog (snapshot).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WatchdogReport {
-    /// Cycle checks performed.
+    /// Checks performed: one per acquisition attempt, plus one per
+    /// explicit `check()`. Every attempt checks rank order; a
+    /// [`WaitsFor`] also walks the attempt's waits-for chain, a threaded
+    /// [`Watchdog`] only once a rank violation has been recorded (the
+    /// count is the same either way).
     pub checks: u64,
     /// Waits-for cycles found (each recorded once).
     pub cycles: Vec<Vec<usize>>,
@@ -77,8 +94,8 @@ impl WatchdogReport {
 }
 
 /// The waits-for state of one section, for a single owner: the
-/// simulator holds it directly, [`Watchdog`] wraps it in a mutex for real
-/// threads.
+/// simulator holds it directly. [`Watchdog`] is its lock-free twin for
+/// real threads.
 #[derive(Debug, Default)]
 pub struct WaitsFor {
     /// lock id → worker currently holding it.
@@ -211,65 +228,27 @@ impl WaitsFor {
         *self.holder.get(lock)?
     }
 
-    /// Follows the chain out of `w` and records the cycle if it closes
-    /// back on `w`; returns the hops taken. Every worker on a cycle is
-    /// waiting, so a chain that has not returned to `w` within `blocked`
-    /// hops either ended or entered a cycle `w` is not on — one that an
-    /// earlier `acquiring` already recorded.
+    /// Runs the incremental check from `w` ([`chain_through`]) and
+    /// records the cycle it finds; returns the hops taken.
     fn record_cycle_through(&mut self, w: usize) -> usize {
-        let mut cur = w;
-        for hop in 1..=self.blocked {
-            match self.waits_on(cur) {
-                None => return hop,
-                Some(next) if next == w => {
-                    let mut cycle = vec![w];
-                    let mut m = self.waits_on(w).expect("w is on a cycle");
-                    while m != w {
-                        cycle.push(m);
-                        m = self.waits_on(m).expect("every cycle member waits");
-                    }
-                    self.record(cycle);
-                    return hop;
-                }
-                Some(next) => cur = next,
-            }
+        let (hops, cycle) = chain_through(w, self.blocked, |x| self.waits_on(x));
+        if let Some(cycle) = cycle {
+            self.record(cycle);
         }
-        self.blocked
+        hops
     }
 
-    /// Walks worker → (lock it waits for) → (that lock's holder) chains
-    /// from every waiter, in ascending worker order, looking for a cycle.
-    /// Records the first cycle found in the report and returns it.
+    /// Records and returns the first cycle of the full walk
+    /// ([`first_cycle`]).
     fn full_walk(&mut self) -> Option<Vec<usize>> {
-        for start in 0..self.waiting.len() {
-            if self.waiting[start].is_none() {
-                continue;
-            }
-            let mut path = vec![start];
-            let mut cur = start;
-            while let Some(next) = self.waits_on(cur) {
-                if let Some(pos) = path.iter().position(|&p| p == next) {
-                    let cycle = path[pos..].to_vec();
-                    return Some(self.record(cycle));
-                }
-                path.push(next);
-                cur = next;
-            }
-        }
-        None
+        let cycle = first_cycle(self.waiting.len(), |x| self.waits_on(x))?;
+        Some(self.record(cycle))
     }
 
     /// Canonicalizes `cycle` (rotated so the smallest worker leads),
     /// records it once and returns it.
     fn record(&mut self, mut cycle: Vec<usize>) -> Vec<usize> {
-        if let Some(min_pos) = cycle
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &w)| w)
-            .map(|(i, _)| i)
-        {
-            cycle.rotate_left(min_pos);
-        }
+        canonicalize(&mut cycle);
         if !self.report.cycles.contains(&cycle) {
             self.report.cycles.push(cycle.clone());
         }
@@ -277,49 +256,310 @@ impl WaitsFor {
     }
 }
 
-/// Thread-safe waits-for-graph watchdog shared by a section's workers.
+/// Marks an empty entry of the threaded watchdog's `waiting` and
+/// `holder` tables.
+const NONE: usize = usize::MAX;
+
+/// Aligns its contents to their own cache lines (128 bytes covers the
+/// adjacent-line prefetch pair), so one worker's writes never invalidate
+/// a line another worker reads.
 #[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+/// One worker's private part of the threaded watchdog.
+#[derive(Debug)]
+struct WorkerSlot {
+    /// Lock id the worker is attempting, or [`NONE`]. Written only by the
+    /// worker; read by the chain walks.
+    waiting: AtomicUsize,
+    /// Uncontended: only the worker itself locks it until the report is
+    /// taken.
+    local: Mutex<WorkerLocal>,
+}
+
+#[derive(Debug, Default)]
+struct WorkerLocal {
+    /// Ranks currently held (insertion order).
+    held: Vec<usize>,
+    /// Acquisition attempts (each one rank check).
+    checks: u64,
+    /// Rank violations, each with its run-wide sequence number so the
+    /// report lists them in the order they happened.
+    violations: Vec<(u64, String)>,
+}
+
+/// Thread-safe waits-for-graph watchdog shared by a section's workers.
+///
+/// Rank order is checked in each worker's own padded slot. The waits-for
+/// edges live in atomic tables (`waiting` per worker, `holder` per lock)
+/// and the in-flight attempts in one counter whose peak is kept with
+/// `fetch_max`, so an attempt, a grant or a release takes no shared lock.
+/// Workers that all acquire in strictly increasing rank cannot close a
+/// waits-for cycle (§4.6: around a cycle every wait would be for a rank
+/// above the one before it), so an attempt walks its chain only once a
+/// rank violation has been recorded. [`check`](Self::check) always walks
+/// every waiter; it is the deadline monitor's diagnosis.
+///
+/// Worker indices and lock ids must be below the sizes given to
+/// [`new`](Self::new). Replayed from one thread, the report equals a
+/// [`WaitsFor`]'s for the same events.
+#[derive(Debug)]
 pub struct Watchdog {
-    state: Mutex<WaitsFor>,
+    workers: Box<[Padded<WorkerSlot>]>,
+    /// lock id → worker holding it, or [`NONE`].
+    holder: Box<[AtomicUsize]>,
+    /// Workers with a `waiting` entry.
+    in_flight: Padded<AtomicUsize>,
+    /// Peak of `in_flight`.
+    max_blocked: Padded<AtomicUsize>,
+    /// Rank violations recorded so far; non-zero turns the chain walk on.
+    violations: Padded<AtomicU64>,
+    /// Explicit [`check`](Self::check) calls.
+    explicit_checks: AtomicU64,
+    cycles: Mutex<Vec<Vec<usize>>>,
+}
+
+impl Default for Watchdog {
+    /// A watchdog for 64 workers over 64 ranks (64 is the CLI's thread
+    /// limit).
+    fn default() -> Self {
+        Watchdog::new(64, 64)
+    }
 }
 
 impl Watchdog {
-    /// Creates a watchdog for `workers` workers over lock ranks
-    /// `0..ranks` (see [`WaitsFor::new`]).
+    /// Creates a watchdog for workers `0..workers` over lock ranks
+    /// `0..ranks`.
     pub fn new(workers: usize, ranks: usize) -> Self {
         Watchdog {
-            state: Mutex::new(WaitsFor::new(workers, ranks)),
+            workers: (0..workers)
+                .map(|_| {
+                    Padded(WorkerSlot {
+                        waiting: AtomicUsize::new(NONE),
+                        local: Mutex::new(WorkerLocal::default()),
+                    })
+                })
+                .collect(),
+            holder: (0..ranks).map(|_| AtomicUsize::new(NONE)).collect(),
+            in_flight: Padded::default(),
+            max_blocked: Padded::default(),
+            violations: Padded::default(),
+            explicit_checks: AtomicU64::new(0),
+            cycles: Mutex::new(Vec::new()),
         }
     }
 
-    /// See [`WaitsFor::acquiring`].
+    /// Worker `w` is attempting to acquire lock `l` (see
+    /// [`WaitsFor::acquiring`]): checks rank order against `w`'s held
+    /// locks and, once any rank violation exists, runs the cycle check on
+    /// the chain out of `w`.
     pub fn acquiring(&self, w: usize, l: usize) {
-        self.state.lock().acquiring(w, l);
+        self.enter_wait(w, l);
+        if self.violations.0.load(Ordering::SeqCst) > 0 {
+            self.record_cycle_through(w);
+        }
     }
 
-    /// See [`WaitsFor::acquired`].
+    /// Worker `w` now holds lock `l`.
     pub fn acquired(&self, w: usize, l: usize) {
-        self.state.lock().acquired(w, l);
+        self.stop_waiting(w);
+        self.holder[l].store(w, Ordering::SeqCst);
+        self.workers[w].0.local.lock().held.push(l);
     }
 
-    /// See [`WaitsFor::released`].
+    /// Worker `w` released lock `l`. A sibling that took `l` in between
+    /// keeps its entry.
     pub fn released(&self, w: usize, l: usize) {
-        self.state.lock().released(w, l);
+        if let Some(h) = self.holder.get(l) {
+            let _ = h.compare_exchange(w, NONE, Ordering::SeqCst, Ordering::Relaxed);
+        }
+        if let Some(slot) = self.workers.get(w) {
+            let mut local = slot.0.local.lock();
+            if let Some(pos) = local.held.iter().rposition(|&r| r == l) {
+                local.held.remove(pos);
+            }
+        }
     }
 
-    /// See [`WaitsFor::wait_abandoned`].
+    /// Worker `w` stopped waiting without acquiring (cancellation).
     pub fn wait_abandoned(&self, w: usize) {
-        self.state.lock().wait_abandoned(w);
+        self.stop_waiting(w);
     }
 
-    /// See [`WaitsFor::check`].
+    /// Explicit cycle check over the whole waits-for graph; returns the
+    /// first cycle found this call. On live threads the tables change
+    /// under the walk, so a cycle counts only if every edge on it still
+    /// holds when re-read.
     pub fn check(&self) -> Option<Vec<usize>> {
-        self.state.lock().check()
+        self.explicit_checks.fetch_add(1, Ordering::Relaxed);
+        self.full_walk()
     }
 
     /// Snapshot of the report.
     pub fn report(&self) -> WatchdogReport {
-        self.state.lock().report().clone()
+        let mut checks = self.explicit_checks.load(Ordering::Relaxed);
+        let mut violations: Vec<(u64, String)> = Vec::new();
+        for slot in self.workers.iter() {
+            let local = slot.0.local.lock();
+            checks += local.checks;
+            violations.extend(local.violations.iter().cloned());
+        }
+        violations.sort_by_key(|&(seq, _)| seq);
+        WatchdogReport {
+            checks,
+            cycles: self.cycles.lock().clone(),
+            rank_violations: violations.into_iter().map(|(_, msg)| msg).collect(),
+            max_blocked: self.max_blocked.0.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts the attempt, flags a rank inversion against `w`'s held
+    /// locks, adds the waits-for edge and tracks the in-flight peak.
+    fn enter_wait(&self, w: usize, l: usize) {
+        let slot = &self.workers[w].0;
+        {
+            let mut local = slot.local.lock();
+            local.checks += 1;
+            if let Some(&max_held) = local.held.iter().max() {
+                if l <= max_held {
+                    let msg = format!(
+                        "worker {w} acquiring lock {l} while holding rank {max_held} \
+                         (ranks must strictly increase)"
+                    );
+                    if !local.violations.iter().any(|(_, m)| *m == msg) {
+                        let seq = self.violations.0.fetch_add(1, Ordering::SeqCst);
+                        local.violations.push((seq, msg));
+                    }
+                }
+            }
+        }
+        if slot.waiting.swap(l, Ordering::SeqCst) == NONE {
+            let now = self.in_flight.0.fetch_add(1, Ordering::SeqCst) + 1;
+            self.max_blocked.0.fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    fn stop_waiting(&self, w: usize) {
+        if let Some(slot) = self.workers.get(w) {
+            if slot.0.waiting.swap(NONE, Ordering::SeqCst) != NONE {
+                self.in_flight.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// The worker `cur` waits on, through the holder of its lock.
+    fn waits_on(&self, cur: usize) -> Option<usize> {
+        let lock = self.workers.get(cur)?.0.waiting.load(Ordering::SeqCst);
+        let h = self.holder.get(lock)?.load(Ordering::SeqCst);
+        (h != NONE).then_some(h)
+    }
+
+    /// The incremental check from `w` ([`chain_through`]), bounded by
+    /// the worker count (the in-flight count may be stale here).
+    fn record_cycle_through(&self, w: usize) {
+        if let (_, Some(cycle)) = chain_through(w, self.workers.len(), |x| self.waits_on(x)) {
+            self.record(cycle);
+        }
+    }
+
+    /// The full walk ([`first_cycle`]); the cycle it meets is recorded
+    /// only if it still holds.
+    fn full_walk(&self) -> Option<Vec<usize>> {
+        let cycle = first_cycle(self.workers.len(), |x| self.waits_on(x))?;
+        self.still_holds(&cycle).then(|| self.record(cycle))
+    }
+
+    /// Re-reads every edge of `cycle`.
+    fn still_holds(&self, cycle: &[usize]) -> bool {
+        let next = cycle.iter().cycle().skip(1);
+        cycle
+            .iter()
+            .zip(next)
+            .all(|(&a, &b)| self.waits_on(a) == Some(b))
+    }
+
+    /// Canonicalizes `cycle`, records it once and returns it.
+    fn record(&self, mut cycle: Vec<usize>) -> Vec<usize> {
+        canonicalize(&mut cycle);
+        let mut cycles = self.cycles.lock();
+        if !cycles.contains(&cycle) {
+            cycles.push(cycle.clone());
+        }
+        cycle
+    }
+}
+
+/// Follows the waits-for chain out of `w` for at most `bound` hops and
+/// returns the hops taken, plus the cycle through `w` if the chain
+/// closes back on it. Every worker on a cycle is waiting, so with `bound`
+/// at least the number of waiting workers, a chain that has not returned
+/// to `w` in time either ended or entered a cycle `w` is not on — one
+/// that an earlier attempt already recorded. The cycle is collected by a
+/// second pass, which a live sibling may cut short: then none is
+/// returned.
+fn chain_through(
+    w: usize,
+    bound: usize,
+    waits_on: impl Fn(usize) -> Option<usize>,
+) -> (usize, Option<Vec<usize>>) {
+    let mut cur = w;
+    for hop in 1..=bound {
+        match waits_on(cur) {
+            None => return (hop, None),
+            Some(next) if next == w => {
+                let mut cycle = vec![w];
+                let mut m = waits_on(w);
+                while let Some(x) = m {
+                    if x == w {
+                        return (hop, Some(cycle));
+                    }
+                    if cycle.len() >= bound {
+                        break;
+                    }
+                    cycle.push(x);
+                    m = waits_on(x);
+                }
+                return (hop, None);
+            }
+            Some(next) => cur = next,
+        }
+    }
+    (bound, None)
+}
+
+/// Walks worker → (lock it waits for) → (that lock's holder) chains from
+/// every waiter below `workers`, in ascending worker order, and returns
+/// the first cycle met.
+fn first_cycle(workers: usize, waits_on: impl Fn(usize) -> Option<usize>) -> Option<Vec<usize>> {
+    for start in 0..workers {
+        let Some(mut next) = waits_on(start) else {
+            continue;
+        };
+        let mut path = vec![start];
+        loop {
+            if let Some(pos) = path.iter().position(|&p| p == next) {
+                return Some(path.split_off(pos));
+            }
+            path.push(next);
+            match waits_on(next) {
+                Some(n) => next = n,
+                None => break,
+            }
+        }
+    }
+    None
+}
+
+/// Rotates `cycle` so its smallest worker leads.
+fn canonicalize(cycle: &mut [usize]) {
+    if let Some(min_pos) = cycle
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, &w)| w)
+        .map(|(i, _)| i)
+    {
+        cycle.rotate_left(min_pos);
     }
 }
 
@@ -404,9 +644,8 @@ mod tests {
         /// The reference `acquiring`: the same bookkeeping, then the full
         /// walk over every waiter instead of the chain out of `w`.
         fn acquiring_by_full_walk(&self, w: usize, l: usize) {
-            let mut st = self.state.lock();
-            st.enter_wait(w, l);
-            st.full_walk();
+            self.enter_wait(w, l);
+            self.full_walk();
         }
     }
 
@@ -709,5 +948,144 @@ mod tests {
         wd.acquired(1, 0);
         assert_eq!(wd.check(), None);
         assert!(wd.report().is_clean());
+    }
+
+    /// Replays `events` into a threaded watchdog and into the reference
+    /// single-owner state, with a full check wherever `checks` says.
+    fn replay_both(
+        events: &[Event],
+        workers: usize,
+        ranks: usize,
+        checks: &[bool],
+    ) -> (WatchdogReport, WatchdogReport) {
+        let wd = Watchdog::new(workers, ranks);
+        let mut reference = WaitsFor::new(workers, ranks);
+        for (k, &e) in events.iter().enumerate() {
+            match e {
+                Event::Acquiring(w, l) => {
+                    wd.acquiring(w, l);
+                    reference.acquiring(w, l);
+                }
+                Event::Acquired(w, l) => {
+                    wd.acquired(w, l);
+                    reference.acquired(w, l);
+                }
+                Event::Released(w, l) => {
+                    wd.released(w, l);
+                    reference.released(w, l);
+                }
+                Event::Abandoned(w) => {
+                    wd.wait_abandoned(w);
+                    reference.wait_abandoned(w);
+                }
+            }
+            if checks[k] {
+                assert_eq!(wd.check(), reference.check(), "event {k}: {events:?}");
+            }
+        }
+        (wd.report(), reference.into_report())
+    }
+
+    /// The threaded watchdog against [`WaitsFor`] on the seeded legal
+    /// sequences, each extended by a rank inversion that closes a
+    /// two-worker cycle: the whole report must be equal, so skipping the
+    /// chain walk until a rank violation loses no cycle.
+    #[test]
+    fn threaded_watchdog_matches_waits_for() {
+        let mut rng = SplitMix64::new(0x7EAD_ED0C);
+        let (mut with_cycles, mut with_violations, mut clean) = (0, 0, 0);
+        for _ in 0..1500 {
+            let workers = 2 + rng.next_below(7) as usize;
+            let locks = 2 + rng.next_below(5) as usize;
+            // Short sequences are often rank-ordered throughout.
+            let len = if rng.next_below(4) == 0 { 10 } else { 120 };
+            let mut events = legal_events(&mut rng, workers, locks, len);
+            if rng.next_below(2) == 0 {
+                // Two fresh locks above the sequence's: worker `a` takes
+                // the lower then wants the upper, worker `b` holds the
+                // upper and wants the lower — a rank inversion and a
+                // cycle, unless `a` or `b` is still waiting from the
+                // random prefix (then the tail is skipped).
+                let (a, b) = (0, 1);
+                let (lo, hi) = (locks, locks + 1);
+                let idle = |w: usize| {
+                    let mut waiting = false;
+                    for e in &events {
+                        match *e {
+                            Event::Acquiring(x, _) if x == w => waiting = true,
+                            Event::Acquired(x, _) | Event::Abandoned(x) if x == w => {
+                                waiting = false
+                            }
+                            _ => {}
+                        }
+                    }
+                    !waiting
+                };
+                if idle(a) && idle(b) {
+                    events.extend([
+                        Event::Acquiring(a, lo),
+                        Event::Acquired(a, lo),
+                        Event::Acquiring(b, hi),
+                        Event::Acquired(b, hi),
+                        Event::Acquiring(a, hi),
+                        Event::Acquiring(b, lo),
+                    ]);
+                }
+            }
+            let checks: Vec<bool> = events.iter().map(|_| rng.next_below(16) == 0).collect();
+            let (got, want) = replay_both(&events, workers, locks + 2, &checks);
+            assert_eq!(got, want, "{events:?}");
+            with_cycles += usize::from(!want.cycles.is_empty());
+            with_violations += usize::from(!want.rank_violations.is_empty());
+            clean += usize::from(want.is_clean());
+        }
+        assert!(with_cycles > 100, "{with_cycles} sequences with cycles");
+        assert!(with_violations > 100, "{with_violations} with violations");
+        assert!(clean > 10, "{clean} clean sequences");
+    }
+
+    /// Real threads on real locks in rank order: a clean report, one
+    /// check per attempt, and never more attempts in flight than threads.
+    #[test]
+    fn rank_ordered_threads_on_real_locks_stay_clean() {
+        use crate::lock::{LockKind, RawLock};
+        const THREADS: usize = 4;
+        const LOCKS: usize = 3;
+        const ROUNDS: usize = 2000;
+        let wd = Watchdog::new(THREADS, LOCKS);
+        let locks: Vec<RawLock> = (0..LOCKS).map(|_| RawLock::new(LockKind::Mutex)).collect();
+        std::thread::scope(|s| {
+            for w in 0..THREADS {
+                let (wd, locks) = (&wd, &locks);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        // Each round takes an ascending subset of ranks.
+                        let take: Vec<usize> =
+                            (0..LOCKS).filter(|l| (round + w) % (l + 2) != 0).collect();
+                        for &l in &take {
+                            wd.acquiring(w, l);
+                            locks[l].acquire();
+                            wd.acquired(w, l);
+                        }
+                        for &l in take.iter().rev() {
+                            locks[l].release();
+                            wd.released(w, l);
+                        }
+                    }
+                });
+            }
+        });
+        let expected: usize = (0..THREADS)
+            .map(|w| {
+                (0..ROUNDS)
+                    .map(|round| (0..LOCKS).filter(|l| (round + w) % (l + 2) != 0).count())
+                    .sum::<usize>()
+            })
+            .sum();
+        let r = wd.report();
+        assert!(r.is_clean(), "{r:?}");
+        assert_eq!(r.checks, expected as u64);
+        assert!((1..=THREADS).contains(&r.max_blocked), "{r:?}");
+        assert_eq!(wd.check(), None);
     }
 }

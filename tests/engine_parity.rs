@@ -4,12 +4,16 @@
 //! completion on both machines, every intrinsic resolved through the
 //! workload's own registry on a fresh world, and every observable must be
 //! identical: the result, the total retired cost, the special sequence
-//! (intrinsic id + arguments) and the final world.
+//! (intrinsic id + arguments) and the final world. Two small programs
+//! pin the bytecode engine's reuse of returned call frames: a reused
+//! frame must start from the callee's initial registers and local arrays,
+//! at every depth of a recursion.
 
 use commset_interp::globals::PlainGlobals;
 use commset_interp::vm::GlobalMem;
 use commset_interp::{BcModule, BcVm, ExecError, StepOutcome, Vm};
-use commset_ir::{IntrinsicId, Module};
+use commset_ir::{IntrinsicId, IntrinsicTable, Module};
+use commset_lang::ast::Type;
 use commset_runtime::{Registry, Value, World};
 use commset_workloads::{all, Workload};
 
@@ -100,5 +104,73 @@ fn bytecode_matches_the_reference_vm_on_every_workload() {
             .unwrap_or_else(|e| panic!("{}: worlds diverge: {e}", w.name));
         (w.validate)(&b.world, &t.world)
             .unwrap_or_else(|e| panic!("{}: worlds diverge: {e}", w.name));
+    }
+}
+
+/// `f(0)` writes a local array element and a register that `f(1)` reads
+/// without writing: a reused frame must hand `f(1)` zeros.
+const FRESH_LOCALS: &str = r#"
+    extern void emit(int v);
+    int f(int k) {
+        int a[4];
+        int x;
+        if (k == 0) {
+            a[1] = 7;
+            x = 9;
+        }
+        emit(a[1] + x);
+        a[2] = a[2] + k;
+        return a[1] * 100 + x + a[2];
+    }
+    int main() {
+        int s = 0;
+        for (int i = 0; i < 6; i = i + 1) {
+            s = s + f(i % 2);
+        }
+        return s;
+    }
+"#;
+
+/// Frames of every depth are returned and reused while deeper calls
+/// are live.
+const RECURSIVE: &str = r#"
+    extern void emit(int v);
+    int fib(int n) {
+        int memo[2];
+        memo[0] = n;
+        if (n < 2) {
+            emit(n);
+            return n;
+        }
+        int r = fib(n - 1) + fib(n - 2);
+        memo[1] = r;
+        emit(memo[0] * 1000 + memo[1]);
+        return memo[1];
+    }
+    int main() {
+        return fib(10);
+    }
+"#;
+
+#[test]
+fn reused_call_frames_match_the_reference_vm() {
+    let mut table = IntrinsicTable::new();
+    table.register("emit", vec![Type::Int], Type::Void, &[], &["OUT"], 5);
+    let mut registry = Registry::new();
+    registry.register("emit", |_, _| commset_runtime::IntrinsicOutcome::unit());
+    // f(0) = 709 three times, f(1) = 1 three times; fib(10) = 55.
+    for (src, want) in [(FRESH_LOCALS, 2130), (RECURSIVE, 55)] {
+        let unit = commset_lang::compile_unit(src).unwrap();
+        let module = commset_ir::lower_program(&unit.program, table.clone()).unwrap();
+        let bc = BcModule::compile(&module);
+        let mut tree = Vm::for_name(&module, "main", &[]).unwrap();
+        let mut byte = BcVm::for_name(&module, &bc, "main", &[]).unwrap();
+        let t = run(&mut tree, &module, &registry, World::new());
+        let b = run(&mut byte, &module, &registry, World::new());
+        assert_eq!(t.result, Some(Value::Int(want)), "reference result");
+        assert_eq!(b.result, t.result, "results differ");
+        assert_eq!(b.cost, t.cost, "total retired cost differs");
+        assert!(!t.specials.is_empty());
+        assert_eq!(b.specials, t.specials, "special sequences differ");
     }
 }
