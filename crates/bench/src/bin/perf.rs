@@ -8,20 +8,15 @@
 //! deterministic logical tick or counter: two runs write the same bytes.
 //! Host wall time is measured by `perfbench`, not here.
 //!
-//! Run: `cargo run --release -p commset-bench --bin perf`
+//! Run: `cargo run --release -p commset-bench --bin perf [-- --out PATH]`
 //!
-//! Flags:
+//! `--out PATH` sets the output path (default `BENCH_PARALLEL.json`);
+//! any other argument is a usage error (exit 2).
 //!
-//! * `--out PATH` — output path (default `BENCH_PARALLEL.json`);
-//! * `--delta-smoke WORKLOAD` — CI's delta gate: run one merge-declared
-//!   workload on real threads in `WorldMode::Deltas` and fail if the
-//!   privatized path ever touches a shard lock.
-//! * `--diff OLD.json [--against NEW.json]` — the regression gate: diff
-//!   a candidate report against the committed baseline cell-by-cell
-//!   (5% band on the simulated columns, lost cells fail — see
-//!   `commset_bench::diff`). Without `--against`, the suite runs
-//!   in-process as the candidate. Exit 1 on any regression; unknown
-//!   flags and unreadable files exit 2 with the usage line.
+//! The committed `BENCH_PARALLEL.json` is the simulated clock's golden:
+//! this binary's unit test reruns the suite and compares it with that
+//! file byte for byte, so regenerating it with `perf` is a reviewed
+//! change like any other golden refresh.
 //!
 //! The output is a machine-readable JSON report (written without any
 //! external serialization dependency), one line per
@@ -32,8 +27,6 @@
 //! aborts.
 
 use commset::Scheme;
-use commset_bench::diff::diff_reports;
-use commset_interp::bundle::Json;
 use commset_interp::{ExecConfig, SimStats, WorldMode};
 use commset_runtime::{DeltaSnapshot, World};
 use commset_sim::CostModel;
@@ -86,142 +79,23 @@ fn delta_json(d: &DeltaSnapshot) -> String {
     )
 }
 
-/// CI's delta perf gate: run one merge-declared reduction workload on
-/// real threads entirely in `WorldMode::Deltas` (every DOALL scheme, 2
-/// threads), validate against the sequential oracle, and fail hard if
-/// the delta path ever touched a shard lock.
-fn delta_smoke(name: &str) {
-    let cm = CostModel::default();
-    let w = commset_workloads::all()
-        .into_iter()
-        .find(|w| w.name == name)
-        .unwrap_or_else(|| panic!("no workload named {name}"));
-    assert!(
-        w.registry.has_merges(),
-        "{name} declares no merge operators — not a delta workload"
-    );
-    let (_, seq_world) = w.run_sequential(&cm);
-    let cfg = ExecConfig {
-        world: WorldMode::Deltas,
-        ..ExecConfig::default()
-    };
-    let mut cells = 0u32;
-    for spec in &w.schemes {
-        if spec.scheme != Scheme::Doall {
-            continue;
-        }
-        let out = match w.run_scheme_threaded(spec, 2, &cfg) {
-            Ok(out) => out,
-            Err(Ok(_diag)) => continue, // scheme inapplicable
-            Err(Err(e)) => panic!("{name}: {} x2 (Deltas): executor failed: {e}", spec.label),
-        };
-        (w.validate)(&seq_world, &out.world).unwrap_or_else(|e| {
-            panic!(
-                "{name}: {} x2 (Deltas) computed a wrong answer: {e}",
-                spec.label
-            )
-        });
-        assert!(
-            out.stats.watchdog.is_clean(),
-            "{name}: {} x2 (Deltas): watchdog {:?}",
-            spec.label,
-            out.stats.watchdog
-        );
-        // Updates land in per-worker buffers, so the shard locks stay
-        // cold. One fast acquire is tolerated for a main-thread
-        // pre-section call (md5sum's `file_count`).
-        let (s, d) = (&out.stats.shard, &out.stats.delta);
-        assert!(
-            d.applies > 0,
-            "{name}: {} x2: deltas run never took the privatized path",
-            spec.label
-        );
-        assert!(
-            s.fast_acquires + s.multi_acquires + s.whole_acquires <= 1,
-            "{name}: {} x2: deltas run touched the shard locks: {s:?}",
-            spec.label
-        );
-        eprintln!(
-            "{name:<8} {:<26} x2 deltas: applies {}  coalesces {}  elisions {}  shard locks {s:?}",
-            spec.label, d.applies, d.coalesces, d.lock_elisions
-        );
-        cells += 1;
-    }
-    assert!(cells > 0, "{name}: no DOALL scheme was measurable");
-    eprintln!("delta smoke: {cells} scheme(s) lock-free and oracle-identical");
-}
-
-/// Usage-error exit: the usage line on stderr, status 2 (so CI can tell
-/// a mis-invocation from a perf regression, which exits 1).
+/// Usage-error exit: the usage line on stderr, status 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: perf [--out PATH] [--delta-smoke WORKLOAD] \
-         [--diff OLD.json [--against NEW.json]]"
-    );
+    eprintln!("usage: perf [--out PATH]");
     std::process::exit(2);
-}
-
-fn read_report(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        usage();
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        usage();
-    })
-}
-
-/// The `--diff` mode: baseline vs candidate (a saved report, or a fresh
-/// in-process run). Exits 1 when any column regressed.
-fn run_diff(old_path: &str, against: Option<&str>) -> ! {
-    let old = read_report(old_path);
-    let new = match against {
-        Some(path) => read_report(path),
-        None => {
-            eprintln!("no --against report: running the suite as the candidate");
-            let (json, _) = run_suite();
-            Json::parse(&json).expect("in-process report serializes round-trip")
-        }
-    };
-    let report = diff_reports(&old, &new).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        usage();
-    });
-    print!("{}", report.render_text());
-    if report.regressions().is_empty() {
-        std::process::exit(0);
-    }
-    std::process::exit(1);
 }
 
 fn main() {
     let mut out_path = "BENCH_PARALLEL.json".to_string();
-    let mut diff_path: Option<String> = None;
-    let mut against: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--out" => out_path = value(),
-            "--delta-smoke" => {
-                delta_smoke(&value());
-                return;
-            }
-            "--diff" => diff_path = Some(value()),
-            "--against" => against = Some(value()),
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
             other => {
-                eprintln!("error: unknown flag `{other}`");
+                eprintln!("error: unknown argument `{other}`");
                 usage();
             }
         }
-    }
-    if let Some(old_path) = &diff_path {
-        run_diff(old_path, against.as_deref());
-    }
-    if against.is_some() {
-        eprintln!("error: --against only applies with --diff");
-        usage();
     }
     let (json, rows) = run_suite();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("writing {out_path} failed: {e}"));
@@ -229,8 +103,7 @@ fn main() {
 }
 
 /// Runs the whole simulated matrix and serializes the report; returns
-/// `(json, row count)`. Shared by the default write-a-report mode and
-/// `--diff`'s in-process candidate.
+/// `(json, row count)`.
 fn run_suite() -> (String, usize) {
     let cm = CostModel::default();
     let mut lines: Vec<String> = Vec::new();
@@ -298,4 +171,34 @@ fn run_suite() -> (String, usize) {
         lines.join(",\n    ")
     );
     (json, lines.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run_suite;
+
+    /// The committed report is the golden: a fresh run must reproduce it
+    /// byte for byte, so a one-tick drift in any cell fails. Regenerate
+    /// with `perf` from the repo root and review the diff.
+    #[test]
+    fn fresh_suite_matches_committed_bench_parallel_json() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PARALLEL.json");
+        let committed =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let (fresh, _) = run_suite();
+        if fresh != committed {
+            let fresh: Vec<&str> = fresh.split('\n').collect();
+            let committed: Vec<&str> = committed.split('\n').collect();
+            let i = (0..fresh.len().max(committed.len()))
+                .find(|&i| fresh.get(i) != committed.get(i))
+                .expect("unequal texts differ in some line");
+            panic!(
+                "BENCH_PARALLEL.json line {}: fresh {:?}, committed {:?}; regenerate \
+                 with `cargo run --release -p commset-bench --bin perf` if intended",
+                i + 1,
+                fresh.get(i),
+                committed.get(i)
+            );
+        }
+    }
 }

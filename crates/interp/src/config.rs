@@ -13,7 +13,8 @@ pub enum WorldMode {
     #[default]
     Auto,
     /// Always the single `Mutex<World>` — the historical behavior, kept
-    /// as the baseline the bench harness compares against.
+    /// as the reference that the sharded and delta worlds are checked
+    /// against (`tests/sharded_world.rs` and the `thread_exec` tests).
     SingleLock,
     /// Always the sharded world; unbound intrinsics take the whole-world
     /// slow path.
@@ -62,8 +63,10 @@ impl WorldMode {
 ///
 /// The default configuration injects no faults, uses the default
 /// [`BackoffPolicy`] for transactional retries and records nothing. The
-/// waits-for watchdog always runs (its overhead is one mutexed map update
-/// per blocking lock event).
+/// waits-for watchdog always runs: on the simulator a few indexed loads
+/// and stores per lock event in a dense table, on threads the same in
+/// each worker's own slot and in atomic tables, with no shared lock (see
+/// `commset_runtime::watchdog`).
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Adversarial schedule to inject; `FaultPlan::none()` by default.

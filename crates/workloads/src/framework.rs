@@ -2,9 +2,9 @@
 //! through the COMMSET pipeline, producing the speedup numbers behind
 //! Table 2 and Figure 6.
 
-use commset::{Analysis, Compiler, Scheme, SyncMode};
+use commset::{Analysis, Compiler, ParallelPlan, Scheme, SyncMode};
 use commset_interp::ExecError;
-use commset_ir::IntrinsicTable;
+use commset_ir::{IntrinsicTable, Module};
 use commset_lang::diag::Diagnostic;
 use commset_runtime::{Registry, World};
 use commset_sim::CostModel;
@@ -162,6 +162,28 @@ impl Workload {
         (out.sim_time, world)
     }
 
+    /// The source a series compiles: its annotated variant, or the
+    /// pragma-stripped baseline for a non-COMMSET series.
+    fn spec_source(&self, spec: &SchemeSpec) -> String {
+        if spec.commset {
+            self.variants[spec.variant].clone()
+        } else {
+            self.plain_source()
+        }
+    }
+
+    /// Analyzes `spec`'s source and applies its transform at `nthreads`:
+    /// the one compile path of every `run_scheme*` entry point.
+    fn compile_spec(
+        &self,
+        spec: &SchemeSpec,
+        nthreads: usize,
+    ) -> Result<(Module, ParallelPlan), Diagnostic> {
+        let compiler = self.compiler();
+        let analysis = compiler.analyze(&self.spec_source(spec))?;
+        compiler.compile(&analysis, spec.scheme, nthreads, spec.sync)
+    }
+
     /// Runs one scheme at `nthreads`; returns (simulated time, final
     /// world), or the applicability diagnostic.
     ///
@@ -174,15 +196,10 @@ impl Workload {
         nthreads: usize,
         cm: &CostModel,
     ) -> Result<(u64, World), Diagnostic> {
-        let compiler = self.compiler();
-        let source: String = if spec.commset {
-            self.variants[spec.variant].clone()
-        } else {
-            self.plain_source()
-        };
-        let analysis = compiler.analyze(&source)?;
         if spec.scheme == Scheme::Sequential {
-            let module = compiler.compile_sequential(&analysis)?;
+            let compiler = self.compiler();
+            let module =
+                compiler.compile_sequential(&compiler.analyze(&self.spec_source(spec))?)?;
             let mut world = (self.make_world)();
             let out =
                 commset_interp::run_sequential(&module, &self.registry, &mut world, cm, "main")
@@ -191,7 +208,7 @@ impl Workload {
                     });
             return Ok((out.sim_time, world));
         }
-        let (module, plan) = compiler.compile(&analysis, spec.scheme, nthreads, spec.sync)?;
+        let (module, plan) = self.compile_spec(spec, nthreads)?;
         let mut world = (self.make_world)();
         let out = commset_interp::run_simulated(&module, &self.registry, &[plan], &mut world, cm)
             .unwrap_or_else(|e| {
@@ -221,16 +238,7 @@ impl Workload {
         cm: &CostModel,
         cfg: &commset_interp::ExecConfig,
     ) -> Result<(u64, World, commset_interp::SimStats), Result<Diagnostic, ExecError>> {
-        let compiler = self.compiler();
-        let source: String = if spec.commset {
-            self.variants[spec.variant].clone()
-        } else {
-            self.plain_source()
-        };
-        let analysis = compiler.analyze(&source).map_err(Ok)?;
-        let (module, plan) = compiler
-            .compile(&analysis, spec.scheme, nthreads, spec.sync)
-            .map_err(Ok)?;
+        let (module, plan) = self.compile_spec(spec, nthreads).map_err(Ok)?;
         let mut world = (self.make_world)();
         let out = commset_interp::run_simulated_with(
             &module,
@@ -245,9 +253,10 @@ impl Workload {
     }
 
     /// Runs one scheme at `nthreads` on **real OS threads** under `cfg`
-    /// — the entry point of the wall-clock bench harness and of the
-    /// sharded-world equivalence suite. The executor's `cfg.world` knob
-    /// selects the locking discipline (single mutex vs sharded).
+    /// — the entry point of the real-thread test suites (the world
+    /// equivalence suite and the interned-id routes). The executor's
+    /// `cfg.world` knob selects the world: single mutex, sharded, or
+    /// per-worker deltas.
     ///
     /// # Errors
     ///
@@ -260,16 +269,7 @@ impl Workload {
         nthreads: usize,
         cfg: &commset_interp::ExecConfig,
     ) -> Result<commset_interp::ThreadOutcome, Result<Diagnostic, ExecError>> {
-        let compiler = self.compiler();
-        let source: String = if spec.commset {
-            self.variants[spec.variant].clone()
-        } else {
-            self.plain_source()
-        };
-        let analysis = compiler.analyze(&source).map_err(Ok)?;
-        let (module, plan) = compiler
-            .compile(&analysis, spec.scheme, nthreads, spec.sync)
-            .map_err(Ok)?;
+        let (module, plan) = self.compile_spec(spec, nthreads).map_err(Ok)?;
         let world = (self.make_world)();
         commset_interp::run_threaded_with(
             &module,

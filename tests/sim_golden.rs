@@ -6,8 +6,10 @@
 //! lock-delay + worker-stall fault plan, and merge-declared workloads once
 //! more in the delta-privatized world. The lines must match
 //! `samples/sim/fig6.expected` byte for byte, so a change to the DES
-//! scheduler or the watchdog that moves any simulated figure — even by
-//! less than the `perf --diff` noise band — shows up as a diff.
+//! scheduler or the watchdog that moves any simulated figure by even one
+//! tick shows up as a diff. The `perf` report's 1-thread rows and its
+//! delta-world column at every thread count are pinned the same way, by
+//! `commset-bench`'s test against `BENCH_PARALLEL.json`.
 //!
 //! To refresh the golden after an intentional change, rerun with
 //! `SIM_GOLDEN_REGEN=1` and review the resulting diff.
