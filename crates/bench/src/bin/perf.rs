@@ -176,28 +176,20 @@ fn run_suite() -> (String, usize) {
 #[cfg(test)]
 mod tests {
     use super::run_suite;
+    use commset_bench::diff::{first_difference, COMMITTED_REPORT};
 
     /// The committed report is the golden: a fresh run must reproduce it
     /// byte for byte, so a one-tick drift in any cell fails. Regenerate
     /// with `perf` from the repo root and review the diff.
     #[test]
     fn fresh_suite_matches_committed_bench_parallel_json() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PARALLEL.json");
-        let committed =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let committed = std::fs::read_to_string(COMMITTED_REPORT)
+            .unwrap_or_else(|e| panic!("reading {COMMITTED_REPORT}: {e}"));
         let (fresh, _) = run_suite();
-        if fresh != committed {
-            let fresh: Vec<&str> = fresh.split('\n').collect();
-            let committed: Vec<&str> = committed.split('\n').collect();
-            let i = (0..fresh.len().max(committed.len()))
-                .find(|&i| fresh.get(i) != committed.get(i))
-                .expect("unequal texts differ in some line");
+        if let Some((line, fresh, committed)) = first_difference(&fresh, &committed) {
             panic!(
-                "BENCH_PARALLEL.json line {}: fresh {:?}, committed {:?}; regenerate \
-                 with `cargo run --release -p commset-bench --bin perf` if intended",
-                i + 1,
-                fresh.get(i),
-                committed.get(i)
+                "BENCH_PARALLEL.json line {line}: fresh {fresh:?}, committed {committed:?}; \
+                 regenerate with `cargo run --release -p commset-bench --bin perf` if intended"
             );
         }
     }
